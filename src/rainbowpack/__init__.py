@@ -30,7 +30,6 @@ from .model import (
     BoundParams,
     Collection,
     SignatureReference,
-    build_universe,
     colours_of,
     is_eta_maximal,
     is_eta_submaximal,
@@ -40,7 +39,6 @@ from .model import (
     lex_compare,
     signature_of_sizes,
     submaximal_signature,
-    submaximal_signatures,
     underline,
     unused,
     validate_collection,

@@ -337,7 +337,6 @@ def concentration_probe(
     seq: BaseSequence,
     coll: Collection,
     k: int,
-    good: bool = False,
     depth_limit: Optional[int] = None,
     search_budget: int = 200,
 ) -> Optional[ProbeResult]:
@@ -357,10 +356,7 @@ def concentration_probe(
 
     def try_chain(root: Root, chain: tuple) -> Optional[ProbeResult]:
         calls[0] += 1
-        try:
-            casc = cascade_search(seq, root, chain, good=good)
-        except LevelBoundViolatedError:
-            return None
+        casc = cascade_search(seq, root, chain)
         used = set(chain) | {root.index}
         for j, S in enumerate(coll.sets):
             if j in used:

@@ -69,12 +69,16 @@ def _write(path: Optional[str], text: str):
             fh.write(text)
 
 
-def _read_instance(path: str) -> Instance:
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path) as fh:
-            return parse_instance(fh.read())
+            return fh.read()
     except OSError as exc:
-        raise click.UsageError(f"cannot read instance: {exc}")
+        raise click.UsageError(f"cannot read {what}: {exc}")
+
+
+def _read_instance(path: str) -> Instance:
+    return parse_instance(_read_text(path, "instance"))
 
 
 def _girth_field(inst: Instance) -> str:
@@ -205,12 +209,15 @@ def verify(instance_path, log_path, report_path):
     """Re-derive a solve result from its move log and re-validate every step."""
     inst = _read_instance(instance_path)
     seq = inst.base_sequence()
-    with open(log_path) as fh:
-        moves = load_move_log(fh.read())
+    moves = load_move_log(_read_text(log_path, "move log"))
     coll = replay_moves(seq, moves)
     if report_path:
-        with open(report_path) as fh:
-            report = yaml.safe_load(fh.read())
+        try:
+            report = yaml.safe_load(_read_text(report_path, "report"))
+        except yaml.YAMLError as exc:
+            raise RainbowError(f"report is not valid YAML: {exc}") from exc
+        if not isinstance(report, dict):
+            raise RainbowError("report is not a mapping")
         if report.get("instance_digest") != instance_digest(inst):
             raise RainbowError("report digest does not match the instance")
         if tuple(report.get("signature", ())) != coll.signature:

@@ -289,8 +289,7 @@ def cyclic_exchange(
 
 
 def _checked_exchange(seq, S_prime, pairs, I: frozenset) -> frozenset:
-    swapped = frozenset(S_prime) - {pairs[i][1] for i in I} | {pairs[i][0] for i in I}
-    ok, why = validate_ris(seq, swapped)
+    ok, why = validate_ris(seq, exchanged_set(S_prime, pairs, I))
     if not ok:
         raise InternalInvariantError(
             f"cyclic exchange produced an invalid set ({why}); "

@@ -17,7 +17,7 @@ from .matroids import (
     build_matroid,
     girth,
 )
-from .model import BaseSequence
+from .model import BaseSequence, overlap_counts
 
 FORMAT_VERSION = 1
 
@@ -105,7 +105,8 @@ def validate_instance(inst: Instance) -> BaseSequence:
     if inst.declared_kappa is not None:
         actual = seq.overlap_kappa()
         if inst.declared_kappa < actual:
-            offender = _most_shared_element(seq)
+            counts = overlap_counts(seq.bases)
+            offender = max(counts, key=lambda x: (counts[x], -x))
             raise ValidationError(
                 f"declared kappa={inst.declared_kappa} below actual overlap "
                 f"{actual} (element {offender})"
@@ -120,14 +121,6 @@ def validate_instance(inst: Instance) -> BaseSequence:
                 f"{seq.n - inst.declared_beta + 1} but the matroid has girth {g}"
             )
     return seq
-
-
-def _most_shared_element(seq: BaseSequence) -> int:
-    counts: dict = {}
-    for B in seq.bases:
-        for x in B:
-            counts[x] = counts.get(x, 0) + 1
-    return max(counts, key=lambda x: (counts[x], -x))
 
 
 def _safe_girth(M: Matroid):
@@ -168,16 +161,6 @@ def _sample_subset(rng: random.Random, m: int, size: int) -> tuple:
     return tuple(sorted(rng.sample(range(m), size)))
 
 
-def _overlap_ok(bases, kappa: int) -> bool:
-    counts: dict = {}
-    for B in bases:
-        for x in B:
-            counts[x] = counts.get(x, 0) + 1
-            if counts[x] > kappa:
-                return False
-    return True
-
-
 def _overlapping_ground_size(n: int, kappa: int) -> int:
     # kappa copies of each element must cover n*n base slots
     return max(n + 1, -(-n * n // kappa) + n)
@@ -191,7 +174,7 @@ def _gen_uniform(n, mode, kappa, rng):
     m = _overlapping_ground_size(n, kappa)
     for _ in range(500):
         bases = tuple(_sample_subset(rng, m, n) for _ in range(n))
-        if _overlap_ok(bases, kappa):
+        if max(overlap_counts(bases).values()) <= kappa:
             return {"k": n, "m": m}, bases
     raise InputError(f"could not sample kappa={kappa} overlapping bases for n={n}")
 
@@ -278,7 +261,7 @@ def _gen_linear(n, mode, kappa, rng):
                     bases.append(cand)
                     if len(bases) == n:
                         break
-            if len(bases) == n and _overlap_ok(bases, kappa):
+            if len(bases) == n and max(overlap_counts(bases).values()) <= kappa:
                 break
         else:
             raise InputError(f"could not sample linear kappa={kappa} bases for n={n}")

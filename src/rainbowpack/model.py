@@ -43,6 +43,15 @@ class BoundParams:
         return n - self.alpha
 
 
+def overlap_counts(bases: Iterable[Iterable[int]]) -> dict:
+    """How many of the given bases hold each element."""
+    counts: dict = {}
+    for B in bases:
+        for x in B:
+            counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
 class BaseSequence:
     """An n-tuple of bases of a rank-n matroid, the c-th coloured c."""
 
@@ -75,22 +84,13 @@ class BaseSequence:
 
     def overlap_kappa(self) -> int:
         """Largest number of bases sharing a single matroid element."""
-        counts: dict = {}
-        for B in self.bases:
-            for x in B:
-                counts[x] = counts.get(x, 0) + 1
-        return max(counts.values())
+        return max(overlap_counts(self.bases).values())
 
     def is_disjoint(self) -> bool:
         return self.overlap_kappa() == 1
 
     def __repr__(self):
         return f"BaseSequence(n={self.n}, {self.matroid!r})"
-
-
-def build_universe(matroid: Matroid, bases: Sequence[Iterable[int]]) -> BaseSequence:
-    """Validate the bases and return the sequence carrying the coloured universe."""
-    return BaseSequence(matroid, bases)
 
 
 def underline(S: Iterable[CElem]) -> frozenset:
@@ -269,12 +269,6 @@ def submaximal_signature(tau_eta: Signature) -> Signature:
     out[n - 2] += 1
     out[n - 1] -= 1
     return tuple(out)
-
-
-def submaximal_signatures(tau_eta: Signature) -> frozenset:
-    """All signatures one step below a maximal one (a single one by the
-    three-case analysis), as a set for callers doing membership tests."""
-    return frozenset({submaximal_signature(tau_eta)})
 
 
 def is_eta_maximal(coll: Collection, tau_eta: Signature) -> bool:

@@ -2,8 +2,15 @@
 
 Every accepted move strictly increases the collection signature under the
 last-coordinate-first order, so termination needs no budget; the budget is a
-safety net.  Moves are recorded in a replayable log: one dict per move, fully
-determining the successor collection.
+safety net.  The replayable move log holds one JSON object per move, with
+coloured elements as ``[element, colour]`` pairs and the ``signature`` the
+move produces.  Kind ``augment`` has ``set``, ``removed`` and ``added``: set
+``set`` takes a shortest augmenting path (:func:`augmenting_path`), and
+``set == len(sets)`` opens a new set.  Kind ``cascade`` has ``root_set``,
+``colour``, ``steps`` (``donor``, ``element``, ``mode``, ``removed``,
+``witness``), ``assoc``, ``landing``, ``donor_set``, ``removed`` and
+``added``.  Logs with kinds ``grow``, ``swapgrow`` or ``seed``, or with a
+``good`` field, come from earlier versions and no longer replay.
 """
 
 from __future__ import annotations
@@ -12,18 +19,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cascade import (
-    associated_root,
-    concentration_probe,
-    good_transform,
-)
-from .errors import (
-    CorruptedTraceError,
-    InternalInvariantError,
-    LevelBoundViolatedError,
-    PreconditionError,
-)
-from .exchange import AddRecord, Root, add_set, arrow, transition
+from .cascade import concentration_probe
+from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
+from .exchange import AddRecord, Root, add_set, arrow, cyclic_exchange, transition
 from .model import (
     BaseSequence,
     BoundParams,
@@ -32,18 +30,19 @@ from .model import (
     is_ris,
     istar,
     lex_compare,
+    underline,
     validate_collection,
 )
+
+# Deepest concentration a cascade probes for; it falls back to k - 1, ..., 1.
+PROBE_K = 2
 
 
 @dataclass(frozen=True)
 class SolverParams:
     bound: BoundParams = field(default_factory=BoundParams)
     depth_limit: int = 2
-    probe_k: int = 2
-    good_enabled: bool = True
     iteration_budget: int = 5000
-    seed: int = 0  # reserved for instance generation; the solver is deterministic
 
     def __post_init__(self):
         if self.depth_limit < 1 or self.iteration_budget < 1:
@@ -69,7 +68,78 @@ def _unpair(p):
     return (p[0], p[1])
 
 
-def _grow_move(seq, coll, eta):
+def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
+    """Shortest augmenting path from the RIS ``S`` into the unused ``pool``.
+
+    An RIS is a common independent set of the lifted matroid (coloured copies
+    of an element are parallel) and the colour partition matroid.  In their
+    exchange graph (Edmonds) an outside y leads to the element of S with y's
+    colour, and an inside x to every outside y with S - x + y independent in
+    the lifted matroid; paths run from the outside elements the lifted
+    matroid lets S take to those of a colour S lacks.  Returns the path's
+    sorted ``(removed, added)`` elements, with ``S - removed | added`` an RIS
+    one larger than S, or None exactly when no RIS on S | pool is larger.
+    Ties break by the order of ``pool``.
+    """
+    M = seq.matroid
+    raw = underline(S)
+    holder = {xc[1]: xc for xc in S}
+    parent: dict = {}
+
+    def path_to(y):
+        removed, added = [], [y]
+        x = parent[y]
+        while x is not None:
+            removed.append(x)
+            added.append(parent[x])
+            x = parent[parent[x]]
+        return tuple(sorted(removed)), tuple(sorted(added))
+
+    frontier = []
+    for y in pool:
+        if y[0] not in raw and M.is_independent(raw | {y[0]}):
+            parent[y] = None
+            if y[1] not in holder:
+                return path_to(y)
+            frontier.append(y)
+    while frontier:
+        reached = []
+        for y in frontier:
+            x = holder[y[1]]
+            if x in parent:
+                continue
+            parent[x] = y
+            rest = raw - {x[0]}
+            for z in pool:
+                if z in parent or z[0] in rest or not M.is_independent(rest | {z[0]}):
+                    continue
+                parent[z] = x
+                if z[1] not in holder:
+                    return path_to(z)
+                reached.append(z)
+        frontier = reached
+    return None
+
+
+def _augmented(coll: Collection, i: int, removed, added) -> Collection:
+    if i == len(coll.sets):
+        return coll.append(frozenset(added))
+    return coll.replace(i, coll.sets[i] - frozenset(removed) | frozenset(added))
+
+
+def _augment(coll, i, removed, added):
+    move = {
+        "kind": "augment",
+        "set": i,
+        "removed": [_pair(e) for e in removed],
+        "added": [_pair(e) for e in added],
+    }
+    return move, _augmented(coll, i, removed, added)
+
+
+def _augment_move(seq, coll, eta):
+    """Direct additions to the non-full sets, smallest set first; then longer
+    augmenting paths, set by set; then a new set."""
     free = sorted(seq.universe - coll.used())
     order = sorted(
         (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
@@ -78,48 +148,17 @@ def _grow_move(seq, coll, eta):
     for i in order:
         S = coll.sets[i]
         present = colours_of(S)
-        for xc in free:
-            if xc[1] in present:
-                continue
-            if is_ris(seq, S | {xc}):
-                move = {"kind": "grow", "set": i, "element": _pair(xc)}
-                return move, coll.replace(i, S | {xc})
-    return None
-
-
-def _swapgrow_move(seq, coll, eta):
-    used = coll.used()
-    order = sorted(
-        (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
-        key=lambda i: (len(coll.sets[i]), i),
-    )
+        for y in free:
+            if y[1] not in present and is_ris(seq, S | {y}):
+                return _augment(coll, i, (), (y,))
     for i in order:
-        S = coll.sets[i]
-        for b in sorted(set(range(1, seq.n + 1)) - colours_of(S)):
-            root = Root(coll, i, b)
-            for rec in add_set(seq, root):
-                if rec.mode != "indirect" or rec.element in used:
-                    continue
-                removed, witness = rec.variants[0]
-                new_set = (S | {rec.element, witness}) - {removed}
-                move = {
-                    "kind": "swapgrow",
-                    "set": i,
-                    "element": _pair(rec.element),
-                    "removed": _pair(removed),
-                    "witness": _pair(witness),
-                }
-                return move, coll.replace(i, new_set)
-    return None
-
-
-def _seed_move(seq, coll, eta):
-    if len(coll.sets) >= eta:
-        return None
-    for xc in sorted(seq.universe - coll.used()):
-        if seq.matroid.is_independent({xc[0]}):
-            move = {"kind": "seed", "element": _pair(xc)}
-            return move, coll.append(frozenset({xc}))
+        path = augmenting_path(seq, coll.sets[i], free)
+        if path is not None:
+            return _augment(coll, i, *path)
+    if len(coll.sets) < eta:
+        path = augmenting_path(seq, frozenset(), free)
+        if path is not None:
+            return _augment(coll, len(coll.sets), *path)
     return None
 
 
@@ -135,26 +174,24 @@ def _step_dict(step):
     return out
 
 
-def _cascade_move(seq, coll, eta, params, good):
+def _cascade_move(seq, coll, params):
     if len(coll.sets) < 3:
         return None
     try:
         istar(coll)
     except PreconditionError:
         return None
-    for k in range(params.probe_k, 0, -1):
-        probe = concentration_probe(
-            seq, coll, k, good=good, depth_limit=params.depth_limit
-        )
+    for k in range(PROBE_K, 0, -1):
+        probe = concentration_probe(seq, coll, k, depth_limit=params.depth_limit)
         if probe is None:
             continue
-        attempt = _attempt_exchange(seq, coll, probe, good)
+        attempt = _attempt_exchange(seq, coll, probe)
         if attempt is not None:
             return attempt
     return None
 
 
-def _attempt_exchange(seq, coll, probe, good):
+def _attempt_exchange(seq, coll, probe):
     j = probe.landing_index
     target = coll.sets[j]
     blocked = set(probe.chain) | {probe.root.index, j}
@@ -181,8 +218,6 @@ def _attempt_exchange(seq, coll, probe, good):
             pairs = kept
         if not pairs:
             continue
-        from .exchange import cyclic_exchange
-
         try:
             I = cyclic_exchange(seq, source, target, pairs)
         except (PreconditionError, InternalInvariantError):
@@ -215,7 +250,6 @@ def _attempt_exchange(seq, coll, probe, good):
             continue
         move = {
             "kind": "cascade",
-            "good": good,
             "root_set": probe.root.index,
             "colour": probe.root.b,
             "steps": [_step_dict(s) for s in trace.steps],
@@ -235,23 +269,7 @@ def _attempt_exchange(seq, coll, probe, good):
 
 
 def _find_move(seq, coll, eta, params):
-    for finder in (_grow_move, _swapgrow_move, _seed_move):
-        found = finder(seq, coll, eta)
-        if found is not None:
-            return found
-    found = _cascade_move(seq, coll, eta, params, good=False)
-    if found is not None:
-        return found
-    if (
-        params.good_enabled
-        and seq.overlap_kappa() > 1
-        and len(coll.sets) <= seq.n - seq.overlap_kappa() - 1
-    ):
-        try:
-            return _cascade_move(seq, coll, eta, params, good=True)
-        except LevelBoundViolatedError:
-            return None
-    return None
+    return _augment_move(seq, coll, eta) or _cascade_move(seq, coll, params)
 
 
 def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) -> SolveResult:
@@ -289,44 +307,34 @@ def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
     """Mechanically apply one logged move; raises on any divergence."""
     kind = move["kind"]
     try:
-        if kind == "seed":
-            return coll.append(frozenset({_unpair(move["element"])}))
-        if kind == "grow":
-            i = move["set"]
-            return coll.replace(i, coll.sets[i] | {_unpair(move["element"])})
-        if kind == "swapgrow":
-            i = move["set"]
-            new_set = (
-                coll.sets[i]
-                | {_unpair(move["element"]), _unpair(move["witness"])}
-            ) - {_unpair(move["removed"])}
-            return coll.replace(i, new_set)
+        if kind == "augment":
+            return _apply_augment_move(coll, move)
         if kind == "cascade":
             return _apply_cascade_move(seq, coll, move)
-    except (KeyError, IndexError, PreconditionError, LevelBoundViolatedError) as exc:
+    except (KeyError, IndexError, TypeError, PreconditionError) as exc:
         raise CorruptedTraceError(f"cannot apply move {kind!r}: {exc}") from exc
     raise CorruptedTraceError(f"unknown move kind {kind!r}")
 
 
+def _apply_augment_move(coll, move):
+    i = move["set"]
+    if not 0 <= i <= len(coll.sets):
+        raise CorruptedTraceError(f"augment names set {i} of {len(coll.sets)}")
+    S = coll.sets[i] if i < len(coll.sets) else frozenset()
+    removed = frozenset(map(tuple, move["removed"]))
+    added = frozenset(map(tuple, move["added"]))
+    if not removed <= S or not added.isdisjoint(S) or len(added) != len(removed) + 1:
+        raise CorruptedTraceError(f"augment of set {i} is not a path out of it")
+    return _augmented(coll, i, removed, added)
+
+
 def _apply_cascade_move(seq, coll, move):
-    good = move["good"]
     root = Root(coll, move["root_set"], move["colour"])
     for step in move["steps"]:
-        if good:
-            root, _ = good_transform(seq, root)
-        variant = None
-        if step["mode"] == "indirect":
-            variant = (_unpair(step["removed"]), _unpair(step["witness"]))
-        root = transition(seq, root, _record_from_move(step), variant)
+        root = transition(seq, root, _record_from_move(step))
         if root.index != step["donor"]:
             raise CorruptedTraceError("cascade step landed on the wrong set")
-    if good:
-        root, _ = good_transform(seq, root)
-    assoc = move["assoc"]
-    variant = None
-    if assoc["mode"] == "indirect":
-        variant = (_unpair(assoc["removed"]), _unpair(assoc["witness"]))
-    root = transition(seq, root, _record_from_move(assoc), variant)
+    root = transition(seq, root, _record_from_move(move["assoc"]))
     j, d = move["landing"], move["donor_set"]
     removed = frozenset(_unpair(p) for p in move["removed"])
     added = frozenset(_unpair(p) for p in move["added"])

@@ -69,6 +69,36 @@ def test_verify_rejects_tampered_log(tmp_path):
     ) == EXIT_FAIL
 
 
+def test_verify_missing_log_or_report_is_usage_error(tmp_path):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    missing = str(tmp_path / "missing")
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", missing]
+    ) == EXIT_USAGE
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log), "--report", missing]
+    ) == EXIT_USAGE
+
+
+def test_verify_rejects_report_that_is_not_a_mapping(tmp_path):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    for text in ("- 1\n", "[unclosed\n"):
+        report.write_text(text)
+        assert run_command(
+            ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+        ) == EXIT_FAIL
+
+
 def test_verify_rejects_wrong_instance(tmp_path):
     inst = gen_instance_file(tmp_path)
     other = gen_instance_file(tmp_path, name="other.yaml", extra=("--seed", "3"))

@@ -1,21 +1,25 @@
 """Packing solver: progress, certificates, logs and replay."""
 
 import json
+import random
+from itertools import islice
 
 import pytest
 
 from rainbowpack.errors import CorruptedTraceError, PreconditionError
-from rainbowpack.instances import generate_instance
+from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.model import (
     BoundParams,
     Collection,
+    is_ris,
     lex_compare,
     validate_collection,
 )
-from rainbowpack.oracle import brute_force_t
+from rainbowpack.oracle import brute_force_t, enumerate_ris, iter_collections
 from rainbowpack.solver import (
     SolverParams,
     apply_move,
+    augmenting_path,
     dump_move_log,
     load_move_log,
     pack_rainbow_bases,
@@ -30,6 +34,28 @@ def test_solver_params_validation():
         SolverParams(depth_limit=0)
     with pytest.raises(PreconditionError):
         SolverParams(iteration_budget=0)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+@pytest.mark.parametrize("mode", ("disjoint", "overlapping"))
+def test_augmenting_path_matches_oracle(family, mode):
+    # Edmonds: S is a largest common independent set of S | pool exactly
+    # when its exchange graph has no augmenting path.
+    for n in (2, 3, 4):
+        seq = generate_instance(family, n, mode, kappa=2, seed=n).base_sequence()
+        all_ris = enumerate_ris(seq)
+        for coll in islice(iter_collections(seq, 3, all_ris, random.Random(n)), 200):
+            free = seq.universe - coll.used()
+            for S in coll.sets + (frozenset(),):
+                if len(S) == seq.n:
+                    continue
+                larger = any(len(R) > len(S) and R <= S | free for R in all_ris)
+                path = augmenting_path(seq, S, sorted(free))
+                assert (path is not None) == larger
+                if path is not None:
+                    removed, added = path
+                    T = S - frozenset(removed) | frozenset(added)
+                    assert len(T) == len(S) + 1 and is_ris(seq, T)
 
 
 def test_pack_disjoint_uniform_full():
@@ -92,10 +118,13 @@ def test_replay_rejects_tampered_log():
     tampered[-1]["signature"] = [9] * seq.n
     with pytest.raises(CorruptedTraceError):
         replay_moves(seq, tampered)
-    broken = [dict(m) for m in result.moves]
-    broken[0]["element"] = [99, 1]
-    with pytest.raises(CorruptedTraceError):
-        replay_moves(seq, broken)
+    for key, value in (
+        ("added", [[99, 1]]), ("added", []), ("removed", [[99, 1]]), ("set", 5)
+    ):
+        broken = [dict(m) for m in result.moves]
+        broken[0][key] = value
+        with pytest.raises(CorruptedTraceError):
+            replay_moves(seq, broken)
     with pytest.raises(CorruptedTraceError):
         load_move_log("{not json\n")
     with pytest.raises(CorruptedTraceError):
