@@ -122,7 +122,11 @@ def _solver_params(alpha, depth, budget_ms, inst) -> SolverParams:
 @click.option("--instance", "instance_path", type=str, required=True)
 @click.option("--alpha", type=int, default=0, show_default=True)
 @click.option("--depth", type=int, default=2, show_default=True)
-@click.option("--budget-ms", type=int, default=None)
+@click.option(
+    "--budget-ms", type=int, default=None,
+    help="cap on the number of solver moves (not milliseconds; default 5000); "
+    "a solve that reaches it exits 3",
+)
 @click.option("--out", type=str, default=None, help="report path (default stdout)")
 @click.option("--log", "log_path", type=str, default=None, help="move log path (JSONL)")
 @click.option(
@@ -149,11 +153,14 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
         "moves": len(result.moves),
         "elapsed_ms": elapsed_ms,
         "move_log": log_path,
+        "stopped": result.stopped,
     }
     if fmt == "csv":
         _write(out, _csv_text([_solve_csv_row(inst, seq, result, elapsed_ms)]))
     else:
         _write(out, yaml.safe_dump(report, sort_keys=True))
+    if result.stopped == "budget":
+        sys.exit(EXIT_BUDGET)
 
 
 def _solve_csv_row(inst, seq, result, elapsed_ms, brute=None):
@@ -177,7 +184,7 @@ def _solve_csv_row(inst, seq, result, elapsed_ms, brute=None):
         "bound_applicable": record.applicable,
         "moves": len(result.moves),
         "elapsed_ms": elapsed_ms,
-        "status": "ok",
+        "status": "budget" if result.stopped == "budget" else "ok",
     }
 
 

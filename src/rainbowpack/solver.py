@@ -2,15 +2,19 @@
 
 Every accepted move strictly increases the collection signature under the
 last-coordinate-first order, so termination needs no budget; the budget is a
-safety net.  The replayable move log holds one JSON object per move, with
-coloured elements as ``[element, colour]`` pairs and the ``signature`` the
-move produces.  Kind ``augment`` has ``set``, ``removed`` and ``added``: set
-``set`` takes a shortest augmenting path (:func:`augmenting_path`), and
-``set == len(sets)`` opens a new set.  Kind ``cascade`` has ``root_set``,
-``colour``, ``steps`` (``donor``, ``element``, ``mode``, ``removed``,
-``witness``), ``assoc``, ``landing``, ``donor_set``, ``removed`` and
-``added``.  Logs with kinds ``grow``, ``swapgrow`` or ``seed``, or with a
-``good`` field, come from earlier versions and no longer replay.
+safety net.  The replayable move log holds one JSON object per move:
+``{"kind", "changes", "signature"}``.  ``kind`` names the finder that made
+the move (``augment``: a shortest augmenting path, :func:`augmenting_path`;
+``cascade``: the paper's root cascade and cyclic exchange) and does not
+change how it applies.  ``changes`` lists ``{"set", "removed", "added"}``
+with coloured elements as ``[element, colour]`` pairs; ``set`` is a position
+in the collection before the move, ``set == len(sets)`` opens a new set, and
+a set left empty is dropped once every change is applied.  ``signature`` is
+the signature the move produces.  Solve and replay share one checked step,
+:func:`apply_move`, so every logged move has passed the replay checks.  Logs
+with per-kind fields (``set``/``removed``/``added`` at the top level, or the
+cascade's ``root_set``, ``steps``, ``assoc``, ``landing``, ``donor_set``)
+come from earlier versions and no longer replay.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 from .cascade import concentration_probe
 from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
-from .exchange import AddRecord, Root, add_set, arrow, cyclic_exchange, transition
+from .exchange import add_set, arrow, cyclic_exchange, transition
 from .model import (
     BaseSequence,
     BoundParams,
@@ -54,18 +58,23 @@ class SolveResult:
     collection: Collection
     moves: list
     signatures: list
+    stopped: str  # "fixed_point" (no finder found a move) or "budget"
 
     @property
     def rb_count(self) -> int:
         return self.collection.signature[-1]
 
 
-def _pair(ce):
-    return [ce[0], ce[1]]
+MOVE_KINDS = ("augment", "cascade")
 
 
-def _unpair(p):
-    return (p[0], p[1])
+def _change(i, removed, added) -> dict:
+    """One entry of a move's ``changes``; both element lists sorted."""
+    return {
+        "set": i,
+        "removed": [[x, c] for x, c in removed],
+        "added": [[x, c] for x, c in added],
+    }
 
 
 def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
@@ -121,20 +130,8 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
     return None
 
 
-def _augmented(coll: Collection, i: int, removed, added) -> Collection:
-    if i == len(coll.sets):
-        return coll.append(frozenset(added))
-    return coll.replace(i, coll.sets[i] - frozenset(removed) | frozenset(added))
-
-
-def _augment(coll, i, removed, added):
-    move = {
-        "kind": "augment",
-        "set": i,
-        "removed": [_pair(e) for e in removed],
-        "added": [_pair(e) for e in added],
-    }
-    return move, _augmented(coll, i, removed, added)
+def _augment(i, removed, added) -> dict:
+    return {"kind": "augment", "changes": [_change(i, removed, added)]}
 
 
 def _augment_move(seq, coll, eta):
@@ -150,28 +147,16 @@ def _augment_move(seq, coll, eta):
         present = colours_of(S)
         for y in free:
             if y[1] not in present and is_ris(seq, S | {y}):
-                return _augment(coll, i, (), (y,))
+                return _augment(i, (), (y,))
     for i in order:
         path = augmenting_path(seq, coll.sets[i], free)
         if path is not None:
-            return _augment(coll, i, *path)
+            return _augment(i, *path)
     if len(coll.sets) < eta:
         path = augmenting_path(seq, frozenset(), free)
         if path is not None:
-            return _augment(coll, len(coll.sets), *path)
+            return _augment(len(coll.sets), *path)
     return None
-
-
-def _step_dict(step):
-    out = {
-        "donor": step.donor_index,
-        "element": _pair(step.element),
-        "mode": step.mode,
-    }
-    if step.variant is not None:
-        out["removed"] = _pair(step.variant[0])
-        out["witness"] = _pair(step.variant[1])
-    return out
 
 
 def _cascade_move(seq, coll, params):
@@ -237,34 +222,22 @@ def _attempt_exchange(seq, coll, probe):
             aroot = transition(seq, trace.final_root, rec)
         except PreconditionError:
             continue
-        removed = sorted(pairs[i][1] for i in I)
-        added = sorted(pairs[i][0] for i in I)
-        new_target = target - frozenset(removed) | frozenset(added)
-        new_source = source - frozenset(added)
-        cand = aroot.collection.replace(j, new_target)
-        cand = cand.replace(d, new_source)
-        ok, _ = validate_collection(seq, cand)
-        if not ok:
+        removed = frozenset(pairs[i][1] for i in I)
+        added = frozenset(pairs[i][0] for i in I)
+        final = list(aroot.collection.sets)
+        final[j] = target - removed | added
+        final[d] = source - added
+        changes = [
+            _change(i, sorted(old - new), sorted(new - old))
+            for i, (old, new) in enumerate(zip(coll.sets, final))
+            if old != new
+        ]
+        move = {"kind": "cascade", "changes": changes}
+        try:
+            apply_move(seq, coll, move)
+        except CorruptedTraceError:
             continue
-        if lex_compare(cand.signature, coll.signature) <= 0:
-            continue
-        move = {
-            "kind": "cascade",
-            "root_set": probe.root.index,
-            "colour": probe.root.b,
-            "steps": [_step_dict(s) for s in trace.steps],
-            "assoc": {
-                "element": _pair(rec.element),
-                "mode": rec.mode,
-                "removed": _pair(rec.removed) if rec.removed else None,
-                "witness": _pair(rec.witness) if rec.witness else None,
-            },
-            "landing": j,
-            "donor_set": d,
-            "removed": [_pair(e) for e in removed],
-            "added": [_pair(e) for e in added],
-        }
-        return move, cand
+        return move
     return None
 
 
@@ -279,84 +252,88 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
     coll = Collection(seq.n)
     moves: list = []
     signatures = [coll.signature]
-    while len(moves) < params.iteration_budget:
-        found = _find_move(seq, coll, eta, params)
-        if found is None:
+    for _ in range(params.iteration_budget):
+        move = _find_move(seq, coll, eta, params)
+        if move is None:
+            stopped = "fixed_point"
             break
-        move, new_coll = found
-        if lex_compare(new_coll.signature, coll.signature) <= 0:
-            raise InternalInvariantError("accepted move did not raise the signature")
-        ok, why = validate_collection(seq, new_coll)
-        if not ok:
-            raise InternalInvariantError(f"move corrupted the collection: {why}")
-        move["signature"] = list(new_coll.signature)
+        try:
+            coll = apply_move(seq, coll, move)
+        except CorruptedTraceError as exc:
+            raise InternalInvariantError(f"finder made a bad move: {exc}") from exc
+        move["signature"] = list(coll.signature)
         moves.append(move)
-        signatures.append(new_coll.signature)
-        coll = new_coll
-    return SolveResult(coll, moves, signatures)
-
-
-def _record_from_move(data: dict) -> AddRecord:
-    if data["mode"] == "direct":
-        return AddRecord(_unpair(data["element"]), "direct")
-    variant = (_unpair(data["removed"]), _unpair(data["witness"]))
-    return AddRecord(_unpair(data["element"]), "indirect", (variant,))
+        signatures.append(coll.signature)
+    else:
+        stopped = "budget"
+    return SolveResult(coll, moves, signatures, stopped)
 
 
 def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
-    """Mechanically apply one logged move; raises on any divergence."""
-    kind = move["kind"]
+    """The collection one logged move makes of ``coll``, fully checked.
+
+    Raises :class:`CorruptedTraceError` unless the move is well formed, each
+    change's ``removed`` lies in its set and its ``added`` avoids it, the
+    signature rises (and equals the recorded one, when present) and the
+    result passes :func:`validate_collection`.
+    """
     try:
-        if kind == "augment":
-            return _apply_augment_move(coll, move)
-        if kind == "cascade":
-            return _apply_cascade_move(seq, coll, move)
-    except (KeyError, IndexError, TypeError, PreconditionError) as exc:
-        raise CorruptedTraceError(f"cannot apply move {kind!r}: {exc}") from exc
-    raise CorruptedTraceError(f"unknown move kind {kind!r}")
-
-
-def _apply_augment_move(coll, move):
-    i = move["set"]
-    if not 0 <= i <= len(coll.sets):
-        raise CorruptedTraceError(f"augment names set {i} of {len(coll.sets)}")
-    S = coll.sets[i] if i < len(coll.sets) else frozenset()
-    removed = frozenset(map(tuple, move["removed"]))
-    added = frozenset(map(tuple, move["added"]))
-    if not removed <= S or not added.isdisjoint(S) or len(added) != len(removed) + 1:
-        raise CorruptedTraceError(f"augment of set {i} is not a path out of it")
-    return _augmented(coll, i, removed, added)
-
-
-def _apply_cascade_move(seq, coll, move):
-    root = Root(coll, move["root_set"], move["colour"])
-    for step in move["steps"]:
-        root = transition(seq, root, _record_from_move(step))
-        if root.index != step["donor"]:
-            raise CorruptedTraceError("cascade step landed on the wrong set")
-    root = transition(seq, root, _record_from_move(move["assoc"]))
-    j, d = move["landing"], move["donor_set"]
-    removed = frozenset(_unpair(p) for p in move["removed"])
-    added = frozenset(_unpair(p) for p in move["added"])
-    new_target = coll.sets[j] - removed | added
-    new_source = coll.sets[d] - added
-    out = root.collection.replace(j, new_target)
-    return out.replace(d, new_source)
+        kind = move["kind"]
+        # A change whose three fields were read holds no others iff len == 3.
+        changes = [
+            (
+                ch["set"],
+                frozenset(map(tuple, ch["removed"])),
+                frozenset(map(tuple, ch["added"])),
+                len(ch),
+            )
+            for ch in move["changes"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise CorruptedTraceError(f"malformed move: {exc!r}") from exc
+    if kind not in MOVE_KINDS:
+        raise CorruptedTraceError(f"unknown move kind {kind!r}")
+    if len(move) != 2 + ("signature" in move):
+        raise CorruptedTraceError(f"{kind} move has undocumented fields")
+    sets = [*coll.sets, frozenset()]
+    sig = list(coll.signature)
+    touched: set = set()
+    for i, removed, added, fields in changes:
+        if fields != 3:
+            raise CorruptedTraceError(
+                f"{kind} move's change to set {i!r} has undocumented fields"
+            )
+        if type(i) is not int or not 0 <= i < len(sets) or i in touched:
+            raise CorruptedTraceError(f"{kind} move names set {i!r} of {len(coll.sets)}")
+        touched.add(i)
+        S = sets[i]
+        T = S - removed | added
+        if not removed <= S or not added.isdisjoint(S) or len(T) > seq.n:
+            raise CorruptedTraceError(f"{kind} move does not fit set {i}")
+        if S:
+            sig[len(S) - 1] -= 1
+        if T:
+            sig[len(T) - 1] += 1
+        sets[i] = T
+    new = Collection(coll.n, [S for S in sets if S], tuple(sig))
+    if lex_compare(new.signature, coll.signature) <= 0:
+        raise CorruptedTraceError(f"{kind} move does not raise the signature")
+    if "signature" in move and move["signature"] != list(new.signature):
+        raise CorruptedTraceError(f"{kind} move's signature differs from the record")
+    ok, why = validate_collection(seq, new)
+    if not ok:
+        raise CorruptedTraceError(f"{kind} move breaks validity: {why}")
+    return new
 
 
 def replay_moves(seq: BaseSequence, moves: list) -> Collection:
     """Re-derive the final collection from the log, re-validating every step."""
     coll = Collection(seq.n)
     for idx, move in enumerate(moves):
-        new_coll = apply_move(seq, coll, move)
-        if lex_compare(new_coll.signature, coll.signature) <= 0:
-            raise CorruptedTraceError(f"move {idx} does not raise the signature")
-        ok, why = validate_collection(seq, new_coll)
-        if not ok:
-            raise CorruptedTraceError(f"move {idx} breaks validity: {why}")
-        if "signature" in move and tuple(move["signature"]) != new_coll.signature:
-            raise CorruptedTraceError(f"move {idx} signature mismatch")
-        coll = new_coll
+        try:
+            coll = apply_move(seq, coll, move)
+        except CorruptedTraceError as exc:
+            raise CorruptedTraceError(f"move {idx}: {exc}") from exc
     return coll
 
 
@@ -370,7 +347,10 @@ def load_move_log(text: str) -> list:
         if not line.strip():
             continue
         try:
-            moves.append(json.loads(line))
+            move = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorruptedTraceError(f"move log line {lineno}: {exc}") from exc
+        if not isinstance(move, dict):
+            raise CorruptedTraceError(f"move log line {lineno} is not a JSON object")
+        moves.append(move)
     return moves

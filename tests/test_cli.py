@@ -3,6 +3,7 @@
 import csv
 import io
 
+import pytest
 import yaml
 
 from rainbowpack.cli import (
@@ -67,6 +68,40 @@ def test_verify_rejects_tampered_log(tmp_path):
     assert run_command(
         ["verify", "--instance", str(inst), "--log", str(log)]
     ) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '{"changes": []}'])
+def test_verify_rejects_malformed_log_line(tmp_path, line):
+    inst = gen_instance_file(tmp_path)
+    log = tmp_path / "moves.jsonl"
+    log.write_text(line + "\n")
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log)]
+    ) == EXIT_FAIL
+
+
+def test_solve_reports_why_it_stopped(tmp_path):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    assert run_command(
+        ["solve", "--instance", str(inst), "--out", str(report)]
+    ) == EXIT_OK
+    assert yaml.safe_load(report.read_text())["stopped"] == "fixed_point"
+    assert run_command(
+        [
+            "solve",
+            "--instance", str(inst),
+            "--budget-ms", "1",
+            "--out", str(report),
+            "--log", str(log),
+        ]
+    ) == EXIT_BUDGET
+    data = yaml.safe_load(report.read_text())
+    assert data["stopped"] == "budget" and data["moves"] == 1
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+    ) == EXIT_OK
 
 
 def test_verify_missing_log_or_report_is_usage_error(tmp_path):

@@ -1,5 +1,6 @@
 """Packing solver: progress, certificates, logs and replay."""
 
+import copy
 import json
 import random
 from itertools import islice
@@ -113,22 +114,61 @@ def test_replay_rejects_tampered_log():
     inst = generate_instance("uniform", 3, "disjoint", seed=0)
     seq = inst.base_sequence()
     result = pack_rainbow_bases(seq)
-    assert result.moves
-    tampered = [dict(m) for m in result.moves]
+    assert result.moves[1]["changes"][0]["set"] == 0  # grows the first set
+    tampered = copy.deepcopy(result.moves)
     tampered[-1]["signature"] = [9] * seq.n
     with pytest.raises(CorruptedTraceError):
         replay_moves(seq, tampered)
     for key, value in (
-        ("added", [[99, 1]]), ("added", []), ("removed", [[99, 1]]), ("set", 5)
+        ("added", [[99, 1]]),
+        ("added", []),
+        ("removed", [[99, 1]]),
+        ("set", 5),
+        ("set", -1),
     ):
-        broken = [dict(m) for m in result.moves]
-        broken[0][key] = value
+        broken = copy.deepcopy(result.moves)
+        broken[0]["changes"][0][key] = value
         with pytest.raises(CorruptedTraceError):
             replay_moves(seq, broken)
+    held = result.moves[0]["changes"][0]["added"]
+    grown = result.moves[1]["changes"][0]["added"]
+    for edit in (
+        # removes and re-adds an element the set already holds
+        lambda m: m[1]["changes"][0].update(removed=held, added=held + grown),
+        # a second change to the same set
+        lambda m: m[0]["changes"].append({"set": 0, "removed": [], "added": []}),
+        # fields outside the record shape
+        lambda m: m[0].update(landing=0),
+        lambda m: m[0]["changes"][0].update(witness=[0, 1]),
+    ):
+        broken = copy.deepcopy(result.moves)
+        edit(broken)
+        with pytest.raises(CorruptedTraceError):
+            replay_moves(seq, broken)
+    for text in ("{not json\n", "[1, 2]\n", "5\n"):
+        with pytest.raises(CorruptedTraceError):
+            load_move_log(text)
     with pytest.raises(CorruptedTraceError):
-        load_move_log("{not json\n")
-    with pytest.raises(CorruptedTraceError):
-        apply_move(seq, Collection(seq.n), {"kind": "nosuch"})
+        apply_move(seq, Collection(seq.n), {"kind": "nosuch", "changes": []})
+
+
+def test_replay_of_a_cascade_move():
+    inst = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1)
+    seq = inst.base_sequence()
+    result = pack_rainbow_bases(seq)
+    kinds = [m["kind"] for m in result.moves]
+    assert kinds.count("cascade") == 1
+    at = kinds.index("cascade")
+    cascade = result.moves[at]
+    assert len(cascade["changes"]) == 4  # root, chain, landing and donor sets
+    log = load_move_log(dump_move_log(result.moves))
+    assert replay_moves(seq, log).sets == result.collection.sets
+    before = replay_moves(seq, log[:at])
+    for drop in range(len(cascade["changes"])):
+        broken = copy.deepcopy(cascade)
+        del broken["changes"][drop]
+        with pytest.raises(CorruptedTraceError):
+            apply_move(seq, before, broken)
 
 
 def test_intermediate_collections_all_valid():
@@ -146,7 +186,10 @@ def test_intermediate_collections_all_valid():
 def test_iteration_budget_respected():
     seq = uniform_seq(3, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
     result = pack_rainbow_bases(seq, SolverParams(iteration_budget=2))
-    assert len(result.moves) <= 2
+    assert len(result.moves) == 2
+    assert result.stopped == "budget"
+    result = pack_rainbow_bases(seq)
+    assert result.stopped == "fixed_point" and result.rb_count == 3
 
 
 def test_eta_caps_collection_size():
