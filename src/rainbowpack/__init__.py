@@ -29,7 +29,6 @@ from .model import (
     BaseSequence,
     BoundParams,
     Collection,
-    SignatureReference,
     colours_of,
     is_eta_maximal,
     is_eta_submaximal,
@@ -60,14 +59,11 @@ from .cascade import (
     CascadeTrace,
     GoodGraph,
     GoodPath,
-    addable_concentration,
-    apply_cascade,
     build_good_graph,
     cascade_search,
     concentration_probe,
     good_transform,
     is_good,
-    mu_map,
 )
 from .solver import (
     SolveResult,

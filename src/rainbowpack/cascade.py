@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
-    CorruptedTraceError,
     InputError,
-    InternalInvariantError,
     LevelBoundViolatedError,
     PreconditionError,
 )
@@ -16,7 +14,6 @@ from .exchange import (
     AddRecord,
     Root,
     add_set,
-    apply_add,
     iter_roots,
     transition,
 )
@@ -143,73 +140,17 @@ def good_transform(seq: BaseSequence, root: Root):
 
 
 @dataclass(frozen=True)
-class CascadeStep:
-    donor_index: int  # position of the chain set the element left
-    element: CElem
-    mode: str
-    variant: Optional[tuple]  # (removed, witness) for indirect additions
-    good_path: Optional[GoodPath] = None  # transform applied before this step
-
-
-@dataclass(frozen=True)
 class CascadeTrace:
-    """A replayable witness that one element is (good-)cascadable."""
+    """Why one element is (good-)cascadable for a chain.
 
-    collection: Collection
-    root_index: int
-    root_colour: int
-    steps: tuple
-    final_root: Root
-    final_good_path: Optional[GoodPath]
+    ``final_root`` is the root reached after the chain's transitions (and,
+    for a good cascade, the last recolouring); ``record`` is the add record
+    that adds ``element`` at that root.
+    """
+
     element: CElem
-    good: bool
-
-    def chain_indices(self) -> tuple:
-        return (self.root_index,) + tuple(s.donor_index for s in self.steps)
-
-
-def mu_map(trace: CascadeTrace) -> dict:
-    """The natural correspondence from initial sets to final sets.
-
-    Sets keep their positions through every transition, so the bijection maps
-    each initial member to the final member at the same position.
-    """
-    final = trace.final_root.collection
-    return {
-        old: final.sets[i] for i, old in enumerate(trace.collection.sets)
-    }
-
-
-def apply_cascade(seq: BaseSequence, trace: CascadeTrace):
-    """Replay a trace step by step; returns (final collection, mu map).
-
-    Raises :class:`CorruptedTraceError` when the recorded steps cannot be
-    reproduced or the result differs from the recorded final root.
-    """
-    root = Root(trace.collection, trace.root_index, trace.root_colour)
-    try:
-        for step in trace.steps:
-            if step.good_path is not None or trace.good:
-                root, path = good_transform(seq, root)
-                if step.good_path is not None and path != step.good_path:
-                    raise CorruptedTraceError("good path diverged during replay")
-            record = AddRecord(
-                step.element,
-                step.mode,
-                (step.variant,) if step.variant else (),
-            )
-            root = transition(seq, root, record, step.variant)
-            if root.index != step.donor_index:
-                raise CorruptedTraceError("donor index diverged during replay")
-        if trace.good:
-            root, path = good_transform(seq, root)
-            if trace.final_good_path is not None and path != trace.final_good_path:
-                raise CorruptedTraceError("final good path diverged during replay")
-    except (PreconditionError, LevelBoundViolatedError) as exc:
-        raise CorruptedTraceError(f"trace replay failed: {exc}") from exc
-    if root != trace.final_root:
-        raise CorruptedTraceError("replayed final root differs from the record")
-    return root.collection, mu_map(trace)
+    final_root: Root
+    record: AddRecord
 
 
 def _expand_records(records):
@@ -233,8 +174,9 @@ def cascade_search(
 
     ``chain`` lists the positions of the intermediate sets (excluding the
     root's own).  The search walks every transition choice, witness choices
-    included, so it realizes the definition exactly.  Returns one witnessing
-    trace per element, first found in deterministic order.
+    included, so it realizes the definition exactly.  Returns one
+    :class:`CascadeTrace` per element, the first found in deterministic
+    order.
     """
     hops = len(chain) + 1
     if depth_limit is not None and hops > depth_limit:
@@ -248,37 +190,22 @@ def cascade_search(
     seen_states: set = set()
     nodes = [0]
 
-    def record_trace(current: Root, steps, final_path):
-        for rec in add_set(seq, current):
-            if rec.element in forbidden or rec.element in results:
-                continue
-            results[rec.element] = CascadeTrace(
-                collection=root.collection,
-                root_index=root.index,
-                root_colour=root.b,
-                steps=tuple(steps),
-                final_root=current,
-                final_good_path=final_path,
-                element=rec.element,
-                good=good,
-            )
-
-    def walk(current: Root, pos: int, steps):
+    def walk(current: Root, pos: int):
         nodes[0] += 1
         if nodes[0] > node_budget:
             return
-        path = None
         if good:
-            current, path = good_transform(seq, current)
+            current, _ = good_transform(seq, current)
         state = (current.collection.sets, current.index, current.b, pos)
         if state in seen_states:
             return
         seen_states.add(state)
         if pos == len(chain):
-            record_trace(current, steps, path)
+            for rec in add_set(seq, current):
+                if rec.element not in forbidden and rec.element not in results:
+                    results[rec.element] = CascadeTrace(rec.element, current, rec)
             return
-        target_index = chain[pos]
-        target = current.collection.sets[target_index]
+        target = current.collection.sets[chain[pos]]
         for rec, variant in _expand_records(add_set(seq, current)):
             if rec.element not in target:
                 continue
@@ -286,42 +213,19 @@ def cascade_search(
                 nxt = transition(seq, current, rec, variant)
             except PreconditionError:
                 continue  # singleton donor; no continuation through it
-            step = CascadeStep(target_index, rec.element, rec.mode, variant, path)
-            walk(nxt, pos + 1, steps + [step])
+            walk(nxt, pos + 1)
 
-    walk(root, 0, [])
+    walk(root, 0)
     return results
 
 
 def associated_root(seq: BaseSequence, trace: CascadeTrace) -> Root:
-    """One more transition moving the cascadable element out of its set."""
-    for rec in add_set(seq, trace.final_root):
-        if rec.element == trace.element:
-            return transition(seq, trace.final_root, rec)
-    raise InternalInvariantError(
-        "trace element no longer addable at the final root"
-    )
+    """One more transition moving the cascadable element out of its set.
 
-
-def addable_concentration(seq: BaseSequence, coll: Collection, good: bool = False):
-    """Largest |ADD(root) ∩ S'| over roots at the top non-RB size.
-
-    Returns ``(value, argmax root, argmax set index)`` with first-found
-    tie-breaks; ``(0, None, None)`` when the good variant finds no good root.
+    Raises :class:`PreconditionError` when no other set holds the element,
+    or its set holds nothing else.
     """
-    top = istar(coll)  # raises on all-RB collections
-    best = (0, None, None)
-    for root in iter_roots(seq, coll, size=top):
-        if good and not is_good(seq, root):
-            continue
-        adds = {rec.element for rec in add_set(seq, root)}
-        for j, other in enumerate(coll.sets):
-            if j == root.index:
-                continue
-            count = len(adds & other)
-            if count > best[0]:
-                best = (count, root, j)
-    return best
+    return transition(seq, trace.final_root, trace.record)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def verify(instance_path, log_path, report_path):
             raise RainbowError("report is not a mapping")
         if report.get("instance_digest") != instance_digest(inst):
             raise RainbowError("report digest does not match the instance")
-        if tuple(report.get("signature", ())) != coll.signature:
+        if report.get("signature") != list(coll.signature):
             raise RainbowError("replayed signature differs from the report")
         if report.get("rainbow_bases") != coll.signature[-1]:
             raise RainbowError("replayed RB count differs from the report")

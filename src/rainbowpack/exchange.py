@@ -84,18 +84,6 @@ class AddRecord:
     mode: str  # "direct" or "indirect"
     variants: tuple = ()
 
-    @property
-    def witness(self) -> Optional[CElem]:
-        return self.variants[0][1] if self.variants else None
-
-    @property
-    def removed(self) -> Optional[CElem]:
-        return self.variants[0][0] if self.variants else None
-
-    @property
-    def alternatives(self) -> int:
-        return len(self.variants)
-
 
 def add_set(seq: BaseSequence, root: Root) -> tuple:
     """All addable elements at a root, in deterministic element order."""

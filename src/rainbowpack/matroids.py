@@ -295,24 +295,38 @@ class SparsePavingMatroid(Matroid):
         return self.k + 1 if self.size > self.k else INFINITY
 
 
+# Each family's constructor and its parameters in order, each an integer or
+# a list of lists.
 _FAMILIES = {
-    "uniform": lambda p: UniformMatroid(p["k"], p["m"]),
-    "linear": lambda p: LinearMatroid(p["p"], p["matrix"]),
-    "graphic": lambda p: GraphicMatroid(p["vertices"], p["edges"]),
-    "sparse_paving": lambda p: SparsePavingMatroid(p["k"], p["m"], p["circuit_hyperplanes"]),
+    "uniform": (UniformMatroid, {"k": int, "m": int}),
+    "linear": (LinearMatroid, {"p": int, "matrix": list}),
+    "graphic": (GraphicMatroid, {"vertices": int, "edges": list}),
+    "sparse_paving": (SparsePavingMatroid, {"k": int, "m": int, "circuit_hyperplanes": list}),
 }
 
 
 def build_matroid(family: str, params: dict) -> Matroid:
     """Construct a matroid from its serialized family spec."""
     try:
-        builder = _FAMILIES[family]
+        cls, fields = _FAMILIES[family]
     except KeyError:
         raise ValidationError(f"unknown matroid family {family!r}") from None
-    try:
-        return builder(dict(params))
-    except KeyError as missing:
-        raise ValidationError(f"family {family!r} missing parameter {missing}") from None
+    for name, kind in fields.items():
+        if name not in params:
+            raise ValidationError(f"family {family!r} missing parameter {name!r}")
+        value = params[name]
+        if kind is int:
+            ok = type(value) is int
+        else:
+            ok = isinstance(value, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) for row in value
+            )
+        if not ok:
+            what = "an integer" if kind is int else "a list of lists"
+            raise ValidationError(
+                f"family {family!r} parameter {name!r} must be {what}, got {value!r}"
+            )
+    return cls(*(params[name] for name in fields))
 
 
 def max_independent_subset(M: Matroid, elements: Iterable[int]) -> frozenset:

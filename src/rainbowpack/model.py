@@ -145,11 +145,6 @@ def lex_compare(a: Signature, b: Signature) -> int:
     return 0
 
 
-def sig_key(sig: Signature) -> tuple:
-    """Sort key equivalent to the last-coordinate-first order."""
-    return tuple(reversed(sig))
-
-
 class Collection:
     """Immutable family of pairwise-disjoint RIS's with a cached signature.
 
@@ -186,12 +181,6 @@ class Collection:
             sig[len(new_set) - 1] += 1
             return Collection(self.n, sets, tuple(sig))
         return Collection(self.n, sets[:index] + sets[index + 1 :], tuple(sig))
-
-    def append(self, new_set: frozenset) -> "Collection":
-        new_set = frozenset(new_set)
-        sig = list(self.signature)
-        sig[len(new_set) - 1] += 1
-        return Collection(self.n, self.sets + (new_set,), tuple(sig))
 
     def index_of_element(self, ce: CElem) -> Optional[int]:
         for i, S in enumerate(self.sets):
@@ -281,17 +270,3 @@ def is_eta_submaximal(coll: Collection, tau_eta: Signature) -> bool:
     except PreconditionError:
         return False
     return coll.signature == target
-
-
-@dataclass(frozen=True)
-class SignatureReference:
-    """A maximal-signature reference plus its provenance.
-
-    ``exact`` means the signature came from exhaustive search; otherwise it is
-    only the best signature seen so far and classifications against it must
-    not be treated as ground truth.
-    """
-
-    signature: Signature
-    eta: int
-    exact: bool

@@ -36,7 +36,6 @@ from .matroids import closure
 from .model import (
     BaseSequence,
     Collection,
-    SignatureReference,
     colours_of,
     is_eta_maximal,
     is_eta_submaximal,
@@ -250,13 +249,6 @@ def brute_force_tau_eta(
 
     dfs(all_ris, min(eta, len(all_ris)), [], [])
     return best_sig, Collection(n, best_sets)
-
-
-def eta_reference(
-    seq: BaseSequence, eta: int, budget: OracleBudget = DEFAULT_BUDGET
-) -> SignatureReference:
-    sig, _ = brute_force_tau_eta(seq, eta, budget)
-    return SignatureReference(sig, eta, exact=True)
 
 
 def iter_collections(

@@ -23,9 +23,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cascade import concentration_probe
+from .cascade import associated_root, concentration_probe
 from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
-from .exchange import add_set, arrow, cyclic_exchange, transition
+from .exchange import arrow, cyclic_exchange
 from .model import (
     BaseSequence,
     BoundParams,
@@ -36,6 +36,7 @@ from .model import (
     lex_compare,
     underline,
     validate_collection,
+    validate_ris,
 )
 
 # Deepest concentration a cascade probes for; it falls back to k - 1, ..., 1.
@@ -207,19 +208,10 @@ def _attempt_exchange(seq, coll, probe):
             I = cyclic_exchange(seq, source, target, pairs)
         except (PreconditionError, InternalInvariantError):
             continue
-        chosen = min(I)
-        landing_elem = pairs[chosen][1]
-        trace = probe.traces.get(landing_elem)
-        if trace is None:
-            continue
-        rec = next(
-            (r for r in add_set(seq, trace.final_root) if r.element == landing_elem),
-            None,
-        )
-        if rec is None:
-            continue
+        # every right element is a probe witness, so it has a trace
+        trace = probe.traces[pairs[min(I)][1]]
         try:
-            aroot = transition(seq, trace.final_root, rec)
+            aroot = associated_root(seq, trace)
         except PreconditionError:
             continue
         removed = frozenset(pairs[i][1] for i in I)
@@ -272,10 +264,15 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
 def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
     """The collection one logged move makes of ``coll``, fully checked.
 
-    Raises :class:`CorruptedTraceError` unless the move is well formed, each
+    ``coll`` must pass :func:`validate_collection`; collections built by
+    ``Collection(n)`` and this function always do.  Raises
+    :class:`CorruptedTraceError` unless the move is well formed, each
     change's ``removed`` lies in its set and its ``added`` avoids it, the
-    signature rises (and equals the recorded one, when present) and the
-    result passes :func:`validate_collection`.
+    signature rises (and equals the recorded one, when present), each
+    changed set is an RIS and each change's ``added`` avoids every other set
+    of the result.  Given the precondition, that makes the result pass
+    :func:`validate_collection`: untouched sets stay RIS's, and two sets of
+    the result can share only an element one of them gained.
     """
     try:
         kind = move["kind"]
@@ -320,20 +317,33 @@ def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
         raise CorruptedTraceError(f"{kind} move does not raise the signature")
     if "signature" in move and move["signature"] != list(new.signature):
         raise CorruptedTraceError(f"{kind} move's signature differs from the record")
-    ok, why = validate_collection(seq, new)
-    if not ok:
-        raise CorruptedTraceError(f"{kind} move breaks validity: {why}")
+    for i, _, added, _ in changes:
+        ok, why = validate_ris(seq, sets[i])
+        if not ok:
+            raise CorruptedTraceError(f"{kind} move breaks validity: set {i}: {why}")
+        for j, T in enumerate(sets):
+            if j != i and not added.isdisjoint(T):
+                raise CorruptedTraceError(
+                    f"{kind} move breaks validity: sets {i} and {j} share "
+                    f"{sorted(added & T)}"
+                )
     return new
 
 
 def replay_moves(seq: BaseSequence, moves: list) -> Collection:
-    """Re-derive the final collection from the log, re-validating every step."""
+    """Re-derive the final collection from the log, checking every step.
+
+    The final collection is validated once more in full.
+    """
     coll = Collection(seq.n)
     for idx, move in enumerate(moves):
         try:
             coll = apply_move(seq, coll, move)
         except CorruptedTraceError as exc:
             raise CorruptedTraceError(f"move {idx}: {exc}") from exc
+    ok, why = validate_collection(seq, coll)
+    if not ok:
+        raise CorruptedTraceError(f"replayed collection is invalid: {why}")
     return coll
 
 

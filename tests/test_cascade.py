@@ -5,20 +5,14 @@ import random
 import pytest
 
 from rainbowpack.cascade import (
-    CascadeStep,
-    CascadeTrace,
-    apply_cascade,
     associated_root,
-    addable_concentration,
     build_good_graph,
     cascade_search,
     concentration_probe,
     good_transform,
     is_good,
-    mu_map,
 )
 from rainbowpack.errors import (
-    CorruptedTraceError,
     InputError,
     LevelBoundViolatedError,
     PreconditionError,
@@ -161,15 +155,9 @@ def test_cascade_trace_replays(bad_root_u36):
     results = cascade_search(seq, root, (1,))
     assert results  # the worked instance has cascadable elements via set 1
     for elem, trace in results.items():
-        assert trace.element == elem
-        assert trace.chain_indices() == (0, 1)
-        final_coll, mu = apply_cascade(seq, trace)
-        assert final_coll == trace.final_root.collection
-        # mu is a bijection between the initial and final member sets
-        assert set(mu) == set(trace.collection.sets)
-        assert sorted(map(sorted, mu.values())) == sorted(
-            map(sorted, final_coll.sets)
-        )
+        assert trace.element == elem == trace.record.element
+        ok, why = validate_collection(seq, trace.final_root.collection)
+        assert ok, why
         holder = trace.final_root.collection.index_of_element(elem)
         if (
             holder is not None
@@ -183,35 +171,6 @@ def test_cascade_trace_replays(bad_root_u36):
             assert ok, why
 
 
-def test_apply_cascade_detects_tampering(bad_root_u36):
-    seq, root = bad_root_u36
-    results = cascade_search(seq, root, (1,))
-    elem, trace = next(iter(results.items()))
-    bad_steps = tuple(
-        CascadeStep(s.donor_index, (99, s.element[1]), s.mode, s.variant)
-        for s in trace.steps
-    )
-    tampered = CascadeTrace(
-        trace.collection,
-        trace.root_index,
-        trace.root_colour,
-        bad_steps,
-        trace.final_root,
-        trace.final_good_path,
-        trace.element,
-        trace.good,
-    )
-    with pytest.raises(CorruptedTraceError):
-        apply_cascade(seq, tampered)
-
-
-def test_addable_concentration(bad_root_u36):
-    seq, root = bad_root_u36
-    value, arg_root, arg_set = addable_concentration(seq, root.collection)
-    assert value >= 1
-    assert arg_root is not None and arg_set != arg_root.index
-
-
 def test_concentration_probe(bad_root_u36):
     seq, root = bad_root_u36
     probe = concentration_probe(seq, root.collection, 1, depth_limit=2)
@@ -219,8 +178,8 @@ def test_concentration_probe(bad_root_u36):
         assert len(probe.witnesses) >= 1
         for elem, trace in probe.traces.items():
             assert elem in probe.witnesses
-            final_coll, _ = apply_cascade(seq, trace)
-            assert final_coll == trace.final_root.collection
+            ok, why = validate_collection(seq, trace.final_root.collection)
+            assert ok, why
     with pytest.raises(InputError):
         concentration_probe(seq, root.collection, 0)
 
@@ -228,10 +187,9 @@ def test_concentration_probe(bad_root_u36):
 def test_good_cascade_on_sampled_bad_roots():
     rng = random.Random(11)
     seq, root, alpha = sample_bad_root(rng)
-    # a good cascade through any single-set chain must replay cleanly
+    # a good cascade through any single-set chain must end on a valid root
     others = [i for i in range(len(root.collection.sets)) if i != root.index]
     results = cascade_search(seq, root, (others[0],), good=True)
     for elem, trace in results.items():
-        final_coll, _ = apply_cascade(seq, trace)
-        ok, why = validate_collection(seq, final_coll)
+        ok, why = validate_collection(seq, trace.final_root.collection)
         assert ok, why

@@ -134,6 +134,22 @@ def test_verify_rejects_report_that_is_not_a_mapping(tmp_path):
         ) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("signature", (5, None))
+def test_verify_rejects_malformed_report_signature(tmp_path, signature):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    data = yaml.safe_load(report.read_text())
+    data["signature"] = signature
+    report.write_text(yaml.safe_dump(data))
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+    ) == EXIT_FAIL
+
+
 def test_verify_rejects_wrong_instance(tmp_path):
     inst = gen_instance_file(tmp_path)
     other = gen_instance_file(tmp_path, name="other.yaml", extra=("--seed", "3"))

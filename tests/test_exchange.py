@@ -123,9 +123,9 @@ def test_add_record_canonical_variant():
         "indirect",
         (((0, 1), (2, 2)), ((1, 1), (2, 2)), ((0, 1), (3, 2))),
     )
-    # variants are consumed in the given order; witness/removed read the first
-    assert rec.removed == (0, 1) and rec.witness == (2, 2)
-    assert rec.alternatives == 3
+    # variants are consumed in the given order; the first is canonical
+    assert rec.variants[0] == ((0, 1), (2, 2))
+    assert len(rec.variants) == 3
 
 
 def test_apply_add():

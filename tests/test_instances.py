@@ -82,6 +82,15 @@ def test_parse_rejects_malformed():
             "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\n"
             "bases: [[0, x], [2, 3]]\n"
         )
+    for matroid in (
+        "{family: graphic, params: {vertices: 3, edges: [5, [0, 1]]}}",
+        "{family: uniform, params: {k: a, m: 4}}",
+        "{family: uniform, params: {k: 2, m: 4.5}}",
+        "{family: linear, params: {p: 2, matrix: 5}}",
+        "{family: sparse_paving, params: {k: 2, m: 4, circuit_hyperplanes: 5}}",
+    ):
+        with pytest.raises(ValidationError):
+            parse_instance(f"version: 1\nmatroid: {matroid}\nbases: [[0, 1], [2, 3]]\n")
 
 
 def test_parse_rejects_non_base():

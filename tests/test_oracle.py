@@ -11,7 +11,6 @@ from rainbowpack.model import (
     Collection,
     is_ris,
     lex_compare,
-    sig_key,
     validate_collection,
 )
 from rainbowpack.oracle import (
@@ -22,7 +21,6 @@ from rainbowpack.oracle import (
     brute_force_tau_eta,
     enumerate_rainbow_bases,
     enumerate_ris,
-    eta_reference,
     iter_collections,
     run_lemma_harness,
 )
@@ -100,12 +98,7 @@ def test_brute_force_tau_eta_matches_exhaustive():
 def test_tau_eta_monotone_in_eta():
     seq = uniform_seq(3, [{0, 1, 2}, {0, 3, 5}, {1, 3, 4}])
     sigs = [brute_force_tau_eta(seq, eta)[0] for eta in (1, 2, 3)]
-    assert sig_key(sigs[0]) <= sig_key(sigs[1]) <= sig_key(sigs[2])
-
-
-def test_eta_reference_marks_exact(u24_disjoint):
-    ref = eta_reference(u24_disjoint, 2)
-    assert ref.exact and ref.eta == 2 and ref.signature == (0, 2)
+    assert lex_compare(sigs[0], sigs[1]) <= 0 and lex_compare(sigs[1], sigs[2]) <= 0
 
 
 def test_iter_collections_valid_and_distinct(u24_overlapping):

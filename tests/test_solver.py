@@ -9,7 +9,9 @@ import pytest
 
 from rainbowpack.errors import CorruptedTraceError, PreconditionError
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
+from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
+    BaseSequence,
     BoundParams,
     Collection,
     is_ris,
@@ -145,11 +147,95 @@ def test_replay_rejects_tampered_log():
         edit(broken)
         with pytest.raises(CorruptedTraceError):
             replay_moves(seq, broken)
+    for edit in (
+        # opens set 1 with an element set 0 still holds
+        lambda m: m[3]["changes"][0].update(added=held),
+        # sets 1 and 2 both gain (2, 1)
+        lambda m: m[6]["changes"].insert(
+            0, {"set": 1, "removed": [[1, 1]], "added": [[2, 1]]}
+        ),
+    ):
+        broken = copy.deepcopy(result.moves)
+        edit(broken)
+        with pytest.raises(CorruptedTraceError, match="share"):
+            replay_moves(seq, broken)
     for text in ("{not json\n", "[1, 2]\n", "5\n"):
         with pytest.raises(CorruptedTraceError):
             load_move_log(text)
     with pytest.raises(CorruptedTraceError):
         apply_move(seq, Collection(seq.n), {"kind": "nosuch", "changes": []})
+    # the second change makes its set dependent: edges 0 and 3 are parallel
+    triangle = GraphicMatroid(3, [[0, 1], [1, 2], [0, 2], [0, 1]])
+    seq = BaseSequence(triangle, [{0, 1}, {2, 3}])
+    coll = Collection(2, [{(0, 1)}, {(2, 2)}])
+    move = {
+        "kind": "augment",
+        "changes": [
+            {"set": 1, "removed": [], "added": [[1, 1]]},
+            {"set": 0, "removed": [], "added": [[3, 2]]},
+        ],
+    }
+    with pytest.raises(CorruptedTraceError, match="dependent"):
+        apply_move(seq, coll, move)
+    move["changes"][1]["added"] = [[2, 2]]  # held by set 1 before the move
+    with pytest.raises(CorruptedTraceError, match="share"):
+        apply_move(seq, coll, move)
+
+
+def _random_change(rng, seq, coll, i):
+    S = (*coll.sets, frozenset())[i]
+    removed = rng.sample(sorted(S), rng.randint(0, min(1, len(S))))
+    # mostly unused elements; sometimes elements another set holds
+    if rng.random() < 0.7:
+        pool = sorted(seq.universe - coll.used())
+    else:
+        pool = sorted(seq.universe - S)
+    added = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+    return {"set": i, "removed": sorted(map(list, removed)), "added": sorted(map(list, added))}
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+@pytest.mark.parametrize("mode", ("disjoint", "overlapping"))
+def test_apply_move_accepts_exactly_valid_rising_moves(family, mode):
+    rng = random.Random(f"{family} {mode}")
+    accepted = rejected = 0
+    for n in (3, 4, 5):
+        seq = generate_instance(family, n, mode, kappa=2, seed=n).base_sequence()
+        colls = [Collection(n)]
+        for move in pack_rainbow_bases(seq).moves:
+            colls.append(apply_move(seq, colls[-1], move))
+        for _ in range(40):
+            coll = rng.choice(colls)
+            slots = range(len(coll.sets) + 1)  # the last one opens a new set
+            touched = rng.sample(slots, min(len(slots), rng.randint(1, 2)))
+            move = {
+                "kind": "augment",
+                "changes": [_random_change(rng, seq, coll, i) for i in touched],
+            }
+            sets = [*coll.sets, frozenset()]
+            for ch in move["changes"]:
+                i = ch["set"]
+                removed, added = (set(map(tuple, ch[k])) for k in ("removed", "added"))
+                sets[i] = sets[i] - removed | added
+            sets = [S for S in sets if S]
+            expected = None
+            if all(len(S) <= n for S in sets):
+                result = Collection(n, sets)
+                if (
+                    validate_collection(seq, result)[0]
+                    and lex_compare(result.signature, coll.signature) > 0
+                ):
+                    expected = result
+            try:
+                got = apply_move(seq, coll, move)
+            except CorruptedTraceError:
+                got = None
+            assert got == expected, (n, coll, move)
+            if got is None:
+                rejected += 1
+            else:
+                accepted += 1
+    assert accepted >= 10 and rejected >= 10, (accepted, rejected)
 
 
 def test_replay_of_a_cascade_move():
