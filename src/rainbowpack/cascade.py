@@ -216,6 +216,9 @@ def cascade_search(
             walk(nxt, pos + 1)
 
     walk(root, 0)
+    # walk's closure refers to walk; breaking that cycle lets reference
+    # counting free seen_states and results, not the next full collection
+    del walk
     return results
 
 

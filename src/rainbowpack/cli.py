@@ -291,21 +291,21 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
         inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
         seq = inst.base_sequence()
         started = time.monotonic()
-        status = "ok"
+        result = pack_rainbow_bases(seq, _solver_params(0, 2, None, inst))
         brute_t = ""
-        try:
-            result = pack_rainbow_bases(
-                seq, _solver_params(0, 2, None, inst)
-            )
-            if not no_brute:
+        status = None  # keep the solve's own status
+        if not no_brute:
+            try:
                 brute_t = brute_force_t(seq, OracleBudget(wall_ms=budget_ms))
+            except BudgetExceededError:
+                status = "budget"
+            else:
                 if result.rb_count > brute_t:
                     status = "solver_above_oracle"
-        except BudgetExceededError:
-            status = "budget"
         elapsed_ms = int((time.monotonic() - started) * 1000)
         row = _solve_csv_row(inst, seq, result, elapsed_ms, brute=brute_t)
-        row["status"] = status
+        if status is not None:
+            row["status"] = status
         rows.append(row)
     _write(out, _csv_text(rows))
     if any(r["status"] == "solver_above_oracle" for r in rows):

@@ -120,8 +120,12 @@ def transition(
 ) -> Root:
     """Move an addable element out of its current set into the root's set.
 
-    The element must live in a set other than the root's.  Returns the new
-    root (same collection size, set identities kept positional).
+    The element must live in a set other than the root's, and an indirect
+    variant's witness in no other set; :class:`PreconditionError` otherwise.
+    Returns the new root (same collection size, set identities kept
+    positional).  The root's collection must be valid, and then so is the
+    result: the new root set is checked as an RIS, the donor only loses an
+    element, and the witness is the one element that could land in two sets.
     """
     xc = record.element
     donor = root.collection.index_of_element(xc)
@@ -133,19 +137,18 @@ def transition(
         # the donor would become empty, which no collection may contain;
         # such degenerate roots carry no useful continuation
         raise PreconditionError(f"removing {xc} would empty its set")
+    if record.mode == "indirect":
+        witness = (variant if variant is not None else record.variants[0])[1]
+        holder = root.collection.index_of_element(witness)
+        if holder not in (None, root.index):
+            raise PreconditionError(f"witness {witness} is held by set {holder}")
     T = apply_add(root.ris, record, variant)
     ok, why = validate_ris(seq, T)
     if not ok:
         raise PreconditionError(f"add record invalid against the collection: {why}")
     coll = root.collection.replace(root.index, T)
     coll = coll.replace(donor, coll.sets[donor] - {xc})
-    new_root = Root(coll, donor, xc[1])
-    if __debug__:
-        from .model import validate_collection
-
-        ok, why = validate_collection(seq, coll)
-        assert ok, f"transition corrupted the collection: {why}"
-    return new_root
+    return Root(coll, donor, xc[1])
 
 
 def exchange_injection(seq: BaseSequence, S, c: int) -> dict:

@@ -11,7 +11,10 @@ with coloured elements as ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
 a set left empty is dropped once every change is applied.  ``signature`` is
 the signature the move produces.  Solve and replay share one checked step,
-:func:`apply_move`, so every logged move has passed the replay checks.  Logs
+:func:`apply_move`, so every logged move has passed the replay checks.  A
+solve keeps the pool of unused coloured elements as one sorted list for its
+whole run and updates it from each applied move's net changes
+(:func:`_update_free`), so no move rebuilds or re-sorts it.  Logs
 with per-kind fields (``set``/``removed``/``added`` at the top level, or the
 cascade's ``root_set``, ``steps``, ``assoc``, ``landing``, ``donor_set``)
 come from earlier versions and no longer replay.
@@ -20,6 +23,7 @@ come from earlier versions and no longer replay.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,10 +139,13 @@ def _augment(i, removed, added) -> dict:
     return {"kind": "augment", "changes": [_change(i, removed, added)]}
 
 
-def _augment_move(seq, coll, eta):
+def _augment_move(seq, coll, eta, free):
     """Direct additions to the non-full sets, smallest set first; then longer
-    augmenting paths, set by set; then a new set."""
-    free = sorted(seq.universe - coll.used())
+    augmenting paths, set by set; then a new set.
+
+    ``free`` is the solve's pool, kept across moves: the sorted coloured
+    elements no set of ``coll`` holds.
+    """
     order = sorted(
         (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
         key=lambda i: (len(coll.sets[i]), i),
@@ -233,8 +240,26 @@ def _attempt_exchange(seq, coll, probe):
     return None
 
 
-def _find_move(seq, coll, eta, params):
-    return _augment_move(seq, coll, eta) or _cascade_move(seq, coll, params)
+def _find_move(seq, coll, eta, params, free):
+    return _augment_move(seq, coll, eta, free) or _cascade_move(seq, coll, params)
+
+
+def _update_free(free: list, move: dict) -> None:
+    """Bring the sorted pool ``free`` in step with an applied move.
+
+    Only the net change counts: an element some change adds and none removes
+    leaves the pool, one some change removes and none adds returns to it.  A
+    cascade moves elements between sets, and those never become free.
+    """
+    added = {tuple(y) for ch in move["changes"] for y in ch["added"]}
+    removed = {tuple(x) for ch in move["changes"] for x in ch["removed"]}
+    for y in added - removed:
+        i = bisect_left(free, y)
+        if i == len(free) or free[i] != y:
+            raise InternalInvariantError(f"move adds {y}, which is not free")
+        del free[i]
+    for x in removed - added:
+        insort(free, x)
 
 
 def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) -> SolveResult:
@@ -242,10 +267,11 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
     params = params or SolverParams()
     eta = params.bound.eta(seq.n)
     coll = Collection(seq.n)
+    free = sorted(seq.universe)  # every element is unused in the empty collection
     moves: list = []
     signatures = [coll.signature]
     for _ in range(params.iteration_budget):
-        move = _find_move(seq, coll, eta, params)
+        move = _find_move(seq, coll, eta, params, free)
         if move is None:
             stopped = "fixed_point"
             break
@@ -253,6 +279,7 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
             coll = apply_move(seq, coll, move)
         except CorruptedTraceError as exc:
             raise InternalInvariantError(f"finder made a bad move: {exc}") from exc
+        _update_free(free, move)
         move["signature"] = list(coll.signature)
         moves.append(move)
         signatures.append(coll.signature)

@@ -1,5 +1,6 @@
 """Recolouring graph, good transform, cascades and concentration probes."""
 
+import gc
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from rainbowpack.errors import (
     PreconditionError,
 )
 from rainbowpack.exchange import Root, add_set, transition
+from rainbowpack.instances import generate_instance
 from rainbowpack.model import Collection, underline, validate_collection
+from rainbowpack.solver import PROBE_K, pack_rainbow_bases, replay_moves
 from conftest import sample_bad_root, uniform_seq
 
 
@@ -193,3 +196,19 @@ def test_good_cascade_on_sampled_bad_roots():
     for elem, trace in results.items():
         ok, why = validate_collection(seq, trace.final_root.collection)
         assert ok, why
+
+
+def test_concentration_probe_leaves_no_garbage_cycles():
+    # A search's states and traces must be freed when it returns, not held
+    # in a reference cycle until the next full garbage collection.
+    seq = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1).base_sequence()
+    moves = pack_rainbow_bases(seq).moves
+    at = [m["kind"] for m in moves].index("cascade")
+    coll = replay_moves(seq, moves[:at])
+    gc.collect()
+    gc.disable()
+    try:
+        assert concentration_probe(seq, coll, PROBE_K, depth_limit=2) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

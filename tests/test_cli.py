@@ -232,6 +232,23 @@ def test_bench_command(tmp_path):
         assert row["status"] == "ok"
 
 
+def test_bench_reports_a_budget_stop(tmp_path):
+    # n = 72 needs 72 * 72 = 5184 moves, more than the default 5000.
+    out = tmp_path / "bench.csv"
+    assert run_command(
+        [
+            "bench",
+            "--family", "uniform",
+            "--n", "72",
+            "--seeds", "1",
+            "--no-brute",
+            "--out", str(out),
+        ]
+    ) == EXIT_BUDGET
+    [row] = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["moves"] == "5000" and row["status"] == "budget"
+
+
 def test_usage_errors():
     assert run_command(["solve"]) == EXIT_USAGE  # missing required option
     assert run_command(["gen", "--family", "nosuch", "--n", "3"]) == EXIT_USAGE

@@ -168,6 +168,26 @@ def test_transition_rejects_foreign_and_singleton(u24_disjoint):
         transition(seq, root, held)  # donor would become empty
 
 
+@pytest.mark.parametrize(
+    "others",
+    [
+        ({(1, 1), (2, 2)},),  # the donor holds the witness
+        ({(1, 1), (5, 3)}, {(2, 2)}),  # a third set holds it
+    ],
+    ids=["donor", "third_set"],
+)
+def test_transition_rejects_witness_held_by_another_set(others):
+    # (1,1) replaces (0,1) with witness (2,2): an RIS, but (2,2) would then
+    # lie in two sets, so the transition must refuse it.
+    seq = uniform_seq(3, [{0, 1, 3}, {2, 3, 4}, {3, 4, 5}])
+    coll = Collection(3, (frozenset({(0, 1)}), *map(frozenset, others)))
+    root = Root(coll, 0, 2)
+    rec = AddRecord((1, 1), "indirect", (((0, 1), (2, 2)),))
+    assert is_ris(seq, apply_add(root.ris, rec))
+    with pytest.raises(PreconditionError, match="witness"):
+        transition(seq, root, rec)
+
+
 def test_exchange_injection_properties():
     for seq in small_instances():
         for coll in some_collections(seq, cap=10):

@@ -7,7 +7,12 @@ from itertools import islice
 
 import pytest
 
-from rainbowpack.errors import CorruptedTraceError, PreconditionError
+from rainbowpack.errors import (
+    CorruptedTraceError,
+    InputError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
@@ -21,6 +26,7 @@ from rainbowpack.model import (
 from rainbowpack.oracle import brute_force_t, enumerate_ris, iter_collections
 from rainbowpack.solver import (
     SolverParams,
+    _update_free,
     apply_move,
     augmenting_path,
     dump_move_log,
@@ -255,6 +261,37 @@ def test_replay_of_a_cascade_move():
         del broken["changes"][drop]
         with pytest.raises(CorruptedTraceError):
             apply_move(seq, before, broken)
+
+
+def test_free_pool_tracks_unused_elements():
+    # Augment moves with removals and cascade moves, which move elements
+    # between sets, must leave the pool equal to a from-scratch rebuild.
+    with_removals = 0
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            for n in range(3, 7):
+                for seed in range(3):
+                    try:
+                        inst = generate_instance(family, n, mode, kappa=2, seed=seed)
+                    except InputError:
+                        continue  # the generator cannot sample these bases
+                    seq = inst.base_sequence()
+                    coll = Collection(seq.n)
+                    free = sorted(seq.universe)
+                    for move in pack_rainbow_bases(seq).moves:
+                        coll = apply_move(seq, coll, move)
+                        _update_free(free, move)
+                        assert free == sorted(seq.universe - coll.used())
+                        with_removals += any(ch["removed"] for ch in move["changes"])
+    assert with_removals > 0
+
+
+def test_update_free_rejects_an_element_that_is_not_free():
+    free = [(0, 1), (2, 1)]
+    move = {"kind": "augment", "changes": [{"set": 0, "removed": [], "added": [[1, 1]]}]}
+    with pytest.raises(InternalInvariantError):
+        _update_free(free, move)
+    assert free == [(0, 1), (2, 1)]
 
 
 def test_intermediate_collections_all_valid():
