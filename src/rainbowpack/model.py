@@ -149,7 +149,9 @@ class Collection:
     """Immutable family of pairwise-disjoint RIS's with a cached signature.
 
     Mutating operations return new collections so that searches can compare
-    before/after states and traces can be replayed.
+    before/after states and traces can be replayed.  A signature passed to
+    the constructor is trusted, not recounted: :meth:`replace` and
+    ``solver.apply_move`` pass one updated from the sizes they changed.
     """
 
     __slots__ = ("sets", "n", "signature")
@@ -160,10 +162,6 @@ class Collection:
         if signature is None:
             signature = signature_of_sizes((len(S) for S in self.sets), n)
         self.signature = signature
-        if __debug__:
-            assert self.signature == signature_of_sizes(
-                (len(S) for S in self.sets), n
-            ), "cached signature out of date"
 
     def used(self) -> frozenset:
         out: set = set()

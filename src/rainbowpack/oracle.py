@@ -6,7 +6,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .cascade import (
     build_good_graph,
@@ -98,70 +98,85 @@ def enumerate_rainbow_bases(
     seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple:
     """All size-n RIS's, one element per colour, by colour-wise backtracking."""
-    meter = _admit(seq, budget)
-    n = seq.n
-    out = []
-
-    def extend(colour: int, chosen: list, raw: set):
-        meter.tick()
-        if colour > n:
-            out.append(frozenset(chosen))
-            return
-        for x in sorted(seq.base(colour)):
-            if x in raw:
-                continue
-            if not seq.matroid.is_independent(raw | {x}):
-                continue
-            chosen.append((x, colour))
-            raw.add(x)
-            extend(colour + 1, chosen, raw)
-            chosen.pop()
-            raw.remove(x)
-
-    extend(1, [], set())
+    out: list = []
+    _extend_rainbow(seq, _admit(seq, budget), 1, [], set(), out)
     return tuple(out)
 
 
+# The searches below recurse through module-level helpers, not closures: a
+# recursive closure refers to itself, and that cycle would hold its results
+# until the next full garbage collection.
+
+
+def _extend_rainbow(seq, meter, colour: int, chosen: list, raw: set, out: list):
+    meter.tick()
+    if colour > seq.n:
+        out.append(frozenset(chosen))
+        return
+    for x in sorted(seq.base(colour)):
+        if x in raw:
+            continue
+        if not seq.matroid.is_independent(raw | {x}):
+            continue
+        chosen.append((x, colour))
+        raw.add(x)
+        _extend_rainbow(seq, meter, colour + 1, chosen, raw, out)
+        chosen.pop()
+        raw.remove(x)
+
+
+def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:
+    """Each set as an int whose bit i marks ``sorted(seq.universe)[i]``."""
+    bit = {ce: 1 << i for i, ce in enumerate(sorted(seq.universe))}
+    return [sum(bit[ce] for ce in S) for S in sets]
+
+
 def brute_force_t(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Exact maximum number of pairwise-disjoint rainbow bases."""
-    rbs = list(enumerate_rainbow_bases(seq, budget))
-    if not rbs:
-        return 0
-    # t never exceeds n, so a greedy packing reaching n is already optimal
-    # and skips the quadratic conflict-graph construction
-    used: set = set()
-    greedy = 0
-    for rb in rbs:
-        if not (rb & used):
-            greedy += 1
-            used |= rb
-            if greedy == seq.n:
-                return seq.n
-    meter = _admit(seq, budget)
-    conflicts = [
-        frozenset(j for j, other in enumerate(rbs) if j != i and rb & other)
-        for i, rb in enumerate(rbs)
-    ]
-    order = sorted(range(len(rbs)), key=lambda i: (len(conflicts[i]), i))
-    best = 0
+    """Exact maximum number t of pairwise-disjoint rainbow bases.
 
-    def extend(avail: list, count: int):
-        nonlocal best
-        meter.tick()
-        if count > best:
-            best = count
-        if best == seq.n or count + len(avail) <= best:
-            return
-        for pos, i in enumerate(avail):
-            extend(
-                [j for j in avail[pos + 1 :] if j not in conflicts[i]],
-                count + 1,
-            )
-            if best == seq.n:
-                return
+    t = n exactly when n rainbow bases cover the n^2 coloured elements, so the
+    search is an exact-cover search first (see :func:`_max_disjoint`) and
+    finds such a cover directly; its skip branch keeps it exact when none
+    exists.  Each rainbow base is one int bitmask over the sorted universe,
+    and the search keeps no structure per pair of rainbow bases: memory is
+    the list of masks and the filtered candidate lists along one path.
+    """
+    masks = _masks(seq, enumerate_rainbow_bases(seq, budget))
+    return _max_disjoint(masks, seq.n, _admit(seq, budget))
 
-    extend(order, 0)
-    return best
+
+def _max_disjoint(masks: Sequence[int], n: int, meter: _Meter) -> int:
+    """Most pairwise-disjoint masks, capped at n; every mask has n bits set.
+
+    Branch and bound after Knuth's Algorithm X ("Dancing Links",
+    arXiv:cs/0011047): branch on the live element (a bit some candidate
+    still holds) that the fewest candidates hold, cover it with each of them
+    in turn, and only then leave it uncovered.  The search stops once n
+    masks are found: n disjoint rainbow bases cover all n^2 coloured
+    elements, so no more can exist.
+    """
+    return _cover(list(masks), 0, 0, n, meter)
+
+
+def _cover(cands: list, count: int, best: int, n: int, meter: _Meter) -> int:
+    meter.tick()
+    best = max(best, count)
+    live = 0
+    for m in cands:
+        live |= m
+    # every candidate covers n live bits, so at most live/n more fit
+    if best == n or count + live.bit_count() // n <= best:
+        return best
+    e = min(
+        (1 << i for i in range(live.bit_length()) if live >> i & 1),
+        key=lambda bit: sum(1 for m in cands if m & bit),
+    )
+    for m in cands:
+        if m & e:
+            best = _cover([o for o in cands if not o & m], count + 1, best, n, meter)
+            if best == n:
+                return best
+    return _cover([o for o in cands if not o & e], count, best, n, meter)
 
 
 def brute_force_t_naive(
@@ -169,41 +184,38 @@ def brute_force_t_naive(
 ) -> int:
     """Independent cross-check: plain include/exclude recursion, no ordering."""
     rbs = list(enumerate_rainbow_bases(seq, budget))
-    meter = _admit(seq, budget)
+    return _include_exclude(rbs, 0, frozenset(), _admit(seq, budget))
 
-    def rec(idx: int, used: frozenset) -> int:
-        meter.tick()
-        if idx == len(rbs):
-            return 0
-        skip = rec(idx + 1, used)
-        if rbs[idx] & used:
-            return skip
-        return max(skip, 1 + rec(idx + 1, used | rbs[idx]))
 
-    return rec(0, frozenset())
+def _include_exclude(rbs: list, idx: int, used: frozenset, meter: _Meter) -> int:
+    meter.tick()
+    if idx == len(rbs):
+        return 0
+    skip = _include_exclude(rbs, idx + 1, used, meter)
+    if rbs[idx] & used:
+        return skip
+    return max(skip, 1 + _include_exclude(rbs, idx + 1, used | rbs[idx], meter))
 
 
 def enumerate_ris(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
     """All nonempty RIS's, in canonical order."""
-    meter = _admit(seq, budget)
-    elems = sorted(seq.universe)
-    out = []
-
-    def extend(start: int, chosen: list):
-        meter.tick()
-        for i in range(start, len(elems)):
-            xc = elems[i]
-            if any(xc[0] == x or xc[1] == c for x, c in chosen):
-                continue
-            if not seq.matroid.is_independent([x for x, _ in chosen] + [xc[0]]):
-                continue
-            chosen.append(xc)
-            out.append(frozenset(chosen))
-            extend(i + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
+    out: list = []
+    _extend_ris(seq, _admit(seq, budget), sorted(seq.universe), 0, [], out)
     return tuple(out)
+
+
+def _extend_ris(seq, meter, elems: list, start: int, chosen: list, out: list):
+    meter.tick()
+    for i in range(start, len(elems)):
+        xc = elems[i]
+        if any(xc[0] == x or xc[1] == c for x, c in chosen):
+            continue
+        if not seq.matroid.is_independent([x for x, _ in chosen] + [xc[0]]):
+            continue
+        chosen.append(xc)
+        out.append(frozenset(chosen))
+        _extend_ris(seq, meter, elems, i + 1, chosen, out)
+        chosen.pop()
 
 
 def brute_force_tau_eta(
@@ -213,42 +225,49 @@ def brute_force_tau_eta(
 
     Branch and bound choosing sets in non-increasing size: the optimum's next
     set always has the largest feasible size, since a single such set already
-    lex-dominates any continuation without one.
+    lex-dominates any continuation without one.  Sets are searched as int
+    bitmasks over the sorted universe (see :func:`_masks`).
     """
     if eta < 1:
         raise InputError("eta must be positive")
     all_ris = enumerate_ris(seq, budget)
     meter = _admit(seq, budget)
     n = seq.n
-    zero = tuple([0] * n)
-    best_sig, best_sets = zero, ()
+    masks = _masks(seq, all_ris)
+    sig, picked = _tau_dfs(
+        masks, min(eta, len(masks)), [], [], (tuple([0] * n), ()), n, meter
+    )
+    as_set = dict(zip(masks, all_ris))
+    return sig, Collection(n, tuple(as_set[R] for R in picked))
 
-    def bound(sizes: list, slots: int, smax: int) -> tuple:
-        return signature_of_sizes(sizes + [smax] * slots, n)
 
-    def dfs(feasible: tuple, slots: int, sizes: list, picked: list):
-        nonlocal best_sig, best_sets
-        meter.tick()
-        sig = signature_of_sizes(sizes, n) if sizes else zero
-        if lex_compare(sig, best_sig) > 0:
-            best_sig, best_sets = sig, tuple(picked)
-        if slots == 0 or not feasible:
-            return
-        smax = max(len(R) for R in feasible)
-        if lex_compare(bound(sizes, slots, smax), best_sig) <= 0:
-            return
-        for R in feasible:
-            if len(R) != smax:
-                continue
-            rest = tuple(T for T in feasible if not (T & R))
-            picked.append(R)
-            sizes.append(smax)
-            dfs(rest, slots - 1, sizes, picked)
-            sizes.pop()
-            picked.pop()
-
-    dfs(all_ris, min(eta, len(all_ris)), [], [])
-    return best_sig, Collection(n, best_sets)
+def _tau_dfs(feasible: list, slots: int, sizes: list, picked: list, best, n, meter):
+    """The search of :func:`brute_force_tau_eta`; ``best`` is the best
+    (signature, picked masks) so far, and the updated pair is returned."""
+    meter.tick()
+    if sizes:
+        sig = signature_of_sizes(sizes, n)
+        if lex_compare(sig, best[0]) > 0:
+            best = (sig, tuple(picked))
+    if slots == 0 or not feasible:
+        return best
+    smax = max(R.bit_count() for R in feasible)
+    # no continuation of this node can beat filling every slot at size smax
+    top = signature_of_sizes(sizes + [smax] * slots, n)
+    if lex_compare(top, best[0]) <= 0:
+        return best
+    for R in feasible:
+        if R.bit_count() != smax:
+            continue
+        rest = [T for T in feasible if not T & R]
+        picked.append(R)
+        sizes.append(smax)
+        best = _tau_dfs(rest, slots - 1, sizes, picked, best, n, meter)
+        sizes.pop()
+        picked.pop()
+        if best[0] == top:
+            return best
+    return best
 
 
 def iter_collections(
@@ -266,19 +285,21 @@ def iter_collections(
     order = list(range(len(pool)))
     if rng is not None:
         rng.shuffle(order)
+    yield from _walk_collections(seq.n, max_sets, pool, order, 0, [], frozenset())
 
-    def walk(start: int, chosen: list, used: frozenset):
-        for pos in range(start, len(order)):
-            R = pool[order[pos]]
-            if R & used:
-                continue
-            chosen.append(R)
-            yield Collection(seq.n, tuple(chosen))
-            if len(chosen) < max_sets:
-                yield from walk(pos + 1, chosen, used | R)
-            chosen.pop()
 
-    yield from walk(0, [], frozenset())
+def _walk_collections(n, max_sets, pool, order, start, chosen, used):
+    for pos in range(start, len(order)):
+        R = pool[order[pos]]
+        if R & used:
+            continue
+        chosen.append(R)
+        yield Collection(n, tuple(chosen))
+        if len(chosen) < max_sets:
+            yield from _walk_collections(
+                n, max_sets, pool, order, pos + 1, chosen, used | R
+            )
+        chosen.pop()
 
 
 @dataclass

@@ -1,10 +1,13 @@
 """Exact oracles, oracle budgets and lemma harness plumbing."""
 
+import gc
 import random
+from itertools import combinations
 
 import pytest
 
 from rainbowpack.errors import BudgetExceededError, InputError
+from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.matroids import SparsePavingMatroid, UniformMatroid
 from rainbowpack.model import (
     BaseSequence,
@@ -16,6 +19,8 @@ from rainbowpack.model import (
 from rainbowpack.oracle import (
     HARNESS_IDS,
     OracleBudget,
+    _max_disjoint,
+    _Meter,
     brute_force_t,
     brute_force_t_naive,
     brute_force_tau_eta,
@@ -50,6 +55,11 @@ def test_brute_force_t_matches_naive():
             SparsePavingMatroid(2, 4, [frozenset({0, 2})]),
             [{0, 1}, {2, 3}],
         ),
+    ] + [
+        generate_instance(family, 3, mode, seed=seed).base_sequence()
+        for family in GENERATOR_FAMILIES
+        for mode in ("disjoint", "overlapping")
+        for seed in range(3)
     ]
     for seq in instances:
         assert brute_force_t(seq) == brute_force_t_naive(seq)
@@ -60,6 +70,72 @@ def test_brute_force_t_disjoint_uniform_is_n():
         blocks = [set(range(c * n, (c + 1) * n)) for c in range(n)]
         seq = uniform_seq(n, blocks)
         assert brute_force_t(seq) == n
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+@pytest.mark.parametrize("mode", ("disjoint", "overlapping"))
+@pytest.mark.parametrize("n", (4, 5))
+def test_brute_force_t_is_n_on_generated(family, mode, n):
+    # Includes uniform overlapping n = 5, where taking rainbow bases greedily
+    # in enumeration order falls short of n.
+    seq = generate_instance(family, n, mode, seed=0).base_sequence()
+    assert brute_force_t(seq) == n
+
+
+def _most_disjoint(masks):
+    """Reference for _max_disjoint: the largest pairwise-disjoint subfamily,
+    by trying every subfamily from the largest size down."""
+    for k in range(len(masks), 0, -1):
+        for sub in combinations(masks, k):
+            union = 0
+            for m in sub:
+                if union & m:
+                    break
+                union |= m
+            else:
+                return k
+    return 0
+
+
+def test_max_disjoint_matches_exhaustive_search():
+    # Generated instances all have t = n, so random families of n-bit masks
+    # over n^2 bits are what reach the search's skip branch (t < n).
+    rng = random.Random(0)
+    short = 0
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        masks = [
+            sum(1 << b for b in rng.sample(range(n * n), n))
+            for _ in range(rng.randint(0, 11))
+        ]
+        expected = _most_disjoint(masks)
+        assert _max_disjoint(masks, n, _Meter(OracleBudget())) == expected, masks
+        short += expected < n
+    assert short > 300
+
+
+def test_max_disjoint_obeys_node_budget():
+    # every mask holds bit 0 or bit 1, so no three are disjoint
+    sets = [{0, 2, 3}, {0, 4, 5}, {0, 6, 7}, {1, 2, 4}, {1, 3, 6}, {1, 5, 8}, {1, 7, 8}]
+    masks = [sum(1 << b for b in S) for S in sets]
+    meter = _Meter(OracleBudget())
+    assert _max_disjoint(masks, 3, meter) == 2
+    with pytest.raises(BudgetExceededError):
+        _max_disjoint(masks, 3, _Meter(OracleBudget(max_nodes=meter.nodes - 1)))
+
+
+def test_oracles_leave_no_garbage_cycles():
+    # The searches' results must be freed by reference counting when they
+    # return, not held in a reference cycle until a full collection.
+    seq = generate_instance("uniform", 5, "overlapping", seed=0).base_sequence()
+    for oracle_call in (brute_force_t, enumerate_ris):
+        gc.collect()
+        gc.disable()
+        try:
+            oracle_call(seq)
+            assert gc.collect() == 0, oracle_call.__name__
+        finally:
+            gc.enable()
 
 
 def test_enumerate_ris_counts(u24_disjoint):
@@ -84,6 +160,10 @@ def test_brute_force_tau_eta_matches_exhaustive():
     instances = [
         uniform_seq(2, [{0, 1}, {0, 1}]),
         uniform_seq(3, [{0, 1, 2}, {0, 3, 5}, {1, 3, 4}]),
+    ] + [
+        generate_instance(family, 3, mode, seed=0).base_sequence()
+        for family in GENERATOR_FAMILIES
+        for mode in ("disjoint", "overlapping")
     ]
     for seq in instances:
         for eta in (1, 2, seq.n):

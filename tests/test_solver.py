@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from rainbowpack import solver
 from rainbowpack.errors import (
     CorruptedTraceError,
     InputError,
@@ -21,6 +22,7 @@ from rainbowpack.model import (
     Collection,
     is_ris,
     lex_compare,
+    signature_of_sizes,
     validate_collection,
 )
 from rainbowpack.oracle import brute_force_t, enumerate_ris, iter_collections
@@ -284,6 +286,31 @@ def test_free_pool_tracks_unused_elements():
                         assert free == sorted(seq.universe - coll.used())
                         with_removals += any(ch["removed"] for ch in move["changes"])
     assert with_removals > 0
+
+
+def test_moves_keep_the_cached_signature(monkeypatch):
+    # Collection trusts a signature it is given, so every collection that
+    # apply_move builds, in a solve and in its replay, must carry the
+    # signature its set sizes give.
+    built = []
+
+    def recording(seq, coll, move):
+        built.append(apply_move(seq, coll, move))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "apply_move", recording)
+    kinds = set()
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            for n in (3, 4, 5):
+                for seed in (0, 1):
+                    seq = generate_instance(family, n, mode, kappa=2, seed=seed).base_sequence()
+                    moves = pack_rainbow_bases(seq).moves
+                    replay_moves(seq, moves)
+                    kinds |= {m["kind"] for m in moves}
+    assert kinds == {"augment", "cascade"}
+    for coll in built:
+        assert coll.signature == signature_of_sizes(map(len, coll.sets), coll.n)
 
 
 def test_update_free_rejects_an_element_that_is_not_free():
