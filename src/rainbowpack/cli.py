@@ -20,6 +20,7 @@ from .instances import (
     emit_instance,
     generate_instance,
     instance_digest,
+    load_yaml,
     parse_instance,
     _safe_girth,
 )
@@ -220,7 +221,7 @@ def verify(instance_path, log_path, report_path):
     coll = replay_moves(seq, moves)
     if report_path:
         try:
-            report = yaml.safe_load(_read_text(report_path, "report"))
+            report = load_yaml(_read_text(report_path, "report"))
         except yaml.YAMLError as exc:
             raise RainbowError(f"report is not valid YAML: {exc}") from exc
         if not isinstance(report, dict):

@@ -161,10 +161,7 @@ def exchange_injection(seq: BaseSequence, S, c: int) -> dict:
     raw = sorted(underline(S) if S and isinstance(next(iter(S)), tuple) else S)
     B = sorted(seq.base(c))
     raw_set = frozenset(raw)
-    edges = {
-        x: [y for y in B if y == x or M.is_independent(raw_set - {x} | {y})]
-        for x in raw
-    }
+    edges = {x: [y for y in B if M.is_exchange_independent(raw_set, x, y)] for x in raw}
 
     # Depth-first with ascending candidates: the first complete assignment is
     # the lexicographically least one.
@@ -194,10 +191,11 @@ def exchange_injection(seq: BaseSequence, S, c: int) -> dict:
 
 
 def arrow(M: Matroid, S_from, S_to, xc: CElem, xpc: CElem) -> bool:
-    """True when the target set stays independent after the raw swap."""
-    x = xc[0]
-    xp = xpc[0]
-    return M.is_independent(underline(S_to) - {xp} | {x})
+    """True when the target set stays independent after the raw swap.
+
+    ``S_to`` must be an RIS holding ``xpc``.
+    """
+    return M.is_exchange_independent(underline(S_to), xpc[0], xc[0])
 
 
 def cyclic_exchange(

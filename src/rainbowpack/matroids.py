@@ -1,9 +1,13 @@
 """Finite matroid families behind a shared independence-oracle interface.
 
 Elements of a matroid are the integers ``0..m-1``.  Every family answers
-independence queries through :meth:`Matroid.is_independent`; rank, closure,
-circuits and girth are derived from the oracle alone, so they are valid for
-any family that satisfies the matroid axioms.
+independence queries through :meth:`Matroid.is_independent` and the
+single-exchange query :meth:`Matroid.is_exchange_independent`, and gives its
+rank in closed form: ``k`` for uniform and sparse-paving matroids, one
+elimination of every column for linear ones, one union-find pass over the
+edges for graphic ones.  Closure, circuits and the girth search are derived
+from the oracle alone, so they are valid for any family that satisfies the
+matroid axioms.
 """
 
 from __future__ import annotations
@@ -33,16 +37,19 @@ def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
 
 
 class Matroid:
-    """Immutable independence oracle over the ground set ``0..size-1``."""
+    """Immutable independence oracle over the ground set ``0..size-1``.
+
+    Each family sets ``rank``, the size of its bases.
+    """
 
     family = "abstract"
+    rank: int
 
     def __init__(self, size: int):
         if size < 1:
             raise ValidationError("ground set size must be at least 1")
         self.size = size
         self._indep_cache: dict = {frozenset(): True}
-        self._rank: int | None = None
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         A = _as_element_set(self.size, elements)
@@ -54,11 +61,11 @@ class Matroid:
     def _independent(self, A: frozenset) -> bool:
         raise NotImplementedError
 
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(max_independent_subset(self, range(self.size)))
-        return self._rank
+    def is_exchange_independent(self, T: frozenset, x: int, y: int) -> bool:
+        """Whether ``T - x + y`` is independent, for an independent ``T`` holding ``x``."""
+        if x not in T:
+            raise PreconditionError(f"exchange query removes {x}, which is not in the set")
+        return self.is_independent(T - {x} | {y})
 
     def params(self) -> dict:
         """Family parameters, round-trippable through the instance format."""
@@ -147,10 +154,66 @@ class LinearMatroid(Matroid):
         self.p = p
         self.matrix = tuple(tuple(row) for row in matrix)
         self._columns = [tuple(row[j] for row in matrix) for j in range(width)]
+        self.rank = gf_rank(self._columns, p)
+        self._exchange_state = None  # see is_exchange_independent
 
     def _independent(self, A):
         cols = [self._columns[j] for j in sorted(A)]
         return gf_rank(cols, self.p) == len(cols)
+
+    def is_exchange_independent(self, T, x, y):
+        """Whether ``T - x + y`` is independent, for an independent ``T`` holding ``x``.
+
+        Keeps one state, for the last ``T`` asked about: row operations E
+        that bring T's columns to the first unit vectors, and E times each
+        column ``y`` reduced so far.  Column y lies outside span(T) iff E y
+        is nonzero past position |T|; inside, its coordinate at x's position
+        is x's coefficient in y, and T - x + y is independent iff it is
+        nonzero.  Raises :class:`PreconditionError` when T is dependent or
+        does not hold x.
+        """
+        state = self._exchange_state
+        if state is None or state[0] != T:
+            state = self._exchange_state = self._eliminate(T)
+        _, position, ops, reduced = state
+        if x not in position:
+            raise PreconditionError(f"exchange query removes {x}, which is not in the set")
+        if y in position:
+            return True  # T - x + y is T itself or T - x
+        w = reduced.get(y)
+        if w is None:
+            if not isinstance(y, int) or not 0 <= y < self.size:
+                raise InputError(f"element {y!r} outside ground set 0..{self.size - 1}")
+            col = self._columns[y]
+            p = self.p
+            w = reduced[y] = [sum(a * b for a, b in zip(row, col)) % p for row in ops]
+        return any(w[len(position):]) or w[position[x]] != 0
+
+    def _eliminate(self, T):
+        """The exchange state of ``T``: (T, position of each element, E, {})."""
+        T = _as_element_set(self.size, T)
+        order = sorted(T)
+        p = self.p
+        k = len(self.matrix)
+        r = len(order)
+        # Reducing [A | I], A the columns of T, until A reads [I; 0] leaves E
+        # where I was.
+        rows = [
+            [row[j] for j in order] + [int(h == i) for h in range(k)]
+            for i, row in enumerate(self.matrix)
+        ]
+        for c in range(r):
+            pivot = next((i for i in range(c, k) if rows[i][c]), None)
+            if pivot is None:
+                raise PreconditionError(f"exchange query on the dependent set {order}")
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            inv = pow(rows[c][c], -1, p)
+            top = rows[c] = [v * inv % p for v in rows[c]]
+            for i in range(k):
+                f = rows[i][c]
+                if f and i != c:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        return T, {x: i for i, x in enumerate(order)}, [row[r:] for row in rows], {}
 
     def params(self):
         return {"p": self.p, "matrix": [list(row) for row in self.matrix]}
@@ -158,7 +221,7 @@ class LinearMatroid(Matroid):
     def _girth_closed_form(self):
         if any(all(v == 0 for v in col) for col in self._columns):
             return 1  # zero column is a loop
-        if gf_rank(self._columns, self.p) == self.size:
+        if self.rank == self.size:
             return INFINITY
         return None
 
@@ -198,6 +261,9 @@ class GraphicMatroid(Matroid):
         super().__init__(len(edges))
         self.vertices = vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
+        # a spanning forest's edge count: vertices minus components
+        uf = _UnionFind(vertices)
+        self.rank = sum(uf.union(u, v) for u, v in self.edges)
 
     def _independent(self, A):
         uf = _UnionFind(self.vertices)

@@ -134,6 +134,27 @@ def test_verify_rejects_report_that_is_not_a_mapping(tmp_path):
         ) == EXIT_FAIL
 
 
+def test_verify_rejects_report_that_is_not_yaml(tmp_path):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    for text in (
+        "signature: [1, 2\n",  # unclosed flow sequence
+        "instance_digest: 'open\n",  # unterminated quoted scalar
+        "a: b: c\n",  # mapping value inside a plain scalar
+        "--- 1\n--- 2\n",  # two documents
+        "a: *nowhere\n",  # undefined alias
+        "x\x07\n",  # control character
+    ):
+        report.write_text(text)
+        assert run_command(
+            ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+        ) == EXIT_FAIL
+
+
 @pytest.mark.parametrize("signature", (5, None))
 def test_verify_rejects_malformed_report_signature(tmp_path, signature):
     inst = gen_instance_file(tmp_path)

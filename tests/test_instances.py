@@ -1,7 +1,9 @@
 """Instance file format: round trips, validation and seeded generators."""
 
 import pytest
+import yaml
 
+from rainbowpack import instances
 from rainbowpack.errors import InputError, ValidationError
 from rainbowpack.instances import (
     GENERATOR_FAMILIES,
@@ -9,6 +11,7 @@ from rainbowpack.instances import (
     emit_instance,
     generate_instance,
     instance_digest,
+    load_yaml,
     parse_instance,
     validate_instance,
 )
@@ -105,3 +108,31 @@ def test_digest_is_short_stable_hex():
     inst = generate_instance("linear", 2, "disjoint", seed=0)
     d = instance_digest(inst)
     assert len(d) == 16 and int(d, 16) >= 0
+
+
+def test_load_yaml_matches_the_pure_python_loader():
+    if yaml.__with_libyaml__:
+        assert instances._YAML_LOADER is yaml.CSafeLoader
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            text = emit_instance(generate_instance(family, 4, mode, kappa=2, seed=1))
+            assert load_yaml(text) == yaml.safe_load(text)
+    for text in ("just: [a, scalar", "a: 'open\n", "--- 1\n--- 2\n", "a: *nowhere\n"):
+        with pytest.raises(yaml.YAMLError):
+            yaml.safe_load(text)
+        with pytest.raises(yaml.YAMLError):
+            load_yaml(text)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_generate_instance_builds_one_base_sequence(monkeypatch, family):
+    built = []
+
+    class Counting(instances.BaseSequence):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(instances, "BaseSequence", Counting)
+    generate_instance(family, 3, "overlapping", kappa=2, seed=0)
+    assert len(built) == 1

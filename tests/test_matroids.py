@@ -4,8 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rainbowpack.errors import GirthTooExpensiveError, InputError, ValidationError
+from rainbowpack.errors import (
+    GirthTooExpensiveError,
+    InputError,
+    PreconditionError,
+    ValidationError,
+)
 from rainbowpack.matroids import (
     GraphicMatroid,
     LinearMatroid,
@@ -173,3 +179,76 @@ def test_matroid_axioms_spot_check(M):
         if len(A) < len(B):
             assert any(M.is_independent(A | {e}) for e in B - A)
     assert max(map(len, independents)) == M.rank
+
+
+@st.composite
+def linear_matroids(draw):
+    """Small matrices over GF(2), GF(3) or GF(5) with zero, repeated and
+    dependent columns."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    column = st.sampled_from(pool) | st.just([0] * k) | vector
+    cols = draw(st.lists(column, min_size=1, max_size=8))
+    return LinearMatroid(p, [[c[i] for c in cols] for i in range(k)])
+
+
+@st.composite
+def graphic_matroids(draw):
+    """Small multigraphs with loops, parallel edges and several components."""
+    vertices = draw(st.integers(1, 6))
+    vertex = st.integers(0, vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=10))
+    return GraphicMatroid(vertices, edges)
+
+
+@st.composite
+def independent_sets(draw, M):
+    """An independent set: the greedy maximal subset of a random subset."""
+    pick = draw(st.sets(st.integers(0, M.size - 1)))
+    return max_independent_subset(M, pick)
+
+
+@settings(deadline=None)
+@given(linear_matroids() | graphic_matroids())
+def test_closed_form_rank_matches_greedy(M):
+    assert M.rank == len(max_independent_subset(M, range(M.size)))
+
+
+@settings(deadline=None)
+@given(st.data(), linear_matroids() | graphic_matroids())
+def test_exchange_query_matches_oracle(data, M):
+    T = data.draw(independent_sets(M))
+    for x in sorted(T):
+        for y in range(M.size):  # y == x, y in T and loops included
+            assert M.is_exchange_independent(T, x, y) == M.is_independent(T - {x} | {y})
+
+
+@settings(deadline=None)
+@given(st.data(), linear_matroids())
+def test_exchange_query_alternating_targets(data, M):
+    T1 = data.draw(independent_sets(M))
+    T2 = data.draw(independent_sets(M))
+    if T1 == T2 and T1:
+        T2 = T1 - {min(T1)}
+    queries = [
+        (T, x, y) for T in (T1, T2) for x in sorted(T) for y in range(M.size)
+    ]
+    # alternate between the two targets, so the cached state keeps changing
+    queries = [q for pair in zip(queries, reversed(queries)) for q in pair]
+    for T, x, y in queries:
+        assert M.is_exchange_independent(T, x, y) == M.is_independent(T - {x} | {y})
+
+
+def test_exchange_query_preconditions():
+    M = LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]])
+    with pytest.raises(PreconditionError):
+        M.is_exchange_independent(frozenset({0, 1, 2}), 0, 3)  # dependent
+    with pytest.raises(PreconditionError):
+        M.is_exchange_independent(frozenset({0, 1}), 2, 3)  # 2 not in the set
+    with pytest.raises(InputError):
+        M.is_exchange_independent(frozenset({0, 1}), 0, 9)
+    G = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(PreconditionError):
+        G.is_exchange_independent(frozenset({0, 1}), 2, 0)
