@@ -15,6 +15,7 @@ from .errors import (
 )
 from .matroids import (
     GraphicMatroid,
+    IndependenceState,
     LinearMatroid,
     Matroid,
     SparsePavingMatroid,
@@ -84,6 +85,7 @@ from .instances import (
     emit_instance,
     generate_instance,
     instance_digest,
+    load_instance,
     parse_instance,
 )
 

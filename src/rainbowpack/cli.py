@@ -20,11 +20,11 @@ from .instances import (
     emit_instance,
     generate_instance,
     instance_digest,
+    load_instance,
     load_yaml,
-    parse_instance,
     _safe_girth,
 )
-from .model import BoundParams
+from .model import BaseSequence, BoundParams
 from .oracle import (
     HARNESS_IDS,
     OracleBudget,
@@ -78,12 +78,13 @@ def _read_text(path: str, what: str) -> str:
         raise click.UsageError(f"cannot read {what}: {exc}")
 
 
-def _read_instance(path: str) -> Instance:
-    return parse_instance(_read_text(path, "instance"))
+def _read_instance(path: str) -> tuple:
+    """The instance at ``path`` and its base sequence."""
+    return load_instance(_read_text(path, "instance"))
 
 
-def _girth_field(inst: Instance) -> str:
-    g = _safe_girth(inst.matroid())
+def _girth_field(inst: Instance, seq: BaseSequence) -> str:
+    g = _safe_girth(seq.matroid)
     if g is None:
         return f"declared:beta={inst.declared_beta}"
     return "inf" if g == float("inf") else str(int(g))
@@ -136,8 +137,7 @@ def _solver_params(alpha, depth, budget_ms, inst) -> SolverParams:
 )
 def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     """Pack disjoint rainbow bases and report the result."""
-    inst = _read_instance(instance_path)
-    seq = inst.base_sequence()
+    inst, seq = _read_instance(instance_path)
     params = _solver_params(alpha, depth, budget_ms, inst)
     started = time.monotonic()
     result = pack_rainbow_bases(seq, params)
@@ -178,7 +178,7 @@ def _solve_csv_row(inst, seq, result, elapsed_ms, brute=None):
         "family": inst.family,
         "kappa_actual": seq.overlap_kappa(),
         "beta_declared": inst.declared_beta,
-        "girth": _girth_field(inst),
+        "girth": _girth_field(inst, seq),
         "solver_rbs": result.rb_count,
         "brute_t": brute if brute is not None else "",
         "bound_thm": record.bound,
@@ -203,8 +203,7 @@ def _csv_text(rows) -> str:
 @click.option("--budget-ms", type=int, default=60000, show_default=True)
 def brute(instance_path, budget_ms):
     """Exact maximum number of disjoint rainbow bases (tiny instances)."""
-    inst = _read_instance(instance_path)
-    seq = inst.base_sequence()
+    inst, seq = _read_instance(instance_path)
     t = brute_force_t(seq, OracleBudget(wall_ms=budget_ms))
     click.echo(f"t = {t}")
 
@@ -215,8 +214,7 @@ def brute(instance_path, budget_ms):
 @click.option("--report", "report_path", type=str, default=None)
 def verify(instance_path, log_path, report_path):
     """Re-derive a solve result from its move log and re-validate every step."""
-    inst = _read_instance(instance_path)
-    seq = inst.base_sequence()
+    inst, seq = _read_instance(instance_path)
     moves = load_move_log(_read_text(log_path, "move log"))
     coll = replay_moves(seq, moves)
     if report_path:

@@ -18,7 +18,6 @@ from .model import (
     CElem,
     Collection,
     colours_of,
-    is_ris,
     underline,
     unused,
     validate_ris,
@@ -60,12 +59,23 @@ def iter_roots(seq: BaseSequence, coll: Collection, size: int | None = None):
 
 
 def swap_set(seq: BaseSequence, root: Root) -> dict:
-    """Swappable elements of the root's set, each with its sorted witness list."""
+    """Swappable elements of the root's set, each with its sorted witness list.
+
+    ``yb`` witnesses ``xc`` when ``S - xc + yb`` is an RIS.  S is an RIS
+    lacking colour b, so that holds iff y is not another raw element of S
+    and ``raw(S) - x + y`` is independent.
+    """
     S = root.ris
+    raw = underline(S)
+    state = seq.matroid.state(raw)
     pool = sorted(unused(seq, root.collection, root.b))
     out: dict = {}
     for xc in sorted(S):
-        witnesses = [yb for yb in pool if is_ris(seq, S - {xc} | {yb})]
+        x = xc[0]
+        witnesses = [
+            yb for yb in pool
+            if (yb[0] == x or yb[0] not in raw) and state.independent((x,), (yb[0],))
+        ]
         if witnesses:
             out[xc] = tuple(witnesses)
     return out
@@ -86,23 +96,36 @@ class AddRecord:
 
 
 def add_set(seq: BaseSequence, root: Root) -> tuple:
-    """All addable elements at a root, in deterministic element order."""
+    """All addable elements at a root, in deterministic element order.
+
+    ``xc`` is directly addable when ``S + xc`` is an RIS, and indirectly, by
+    ``(xpc, yb)``, when ``S - xpc + xc + yb`` is one, xpc being S's element
+    of colour c and yb an unused element of the root's colour b.  S is an
+    RIS lacking colour b, so only raw distinctness and independence of the
+    raw elements need checking, and those against one state of raw(S).
+    """
     S = root.ris
+    raw = underline(S)
+    state = seq.matroid.state(raw)
+    holder = {xc[1]: xc for xc in S}
     pool = sorted(unused(seq, root.collection, root.b))
     records = []
     for xc in sorted(seq.universe - S):
         x, c = xc
-        if is_ris(seq, S | {xc}):
-            records.append(AddRecord(xc, "direct"))
+        xpc = holder.get(c)
+        if xpc is None:
+            if x not in raw and state.independent((), (x,)):
+                records.append(AddRecord(xc, "direct"))
             continue
-        variants = []
-        removable = sorted(xpc for xpc in S if xpc[1] == c)
-        for yb in pool:
-            for xpc in removable:
-                if is_ris(seq, (S | {xc, yb}) - {xpc}):
-                    variants.append((xpc, yb))
+        xp = xpc[0]
+        if x != xp and x in raw:
+            continue
+        variants = [
+            (xpc, yb) for yb in pool
+            if yb[0] != x and (yb[0] == xp or yb[0] not in raw)
+            and state.independent((xp,), (x, yb[0]))
+        ]
         if variants:
-            variants.sort(key=lambda v: (v[1], v[0]))
             records.append(AddRecord(xc, "indirect", tuple(variants)))
     return tuple(records)
 
@@ -160,8 +183,8 @@ def exchange_injection(seq: BaseSequence, S, c: int) -> dict:
     M = seq.matroid
     raw = sorted(underline(S) if S and isinstance(next(iter(S)), tuple) else S)
     B = sorted(seq.base(c))
-    raw_set = frozenset(raw)
-    edges = {x: [y for y in B if M.is_exchange_independent(raw_set, x, y)] for x in raw}
+    state = M.state(raw)
+    edges = {x: [y for y in B if state.independent((x,), (y,))] for x in raw}
 
     # Depth-first with ascending candidates: the first complete assignment is
     # the lexicographically least one.
@@ -195,7 +218,7 @@ def arrow(M: Matroid, S_from, S_to, xc: CElem, xpc: CElem) -> bool:
 
     ``S_to`` must be an RIS holding ``xpc``.
     """
-    return M.is_exchange_independent(underline(S_to), xpc[0], xc[0])
+    return M.state(underline(S_to)).independent((xpc[0],), (xc[0],))
 
 
 def cyclic_exchange(

@@ -63,6 +63,12 @@ def load_yaml(text: str):
 
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate one instance document."""
+    return load_instance(text)[0]
+
+
+def load_instance(text: str) -> tuple:
+    """Parse and fully validate one instance document; returns the instance
+    and the base sequence its validation built."""
     try:
         data = load_yaml(text)
     except yaml.YAMLError as exc:
@@ -104,8 +110,7 @@ def parse_instance(text: str) -> Instance:
         declared_kappa=kappa,
         provenance=dict(provenance),
     )
-    validate_instance(inst)
-    return inst
+    return inst, validate_instance(inst)
 
 
 def validate_instance(inst: Instance) -> BaseSequence:

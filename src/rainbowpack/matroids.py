@@ -1,19 +1,28 @@
 """Finite matroid families behind a shared independence-oracle interface.
 
 Elements of a matroid are the integers ``0..m-1``.  Every family answers
-independence queries through :meth:`Matroid.is_independent` and the
-single-exchange query :meth:`Matroid.is_exchange_independent`, and gives its
+independence queries through :meth:`Matroid.is_independent`, and gives its
 rank in closed form: ``k`` for uniform and sparse-paving matroids, one
-elimination of every column for linear ones, one union-find pass over the
-edges for graphic ones.  Closure, circuits and the girth search are derived
-from the oracle alone, so they are valid for any family that satisfies the
-matroid axioms.
+forward elimination of the columns (:func:`gf_rank`) for linear ones, one
+union-find pass over the edges for graphic ones.
+
+A loop that asks many questions about one fixed independent set ``T``
+("is T - x + y independent?", "is T - x + y + z?") asks them through
+:meth:`Matroid.state`: an :class:`IndependenceState` answers
+``T - removed | added`` for one removed and two added elements without
+re-checking T, and :meth:`IndependenceState.extend` gives the state of
+``T + y``.  Linear states keep row operations that bring T to unit vectors,
+graphic states the component labels of the forest T; uniform and
+sparse-paving states ask the family's closed form directly.  Closure,
+circuits and the girth search are derived from the oracle alone, so they
+are valid for any family that satisfies the matroid axioms.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import mul
 from typing import Iterable
 
 from .errors import (
@@ -28,11 +37,15 @@ GIRTH_SEARCH_CAP = 20
 INFINITY = math.inf
 
 
+def _outside(m: int, e) -> InputError:
+    return InputError(f"element {e!r} outside ground set 0..{m - 1}")
+
+
 def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
     A = frozenset(elements)
     for e in A:
         if not isinstance(e, int) or not 0 <= e < m:
-            raise InputError(f"element {e!r} outside ground set 0..{m - 1}")
+            raise _outside(m, e)
     return A
 
 
@@ -50,6 +63,7 @@ class Matroid:
             raise ValidationError("ground set size must be at least 1")
         self.size = size
         self._indep_cache: dict = {frozenset(): True}
+        self._state = None  # see _kept_state()
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         A = _as_element_set(self.size, elements)
@@ -61,11 +75,32 @@ class Matroid:
     def _independent(self, A: frozenset) -> bool:
         raise NotImplementedError
 
-    def is_exchange_independent(self, T: frozenset, x: int, y: int) -> bool:
-        """Whether ``T - x + y`` is independent, for an independent ``T`` holding ``x``."""
-        if x not in T:
-            raise PreconditionError(f"exchange query removes {x}, which is not in the set")
-        return self.is_independent(T - {x} | {y})
+    def state(self, T: Iterable[int]) -> "IndependenceState":
+        """The independence state of the independent set ``T``.
+
+        Raises :class:`PreconditionError` when T is dependent.  This state
+        asks the family's closed form about each changed set, which costs
+        no more than building it; linear and graphic matroids keep the
+        state of the last T asked about instead, so that a loop over one
+        fixed set builds it once.
+        """
+        T = _as_element_set(self.size, T)
+        if not self._independent(T):
+            raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
+        return _ClosedFormState(self, T)
+
+    def _kept_state(self, T: Iterable[int]) -> "IndependenceState":
+        """:meth:`state` built by ``_new_state`` and kept for the last T.
+
+        A kept state must hold no reference to its matroid: the two would
+        form a reference cycle, and a dropped matroid, independence cache
+        and all, would wait for the cycle collector.
+        """
+        T = frozenset(T)
+        state = self._state
+        if state is None or state.T != T:
+            state = self._state = self._new_state(_as_element_set(self.size, T))
+        return state
 
     def params(self) -> dict:
         """Family parameters, round-trippable through the instance format."""
@@ -77,6 +112,69 @@ class Matroid:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.params()})"
+
+
+class IndependenceState:
+    """Independence of small changes to one independent set ``T``.
+
+    Built by :meth:`Matroid.state`; each family's subclass answers
+    :meth:`independent` from what it keeps about T.
+    """
+
+    def __init__(self, T: frozenset, size: int):
+        self.T = T
+        self.size = size  # of the ground set
+
+    def independent(self, removed=(), added=()) -> bool:
+        """Whether ``T - removed | added`` is independent.
+
+        ``removed`` holds at most one element, which must lie in T, and
+        ``added`` at most two; added elements may lie in T or repeat.
+        """
+        T = self.T
+        if len(removed) > 1 or len(added) > 2:
+            raise InputError("a state query removes at most one element and adds at most two")
+        for x in removed:
+            if x not in T:
+                raise PreconditionError(f"state query removes {x}, which is not in the set")
+        new = []
+        for y in added:
+            if y not in T and y not in new:
+                if not isinstance(y, int) or not 0 <= y < self.size:
+                    raise _outside(self.size, y)
+                new.append(y)
+        if not new:
+            return True  # a subset of T
+        return self._query([x for x in removed if x not in added], new)
+
+    def extend(self, y: int) -> "IndependenceState":
+        """The state of ``T + y``; :class:`PreconditionError` when it is dependent."""
+        if y in self.T:
+            return self
+        if not self.independent((), (y,)):
+            raise PreconditionError(f"extending the state by {y} makes a dependent set")
+        return self._extend(y)
+
+    def _query(self, gone: list, new: list) -> bool:
+        """``independent`` once ``gone`` is a subset of T and ``new`` of its complement."""
+        raise NotImplementedError
+
+    def _extend(self, y: int) -> "IndependenceState":
+        raise NotImplementedError
+
+
+class _ClosedFormState(IndependenceState):
+    """Asks the matroid's ``_independent`` about each changed set."""
+
+    def __init__(self, matroid: Matroid, T: frozenset):
+        super().__init__(T, matroid.size)
+        self.matroid = matroid
+
+    def _query(self, gone, new):
+        return self.matroid._independent(self.T.difference(gone).union(new))
+
+    def _extend(self, y):
+        return _ClosedFormState(self.matroid, self.T | {y})
 
 
 class UniformMatroid(Matroid):
@@ -114,23 +212,30 @@ def _is_prime(p: int) -> bool:
 
 
 def gf_rank(columns: list, p: int) -> int:
-    """Rank of a list of column vectors over GF(p) by Gaussian elimination."""
-    rows = [list(col) for col in zip(*columns)] if columns else []
-    rank = 0
-    ncols = len(columns)
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
+    """Rank of a list of column vectors over GF(p) by forward elimination.
+
+    Each column is reduced against the pivot columns kept so far; a column
+    that stays non-zero becomes a pivot, scaled to 1 at its first non-zero
+    row.  Stops once there are as many pivots as rows.
+    """
+    rows = len(columns[0]) if columns else 0
+    # (row i, the pivot column from row i on): 1 at row i, 0 above it and at
+    # earlier pivots' rows
+    pivots: list = []
+    for col in columns:
+        v = [a % p for a in col]
+        for i, u in pivots:
+            f = v[i]
+            if f:
+                v[i:] = [(a - f * b) % p for a, b in zip(v[i:], u)]
+        i = next((i for i, a in enumerate(v) if a), None)
+        if i is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        inv = pow(v[i], -1, p)
+        pivots.append((i, [a * inv % p for a in v[i:]]))
+        if len(pivots) == rows:
+            break
+    return len(pivots)
 
 
 class LinearMatroid(Matroid):
@@ -155,65 +260,26 @@ class LinearMatroid(Matroid):
         self.matrix = tuple(tuple(row) for row in matrix)
         self._columns = [tuple(row[j] for row in matrix) for j in range(width)]
         self.rank = gf_rank(self._columns, p)
-        self._exchange_state = None  # see is_exchange_independent
 
     def _independent(self, A):
         cols = [self._columns[j] for j in sorted(A)]
         return gf_rank(cols, self.p) == len(cols)
 
-    def is_exchange_independent(self, T, x, y):
-        """Whether ``T - x + y`` is independent, for an independent ``T`` holding ``x``.
+    def state(self, T):
+        return self._kept_state(T)
 
-        Keeps one state, for the last ``T`` asked about: row operations E
-        that bring T's columns to the first unit vectors, and E times each
-        column ``y`` reduced so far.  Column y lies outside span(T) iff E y
-        is nonzero past position |T|; inside, its coordinate at x's position
-        is x's coefficient in y, and T - x + y is independent iff it is
-        nonzero.  Raises :class:`PreconditionError` when T is dependent or
-        does not hold x.
-        """
-        state = self._exchange_state
-        if state is None or state[0] != T:
-            state = self._exchange_state = self._eliminate(T)
-        _, position, ops, reduced = state
-        if x not in position:
-            raise PreconditionError(f"exchange query removes {x}, which is not in the set")
-        if y in position:
-            return True  # T - x + y is T itself or T - x
-        w = reduced.get(y)
-        if w is None:
-            if not isinstance(y, int) or not 0 <= y < self.size:
-                raise InputError(f"element {y!r} outside ground set 0..{self.size - 1}")
-            col = self._columns[y]
-            p = self.p
-            w = reduced[y] = [sum(a * b for a, b in zip(row, col)) % p for row in ops]
-        return any(w[len(position):]) or w[position[x]] != 0
-
-    def _eliminate(self, T):
-        """The exchange state of ``T``: (T, position of each element, E, {})."""
-        T = _as_element_set(self.size, T)
-        order = sorted(T)
-        p = self.p
+    def _new_state(self, T):
         k = len(self.matrix)
-        r = len(order)
-        # Reducing [A | I], A the columns of T, until A reads [I; 0] leaves E
-        # where I was.
-        rows = [
-            [row[j] for j in order] + [int(h == i) for h in range(k)]
-            for i, row in enumerate(self.matrix)
-        ]
-        for c in range(r):
-            pivot = next((i for i in range(c, k) if rows[i][c]), None)
-            if pivot is None:
-                raise PreconditionError(f"exchange query on the dependent set {order}")
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = pow(rows[c][c], -1, p)
-            top = rows[c] = [v * inv % p for v in rows[c]]
-            for i in range(k):
-                f = rows[i][c]
-                if f and i != c:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
-        return T, {x: i for i, x in enumerate(order)}, [row[r:] for row in rows], {}
+        ops = [[int(h == i) for h in range(k)] for i in range(k)]
+        position: dict = {}
+        for x in sorted(T):
+            w = _times(ops, self._columns[x], self.p)
+            r = len(position)
+            if not any(w[r:]):
+                raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
+            _pivot(ops, w, r, self.p)
+            position[x] = r
+        return _LinearState(T, self._columns, self.p, position, ops)
 
     def params(self):
         return {"p": self.p, "matrix": [list(row) for row in self.matrix]}
@@ -224,6 +290,70 @@ class LinearMatroid(Matroid):
         if self.rank == self.size:
             return INFINITY
         return None
+
+
+def _times(ops: list, col, p: int) -> list:
+    return [sum(map(mul, row, col)) % p for row in ops]
+
+
+def _pivot(ops: list, w: list, r: int, p: int) -> None:
+    """Row operations on ``ops`` that turn the column ``w = ops y`` into unit
+    vector r, pivoting on the first non-zero entry of w at or below row r."""
+    i = next(i for i in range(r, len(w)) if w[i])
+    ops[r], ops[i] = ops[i], ops[r]
+    w = list(w)
+    w[r], w[i] = w[i], w[r]
+    inv = pow(w[r], -1, p)
+    top = ops[r] = [a * inv % p for a in ops[r]]
+    for j, f in enumerate(w):
+        if f and j != r:
+            ops[j] = [(a - f * b) % p for a, b in zip(ops[j], top)]
+
+
+class _LinearState(IndependenceState):
+    """Row operations E bringing T's columns to the first |T| unit vectors.
+
+    E's rows are T's coordinate rows, then the rows that vanish on span(T).
+    A column reduced by E (cached per element) shows at once whether T - x
+    plus it is independent: modulo span(T - x), only x's coordinate row and
+    the vanishing rows remain, so one added column is independent iff it is
+    non-zero there, and two iff they have rank 2 there.
+    """
+
+    def __init__(self, T, columns, p, position, ops):
+        super().__init__(T, len(columns))
+        self.columns = columns
+        self.p = p
+        self.position = position  # element of T -> its coordinate row
+        self.ops = ops  # E, one list per row
+        self._reduced: dict = {}  # element -> E times its column
+
+    def _vector(self, y: int) -> list:
+        w = self._reduced.get(y)
+        if w is None:
+            w = self._reduced[y] = _times(self.ops, self.columns[y], self.p)
+        return w
+
+    def _query(self, gone, new):
+        r = len(self.T)
+        rows = [self.position[x] for x in gone]
+        if len(new) == 1:
+            w = self._vector(new[0])
+            return any(w[r:]) or any(w[i] for i in rows)
+        u, v = ([w[i] for i in rows] + w[r:] for w in map(self._vector, new))
+        i = next((i for i, a in enumerate(u) if a), None)
+        if i is None:
+            return False
+        p = self.p
+        f = v[i] * pow(u[i], -1, p)
+        return any((b - f * a) % p for a, b in zip(u, v))
+
+    def _extend(self, y):
+        ops = [list(row) for row in self.ops]
+        r = len(self.T)
+        _pivot(ops, self._vector(y), r, self.p)
+        position = {**self.position, y: r}
+        return _LinearState(self.T | {y}, self.columns, self.p, position, ops)
 
 
 class _UnionFind:
@@ -266,12 +396,16 @@ class GraphicMatroid(Matroid):
         self.rank = sum(uf.union(u, v) for u, v in self.edges)
 
     def _independent(self, A):
-        uf = _UnionFind(self.vertices)
-        for i in sorted(A):
-            u, v = self.edges[i]
-            if u == v or not uf.union(u, v):
-                return False
-        return True
+        return _forest(self.vertices, self.edges, A) is not None
+
+    def state(self, T):
+        return self._kept_state(T)
+
+    def _new_state(self, T):
+        labels = _components(self.vertices, self.edges, T)
+        if labels is None:
+            raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
+        return _GraphicState(T, self.vertices, self.edges, labels)
 
     def params(self):
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
@@ -308,6 +442,63 @@ class GraphicMatroid(Matroid):
                             best = min(best, dist[x] + dist[y] + 1)
                 queue = nxt
         return best
+
+
+def _forest(vertices: int, edges: tuple, A):
+    """Union-find over the vertices joined by the edges ``A`` (indices into
+    ``edges``), or None when ``A`` has a cycle."""
+    uf = _UnionFind(vertices)
+    for i in A:
+        u, v = edges[i]
+        if u == v or not uf.union(u, v):
+            return None
+    return uf
+
+
+def _components(vertices: int, edges: tuple, A):
+    """The component of each vertex in the forest ``A``, or None when ``A``
+    has a cycle."""
+    uf = _forest(vertices, edges, A)
+    return None if uf is None else [uf.find(v) for v in range(vertices)]
+
+
+class _GraphicState(IndependenceState):
+    """Component labels of the forest T, and of T - x for each x asked about.
+
+    Added edges join components: one is independent iff its ends lie in
+    different components, two iff the second still does once the first
+    has merged its two.
+    """
+
+    def __init__(self, T, vertices, edges, labels):
+        super().__init__(T, len(edges))
+        self.vertices = vertices
+        self.edges = edges
+        self.labels = labels
+        self._without: dict = {}  # x -> labels of the forest T - x
+
+    def _query(self, gone, new):
+        labels = self.labels
+        if gone:
+            x = gone[0]
+            labels = self._without.get(x)
+            if labels is None:
+                labels = self._without[x] = _components(self.vertices, self.edges, self.T - {x})
+        u, v = self.edges[new[0]]
+        a, b = labels[u], labels[v]
+        if a == b:
+            return False
+        if len(new) == 1:
+            return True
+        u, v = self.edges[new[1]]
+        c, d = labels[u], labels[v]
+        return (a if c == b else c) != (a if d == b else d)
+
+    def _extend(self, y):
+        u, v = self.edges[y]
+        a, b = self.labels[u], self.labels[v]
+        labels = [a if c == b else c for c in self.labels]
+        return _GraphicState(self.T | {y}, self.vertices, self.edges, labels)
 
 
 class SparsePavingMatroid(Matroid):

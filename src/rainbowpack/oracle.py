@@ -8,11 +8,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .cascade import (
-    build_good_graph,
-    cascade_search,
-    is_good,
-)
+from .cascade import build_good_graph, cascade_search
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -21,7 +17,6 @@ from .errors import (
     PreconditionError,
 )
 from .exchange import (
-    Root,
     add_set,
     arrow,
     cyclic_exchange,
@@ -99,7 +94,8 @@ def enumerate_rainbow_bases(
 ) -> tuple:
     """All size-n RIS's, one element per colour, by colour-wise backtracking."""
     out: list = []
-    _extend_rainbow(seq, _admit(seq, budget), 1, [], set(), out)
+    state = seq.matroid.state(())
+    _extend_rainbow(seq, _admit(seq, budget), 1, [], state, out)
     return tuple(out)
 
 
@@ -108,21 +104,20 @@ def enumerate_rainbow_bases(
 # until the next full garbage collection.
 
 
-def _extend_rainbow(seq, meter, colour: int, chosen: list, raw: set, out: list):
+def _extend_rainbow(seq, meter, colour: int, chosen: list, state, out: list):
+    """``state`` is the independence state of the raw elements chosen."""
     meter.tick()
     if colour > seq.n:
         out.append(frozenset(chosen))
         return
     for x in sorted(seq.base(colour)):
-        if x in raw:
-            continue
-        if not seq.matroid.is_independent(raw | {x}):
+        if x in state.T or not state.independent((), (x,)):
             continue
         chosen.append((x, colour))
-        raw.add(x)
-        _extend_rainbow(seq, meter, colour + 1, chosen, raw, out)
+        # the last colour's state would answer no further query
+        child = state.extend(x) if colour < seq.n else None
+        _extend_rainbow(seq, meter, colour + 1, chosen, child, out)
         chosen.pop()
-        raw.remove(x)
 
 
 def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:

@@ -95,8 +95,8 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
     one larger than S, or None exactly when no RIS on S | pool is larger.
     Ties break by the order of ``pool``.
     """
-    M = seq.matroid
     raw = underline(S)
+    state = seq.matroid.state(raw)
     holder = {xc[1]: xc for xc in S}
     parent: dict = {}
 
@@ -111,7 +111,7 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
 
     frontier = []
     for y in pool:
-        if y[0] not in raw and M.is_independent(raw | {y[0]}):
+        if y[0] not in raw and state.independent((), (y[0],)):
             parent[y] = None
             if y[1] not in holder:
                 return path_to(y)
@@ -123,9 +123,10 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
             if x in parent:
                 continue
             parent[x] = y
-            rest = raw - {x[0]}
             for z in pool:
-                if z in parent or z[0] in rest or not M.is_independent(rest | {z[0]}):
+                if z in parent or (z[0] in raw and z[0] != x[0]):
+                    continue
+                if not state.independent((x[0],), (z[0],)):
                     continue
                 parent[z] = x
                 if z[1] not in holder:

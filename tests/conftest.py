@@ -2,7 +2,9 @@
 
 import pytest
 
+from rainbowpack.errors import InputError
 from rainbowpack.exchange import Root
+from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.matroids import UniformMatroid
 from rainbowpack.model import BaseSequence, Collection
 
@@ -11,6 +13,20 @@ def uniform_seq(k, bases):
     """Base sequence over U(k, m) with m inferred from the bases."""
     m = max(x for B in bases for x in B) + 1
     return BaseSequence(UniformMatroid(k, m), bases)
+
+
+def generated_seqs(ns=range(3, 7), families=GENERATOR_FAMILIES):
+    """Base sequences of seed-0 generated instances, every family and both
+    modes; the overlapping generators that find no instance at some n are
+    skipped."""
+    for family in families:
+        for mode in ("disjoint", "overlapping"):
+            for n in ns:
+                try:
+                    inst = generate_instance(family, n, mode, seed=0)
+                except InputError:
+                    continue
+                yield f"{family}-{mode}-{n}", inst.base_sequence()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import io
 import pytest
 import yaml
 
+from rainbowpack import instances
 from rainbowpack.cli import (
     CSV_FIELDS,
     EXIT_BUDGET,
@@ -285,3 +286,52 @@ def test_invalid_instance_file_fails(tmp_path):
         "bases: [[0], [2, 3]]\n"
     )
     assert run_command(["solve", "--instance", str(bad)]) == EXIT_FAIL
+
+
+MALFORMED_INSTANCES = (
+    "just: [a, scalar",  # not YAML
+    "- a\n- list\n",  # not a mapping
+    "version: 99\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [2, 3]]\n",
+    "version: 1\nbases: [[0, 1], [2, 3]]\n",  # no matroid
+    "version: 1\nmatroid: {family: nosuch, params: {}}\nbases: [[0, 1], [2, 3]]\n",
+    "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0], [2, 3]]\n",
+    "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [0, 1]]\n"
+    "declared: {kappa: 1}\n",  # overlap above the declared kappa
+)
+
+
+@pytest.mark.parametrize("text", MALFORMED_INSTANCES)
+def test_malformed_instance_exit_codes(tmp_path, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    log = tmp_path / "moves.jsonl"
+    log.write_text("")
+    for argv in (
+        ["solve", "--instance", str(bad)],
+        ["solve", "--instance", str(bad), "--format", "csv"],
+        ["brute", "--instance", str(bad)],
+        ["verify", "--instance", str(bad), "--log", str(log)],
+    ):
+        assert run_command(argv) == EXIT_FAIL, argv
+
+
+def test_commands_build_one_base_sequence(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(instances.BaseSequence):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    inst = gen_instance_file(tmp_path, family="linear", n=3)
+    log = tmp_path / "moves.jsonl"
+    monkeypatch.setattr(instances, "BaseSequence", Counting)
+    for argv in (
+        ["solve", "--instance", str(inst), "--log", str(log), "--out", str(tmp_path / "r")],
+        ["solve", "--instance", str(inst), "--format", "csv", "--out", str(tmp_path / "c")],
+        ["brute", "--instance", str(inst)],
+        ["verify", "--instance", str(inst), "--log", str(log)],
+    ):
+        built.clear()
+        assert run_command(argv) == EXIT_OK
+        assert len(built) == 1, argv

@@ -32,7 +32,8 @@ from rainbowpack.model import (
     unused,
     validate_collection,
 )
-from conftest import uniform_seq
+from rainbowpack.solver import apply_move, pack_rainbow_bases
+from conftest import generated_seqs, uniform_seq
 
 
 def small_instances():
@@ -115,6 +116,55 @@ def test_add_set_matches_definition():
                         assert set(got[xc].variants) == variants
                     else:
                         assert xc not in got
+
+
+def _add_set_by_definition(seq, root):
+    """add_set as first written: every candidate checked with is_ris."""
+    S = root.ris
+    pool = sorted(unused(seq, root.collection, root.b))
+    records = []
+    for xc in sorted(seq.universe - S):
+        x, c = xc
+        if is_ris(seq, S | {xc}):
+            records.append(AddRecord(xc, "direct"))
+            continue
+        variants = []
+        removable = sorted(xpc for xpc in S if xpc[1] == c)
+        for yb in pool:
+            for xpc in removable:
+                if is_ris(seq, (S | {xc, yb}) - {xpc}):
+                    variants.append((xpc, yb))
+        if variants:
+            variants.sort(key=lambda v: (v[1], v[0]))
+            records.append(AddRecord(xc, "indirect", tuple(variants)))
+    return tuple(records)
+
+
+def _swap_set_by_definition(seq, root):
+    """swap_set as first written: every witness checked with is_ris."""
+    S = root.ris
+    pool = sorted(unused(seq, root.collection, root.b))
+    out = {}
+    for xc in sorted(S):
+        witnesses = [yb for yb in pool if is_ris(seq, S - {xc} | {yb})]
+        if witnesses:
+            out[xc] = tuple(witnesses)
+    return out
+
+
+def test_add_and_swap_sets_match_definition_on_solver_collections():
+    """Every root of every collection a solve passes through, the final one
+    included, on generated instances of every family and mode, n = 3..6."""
+    roots = 0
+    for name, seq in generated_seqs():
+        coll = Collection(seq.n)
+        for move in pack_rainbow_bases(seq).moves:
+            coll = apply_move(seq, coll, move)
+            for root in iter_roots(seq, coll):
+                roots += 1
+                assert add_set(seq, root) == _add_set_by_definition(seq, root), name
+                assert swap_set(seq, root) == _swap_set_by_definition(seq, root), name
+    assert roots > 1000
 
 
 def test_add_record_canonical_variant():

@@ -11,6 +11,7 @@ from rainbowpack.instances import (
     emit_instance,
     generate_instance,
     instance_digest,
+    load_instance,
     load_yaml,
     parse_instance,
     validate_instance,
@@ -136,3 +137,14 @@ def test_generate_instance_builds_one_base_sequence(monkeypatch, family):
     monkeypatch.setattr(instances, "BaseSequence", Counting)
     generate_instance(family, 3, "overlapping", kappa=2, seed=0)
     assert len(built) == 1
+
+
+def test_load_instance_returns_the_parsed_instance_and_its_base_sequence():
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            inst = generate_instance(family, 4, mode, kappa=2, seed=3)
+            text = emit_instance(inst)
+            loaded, seq = load_instance(text)
+            assert loaded == parse_instance(text) == inst
+            assert seq.bases == tuple(frozenset(B) for B in inst.bases)
+            assert seq.matroid.params() == inst.matroid().params()

@@ -1,7 +1,10 @@
 """Matroid families, derived quantities and axiom spot checks."""
 
+import gc
 import itertools
+import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from rainbowpack.matroids import (
     closure,
     find_circuit,
     girth,
+    gf_rank,
     girth_by_search,
     max_independent_subset,
     rank_of,
@@ -204,6 +208,31 @@ def graphic_matroids(draw):
 
 
 @st.composite
+def uniform_matroids(draw):
+    m = draw(st.integers(1, 8))
+    return UniformMatroid(draw(st.integers(0, m)), m)
+
+
+@st.composite
+def sparse_paving_matroids(draw):
+    """Declared circuit-hyperplanes kept while they meet every earlier one in
+    at most k - 2 elements, and never all k-subsets."""
+    m = draw(st.integers(1, 7))
+    k = draw(st.integers(1, m))
+    chs: list = []
+    for ch in draw(st.lists(st.sets(st.integers(0, m - 1), min_size=k, max_size=k))):
+        if all(len(ch & other) <= k - 2 for other in chs) and ch not in chs:
+            chs.append(ch)
+    if len(chs) == math.comb(m, k):
+        chs.pop()
+    return SparsePavingMatroid(k, m, chs)
+
+
+def all_matroids():
+    return linear_matroids() | graphic_matroids() | uniform_matroids() | sparse_paving_matroids()
+
+
+@st.composite
 def independent_sets(draw, M):
     """An independent set: the greedy maximal subset of a random subset."""
     pick = draw(st.sets(st.integers(0, M.size - 1)))
@@ -220,9 +249,10 @@ def test_closed_form_rank_matches_greedy(M):
 @given(st.data(), linear_matroids() | graphic_matroids())
 def test_exchange_query_matches_oracle(data, M):
     T = data.draw(independent_sets(M))
+    state = M.state(T)
     for x in sorted(T):
         for y in range(M.size):  # y == x, y in T and loops included
-            assert M.is_exchange_independent(T, x, y) == M.is_independent(T - {x} | {y})
+            assert state.independent((x,), (y,)) == M.is_independent(T - {x} | {y})
 
 
 @settings(deadline=None)
@@ -238,17 +268,149 @@ def test_exchange_query_alternating_targets(data, M):
     # alternate between the two targets, so the cached state keeps changing
     queries = [q for pair in zip(queries, reversed(queries)) for q in pair]
     for T, x, y in queries:
-        assert M.is_exchange_independent(T, x, y) == M.is_independent(T - {x} | {y})
+        assert M.state(T).independent((x,), (y,)) == M.is_independent(T - {x} | {y})
 
 
 def test_exchange_query_preconditions():
     M = LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]])
     with pytest.raises(PreconditionError):
-        M.is_exchange_independent(frozenset({0, 1, 2}), 0, 3)  # dependent
+        M.state(frozenset({0, 1, 2}))  # dependent
     with pytest.raises(PreconditionError):
-        M.is_exchange_independent(frozenset({0, 1}), 2, 3)  # 2 not in the set
+        M.state(frozenset({0, 1})).independent((2,), (3,))  # 2 not in the set
     with pytest.raises(InputError):
-        M.is_exchange_independent(frozenset({0, 1}), 0, 9)
+        M.state(frozenset({0, 1})).independent((0,), (9,))
     G = GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(PreconditionError):
-        G.is_exchange_independent(frozenset({0, 1}), 2, 0)
+        G.state(frozenset({0, 1})).independent((2,), (0,))
+
+
+def _queries(M, T):
+    """Every query with at most one removed element of T and at most two
+    added elements, in both orders and repeated."""
+    for removed in [()] + [(x,) for x in sorted(T)]:
+        yield removed, ()
+        for y in range(M.size):
+            yield removed, (y,)
+            for z in range(M.size):
+                yield removed, (y, z)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), all_matroids())
+def test_state_matches_oracle(data, M):
+    T = data.draw(independent_sets(M))
+    state = M.state(T)
+    for removed, added in _queries(M, T):
+        want = M.is_independent(T - set(removed) | set(added))
+        assert state.independent(removed, added) == want, (sorted(T), removed, added)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), all_matroids())
+def test_state_extend_chains(data, M):
+    order = data.draw(st.permutations(range(M.size)))
+    for start in (data.draw(independent_sets(M)), frozenset()):
+        state = M.state(start)
+        for y in order:  # the chain ends at a base, |base - start| steps long
+            if not M.is_independent(state.T | {y}):
+                with pytest.raises(PreconditionError):
+                    state.extend(y)
+                continue
+            state = state.extend(y)
+            for removed, added in _queries(M, state.T):
+                want = M.is_independent(state.T - set(removed) | set(added))
+                assert state.independent(removed, added) == want
+        assert len(state.T) == M.rank and start <= state.T
+
+
+@settings(deadline=None)
+@given(st.data(), all_matroids())
+def test_state_rejects_dependent_sets(data, M):
+    A = frozenset(data.draw(st.sets(st.integers(0, M.size - 1))))
+    if M.is_independent(A):
+        assert M.state(A).T == A
+    else:
+        with pytest.raises(PreconditionError):
+            M.state(A)
+
+
+def test_states_hold_no_reference_cycle():
+    # A matroid whose state is kept must still be freed by reference
+    # counting, with its independence cache, once the caller drops it.
+    for build in (
+        lambda: LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]]),
+        lambda: GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        lambda: UniformMatroid(2, 4),
+        lambda: SparsePavingMatroid(2, 4, [[0, 1]]),
+    ):
+        M = build()
+        gc.collect()
+        gc.disable()
+        try:
+            want = M.is_independent({1, 2, 3})
+            state = M.state({0}).extend(2)
+            got = state.independent((0,), (1, 3))
+            ref = weakref.ref(M)
+            del M, state
+            assert ref() is None and got == want
+        finally:
+            gc.enable()
+
+
+def test_state_query_limits():
+    M = UniformMatroid(2, 4)
+    state = M.state({0, 1})
+    with pytest.raises(InputError):
+        state.independent((0, 1), (2,))
+    with pytest.raises(InputError):
+        state.independent((), (2, 3, 0))
+    with pytest.raises(InputError):
+        state.independent((), (-1,))
+    with pytest.raises(InputError):
+        M.state({0, 7})
+
+
+def _rref_rank(columns, p):
+    """Rank by full reduction of the row-major matrix: every pivot column is
+    cleared above and below its pivot."""
+    rows = [list(col) for col in zip(*columns)] if columns else []
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] % p:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def gf_columns(draw):
+    """Column lists with unreduced (negative and large) entries, zero and
+    repeated columns, and often more columns than rows."""
+    k = draw(st.integers(1, 5))
+    entry = st.integers(-12, 30)
+    vector = st.lists(entry, min_size=k, max_size=k)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    column = st.sampled_from(pool) | st.just([0] * k) | vector
+    return draw(st.lists(column, max_size=9))
+
+
+@settings(deadline=None)
+@given(gf_columns(), st.sampled_from((2, 3, 5, 7)))
+def test_gf_rank_matches_full_reduction(columns, p):
+    assert gf_rank(columns, p) == _rref_rank(columns, p)
+
+
+def test_gf_rank_edge_cases():
+    assert gf_rank([], 5) == 0
+    assert gf_rank([[0, 0], [0, 0]], 3) == 0
+    assert gf_rank([[5, 10], [7, 14]], 5) == 1  # unreduced: (0, 0) and (2, 4) mod 5
+    assert gf_rank([[1, 0], [0, 1], [1, 1], [2, 3]], 7) == 2  # stops at full row rank
+    assert gf_rank([[1, 1], [1, 1]], 2) == 1
