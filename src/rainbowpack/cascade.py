@@ -162,25 +162,23 @@ def _expand_records(records):
                 yield rec, variant
 
 
+# Search nodes one cascade_search may visit, and cascade_search calls one
+# concentration_probe may make.
+SEARCH_NODE_BUDGET = 20000
+PROBE_SEARCH_BUDGET = 200
+
+
 def cascade_search(
-    seq: BaseSequence,
-    root: Root,
-    chain: tuple,
-    depth_limit: Optional[int] = None,
-    good: bool = False,
-    node_budget: int = 20000,
+    seq: BaseSequence, root: Root, chain: tuple, good: bool = False
 ) -> dict:
     """All cascadable elements for a fixed chain of donor sets.
 
     ``chain`` lists the positions of the intermediate sets (excluding the
     root's own).  The search walks every transition choice, witness choices
-    included, so it realizes the definition exactly.  Returns one
-    :class:`CascadeTrace` per element, the first found in deterministic
-    order.
+    included, so it realizes the definition exactly, up to
+    ``SEARCH_NODE_BUDGET`` nodes.  Returns one :class:`CascadeTrace` per
+    element, the first found in deterministic order.
     """
-    hops = len(chain) + 1
-    if depth_limit is not None and hops > depth_limit:
-        return {}
     if len(set(chain) | {root.index}) != len(chain) + 1:
         raise InputError("chain sets must be distinct and differ from the root's")
     forbidden = frozenset().union(
@@ -192,7 +190,7 @@ def cascade_search(
 
     def walk(current: Root, pos: int):
         nodes[0] += 1
-        if nodes[0] > node_budget:
+        if nodes[0] > SEARCH_NODE_BUDGET:
             return
         if good:
             current, _ = good_transform(seq, current)
@@ -245,12 +243,12 @@ def concentration_probe(
     coll: Collection,
     k: int,
     depth_limit: Optional[int] = None,
-    search_budget: int = 200,
 ) -> Optional[ProbeResult]:
     """Look for a chain whose cascadable elements pile k-deep in one set.
 
-    Bounded search; ``None`` means none found within budget, not that none
-    exists.
+    Bounded search over chains of at most ``depth_limit`` (default k) hops,
+    making at most ``PROBE_SEARCH_BUDGET`` cascade searches; ``None`` means
+    none found within budget, not that none exists.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -278,10 +276,10 @@ def concentration_probe(
 
     roots = list(iter_roots(seq, coll, size=top))
     frontier = [(root, ()) for root in roots]
-    while frontier and calls[0] < search_budget:
+    while frontier and calls[0] < PROBE_SEARCH_BUDGET:
         next_frontier = []
         for root, chain in frontier:
-            if calls[0] >= search_budget:
+            if calls[0] >= PROBE_SEARCH_BUDGET:
                 break
             hit = try_chain(root, chain)
             if hit is not None:

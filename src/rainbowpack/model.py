@@ -70,9 +70,11 @@ class BaseSequence:
         self.matroid = matroid
         self.n = n
         self.bases = tuple(frozen)
-        self.universe = frozenset(
-            (x, c) for c, B in enumerate(self.bases, start=1) for x in B
+        self._coloured = tuple(
+            frozenset((x, c) for x in B) for c, B in enumerate(self.bases, start=1)
         )
+        # the colour classes are disjoint, so the union keeps their objects
+        self.universe = frozenset().union(*self._coloured)
 
     def base(self, colour: int) -> frozenset:
         if not 1 <= colour <= self.n:
@@ -80,7 +82,9 @@ class BaseSequence:
         return self.bases[colour - 1]
 
     def colour_elements(self, colour: int) -> frozenset:
-        return frozenset((x, colour) for x in self.base(colour))
+        """Colour ``colour``'s coloured elements, the universe's own objects."""
+        self.base(colour)  # checks the colour
+        return self._coloured[colour - 1]
 
     def overlap_kappa(self) -> int:
         """Largest number of bases sharing a single matroid element."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -331,29 +332,6 @@ def _harness_stream(family: str, max_n: int = 4, seeds: int = 60):
                         continue
 
 
-class _Sweep:
-    """Shared bookkeeping for one harness run."""
-
-    def __init__(self, lemma: str, target: int, budget: OracleBudget):
-        self.report = HarnessReport(lemma=lemma)
-        self.target = target
-        self.deadline = time.monotonic() + budget.wall_ms / 1000.0
-
-    def done(self) -> bool:
-        return (
-            self.report.exercised >= self.target
-            or time.monotonic() > self.deadline
-        )
-
-    def exercise(self, amount: int = 1):
-        self.report.exercised += amount
-
-    def fail(self, inst, **details):
-        self.report.counterexamples.append(
-            {"instance": emit_instance(inst), **details}
-        )
-
-
 def _some_collections(seq, rng, per_instance=30, max_sets=None):
     cap = max_sets if max_sets is not None else seq.n
     out = []
@@ -364,7 +342,17 @@ def _some_collections(seq, rng, per_instance=30, max_sets=None):
     return out
 
 
-def _harness_swappable(sweep: _Sweep, inst, seq, rng):
+def _chains(coll, root):
+    """The empty chain, then every one-set chain that avoids the root's set."""
+    return [()] + [(j,) for j in range(len(coll.sets)) if j != root.index]
+
+
+# Each harness is a generator over one instance's base sequence: for every
+# configuration it examines it yields the counterexamples found there, [] when
+# the lemma holds or its hypothesis fails.  run_lemma_harness does the rest.
+
+
+def _harness_swappable(seq, rng):
     M = seq.matroid
     for coll in _some_collections(seq, rng):
         for root in iter_roots(seq, coll):
@@ -374,9 +362,9 @@ def _harness_swappable(sweep: _Sweep, inst, seq, rng):
                 c = xpc[1]
                 same_colour = [e for e in S if e[1] == c]
                 for yb in witnesses:
-                    sweep.exercise()
                     if is_ris(seq, S | {yb}):
-                        continue  # witness directly addable
+                        yield []  # witness directly addable
+                        continue
                     bad = [
                         x
                         for x in sorted(seq.base(c))
@@ -386,44 +374,37 @@ def _harness_swappable(sweep: _Sweep, inst, seq, rng):
                             for old in same_colour
                         )
                     ]
-                    if bad:
-                        sweep.fail(
-                            inst,
-                            root=(root.index, root.b),
-                            swappable=list(xpc),
-                            witness=list(yb),
-                            unaddable=bad,
+                    yield [
+                        dict(
+                            root=(root.index, root.b), swappable=list(xpc),
+                            witness=list(yb), unaddable=bad,
                         )
-                    if sweep.done():
-                        return
-        if sweep.done():
-            return
+                    ] if bad else []
 
 
-def _harness_injection(sweep: _Sweep, inst, seq, rng):
+def _harness_injection(seq, rng):
     M = seq.matroid
     for S in enumerate_ris(seq):
         raw = underline(S)
         for c in range(1, seq.n + 1):
-            sweep.exercise()
+            where = dict(set=sorted(S), colour=c)
             try:
                 phi = exchange_injection(seq, S, c)
             except OracleInconsistencyError:
-                sweep.fail(inst, set=sorted(S), colour=c, reason="no injection")
+                yield [dict(where, reason="no injection")]
                 continue
+            found = []
             values = list(phi.values())
             if len(set(values)) != len(values) or any(
                 v not in seq.base(c) for v in values
             ):
-                sweep.fail(inst, set=sorted(S), colour=c, reason="not injective into base")
+                found.append(dict(where, reason="not injective into base"))
             for x, y in phi.items():
                 if not M.is_independent(raw - {x} | {y}):
-                    sweep.fail(
-                        inst, set=sorted(S), colour=c, swap=[x, y],
-                        reason="exchange not independent",
+                    found.append(
+                        dict(where, swap=[x, y], reason="exchange not independent")
                     )
-            if sweep.done():
-                return
+            yield found
 
 
 def _classify(coll, tau_eta, eta):
@@ -436,7 +417,7 @@ def _classify(coll, tau_eta, eta):
     return None
 
 
-def _harness_maxsubmax(sweep: _Sweep, inst, seq, rng):
+def _harness_maxsubmax(seq, rng):
     eta = seq.n
     tau_eta, _ = brute_force_tau_eta(seq, eta)
     for coll in _some_collections(seq, rng):
@@ -448,32 +429,23 @@ def _harness_maxsubmax(sweep: _Sweep, inst, seq, rng):
             for rec in add_set(seq, root):
                 if coll.index_of_element(rec.element) in (None, root.index):
                     continue
-                variants = rec.variants or (None,)
-                for variant in variants:
-                    sweep.exercise()
+                for variant in rec.variants or (None,):
                     try:
                         moved = transition(seq, root, rec, variant)
                     except PreconditionError:
+                        moved = None
+                    if moved is None or status is None:
+                        yield []  # no transition or no hypothesis; nothing to check
                         continue
-                    if status is None:
-                        continue  # hypothesis fails; nothing to check
                     ok, why = _check_maxsubmax_case(
                         status, tau_eta, seq.n, moved, eta
                     )
-                    if not ok:
-                        sweep.fail(
-                            inst,
-                            status=status,
-                            signature=list(coll.signature),
-                            moved=list(rec.element),
-                            reason=why,
+                    yield [] if ok else [
+                        dict(
+                            status=status, signature=list(coll.signature),
+                            moved=list(rec.element), reason=why,
                         )
-                    if sweep.done():
-                        return
-            if sweep.done():
-                return
-        if sweep.done():
-            return
+                    ]
 
 
 def _check_maxsubmax_case(status, tau_eta, n, moved, eta):
@@ -505,9 +477,8 @@ def _check_maxsubmax_case(status, tau_eta, n, moved, eta):
     return True, None
 
 
-def _harness_exchange(sweep: _Sweep, inst, seq, rng):
-    pool = enumerate_ris(seq)
-    candidates = [S for S in pool if len(S) >= 2]
+def _harness_exchange(seq, rng):
+    candidates = [S for S in enumerate_ris(seq) if len(S) >= 2]
     rng.shuffle(candidates)
     for S in candidates[:12]:
         for S_prime in candidates[:12]:
@@ -525,89 +496,74 @@ def _harness_exchange(sweep: _Sweep, inst, seq, rng):
                 any(arrow(seq.matroid, S, S_prime, l, r2) for _, r2 in pairs)
                 for l, _ in pairs
             )
-            sweep.exercise()
             if not hyp:
+                yield []
                 continue
+            where = dict(S=sorted(S), S_prime=sorted(S_prime))
             try:
                 I = cyclic_exchange(seq, S, S_prime, pairs)
             except Exception as exc:
-                sweep.fail(
-                    inst, S=sorted(S), S_prime=sorted(S_prime),
-                    reason=f"cyclic_exchange failed: {exc}",
-                )
+                yield [dict(where, reason=f"cyclic_exchange failed: {exc}")]
                 continue
-            swapped = exchanged_set(S_prime, pairs, I)
-            ok, why = validate_ris(seq, swapped)
+            found = []
+            ok, why = validate_ris(seq, exchanged_set(S_prime, pairs, I))
             if not I or not ok:
-                sweep.fail(
-                    inst, S=sorted(S), S_prime=sorted(S_prime),
-                    I=sorted(I), reason=why or "empty index set",
-                )
+                found.append(dict(where, I=sorted(I), reason=why or "empty index set"))
             # definitional cross-check: some nonempty subset works
-            found = any(
+            if not any(
                 validate_ris(seq, exchanged_set(S_prime, pairs, frozenset(sub)))[0]
                 for r in range(1, len(pairs) + 1)
                 for sub in combinations(range(len(pairs)), r)
-            )
-            if not found:
-                sweep.fail(
-                    inst, S=sorted(S), S_prime=sorted(S_prime),
-                    reason="no subset at all works; lemma false here",
+            ):
+                found.append(
+                    dict(where, reason="no subset at all works; lemma false here")
                 )
-            if sweep.done():
-                return
-        if sweep.done():
-            return
+            yield found
 
 
-def _harness_levelbound(sweep: _Sweep, inst, seq, rng):
+def _harness_levelbound(seq, rng):
     kappa = seq.overlap_kappa()
-    for coll in _some_collections(seq, rng, per_instance=40):
+    # the lemma needs alpha = n - |collection| above kappa
+    max_sets = seq.n - kappa - 1
+    if max_sets < 1:
+        return
+    for coll in _some_collections(seq, rng, per_instance=40, max_sets=max_sets):
         alpha = seq.n - len(coll.sets)
-        if alpha <= kappa:
-            continue
         for root in iter_roots(seq, coll):
-            sweep.exercise()
             graph = build_good_graph(seq, root)
             sizes = graph.cumulative_sizes()
             terminal_levels = {
                 i for i, lvl in enumerate(graph.levels)
                 if any(v in graph.terminals for v in lvl)
             }
+            where = dict(root=(root.index, root.b))
+            found = []
             for lvl in range(len(sizes) - 1):
                 if any(t <= lvl for t in terminal_levels):
                     break
                 if sizes[lvl + 1] * kappa < sizes[lvl] * alpha:
-                    sweep.fail(
-                        inst,
-                        root=(root.index, root.b),
-                        level=lvl,
-                        sizes=list(sizes),
-                        reason="growth ratio below alpha/kappa",
+                    found.append(
+                        dict(
+                            where, level=lvl, sizes=list(sizes),
+                            reason="growth ratio below alpha/kappa",
+                        )
                     )
             if not graph.complete:
-                sweep.fail(
-                    inst,
-                    root=(root.index, root.b),
-                    reason="no terminal vertices despite alpha > kappa",
+                found.append(
+                    dict(where, reason="no terminal vertices despite alpha > kappa")
                 )
-            if sweep.done():
-                return
-        if sweep.done():
-            return
+            yield found
 
 
-def _harness_qbound(sweep: _Sweep, inst, seq, rng):
+def _harness_qbound(seq, rng):
     n = seq.n
     kappa = seq.overlap_kappa()
     beta = _beta_of(seq)
     eta = n
     tau_eta, _ = brute_force_tau_eta(seq, eta)
+    # at most n - kappa - 1 sets: alpha = n - |collection| is above kappa
     for coll in _some_collections(seq, rng, per_instance=24, max_sets=n - kappa - 1):
         if len(coll.sets) < 3:
-            continue
-        alpha = n - len(coll.sets)
-        if alpha <= kappa:
             continue
         status = _classify(coll, tau_eta, eta)
         try:
@@ -615,48 +571,34 @@ def _harness_qbound(sweep: _Sweep, inst, seq, rng):
         except PreconditionError:
             continue
         for root in iter_roots(seq, coll, size=top):
-            for chain_len in (0, 1):
-                chains = (
-                    [()]
-                    if chain_len == 0
-                    else [(j,) for j in range(len(coll.sets)) if j != root.index]
-                )
-                for chain in chains:
-                    try:
-                        casc = cascade_search(seq, root, chain, good=True)
-                    except LevelBoundViolatedError:
+            for chain in _chains(coll, root):
+                try:
+                    casc = cascade_search(seq, root, chain, good=True)
+                except LevelBoundViolatedError:
+                    continue
+                occupied = set(chain) | {root.index}
+                for j, S in enumerate(coll.sets):
+                    if j in occupied:
                         continue
-                    occupied = set(chain) | {root.index}
-                    for j, S in enumerate(coll.sets):
-                        if j in occupied:
+                    q = len([e for e in casc if e in S])
+                    if q == 0:
+                        continue
+                    for jp, S_prime in enumerate(coll.sets):
+                        if jp in occupied or jp == j:
                             continue
-                        q = len([e for e in casc if e in S])
-                        if q == 0:
+                        if status is None or not _qbound_side_condition(
+                            status, coll, S_prime, n
+                        ):
+                            yield []
                             continue
-                        for jp, S_prime in enumerate(coll.sets):
-                            if jp in occupied or jp == j:
-                                continue
-                            sweep.exercise()
-                            if status is None:
-                                continue
-                            if not _qbound_side_condition(
-                                status, coll, S_prime, n
-                            ):
-                                continue
-                            if len(underline(S) & underline(S_prime)) < q - 2 * beta:
-                                sweep.fail(
-                                    inst,
-                                    status=status,
-                                    chain=list(chain),
-                                    q=q,
-                                    S=sorted(S),
-                                    S_prime=sorted(S_prime),
-                                    reason="underline intersection below q-2beta",
-                                )
-                            if sweep.done():
-                                return
-        if sweep.done():
-            return
+                        short = len(underline(S) & underline(S_prime)) < q - 2 * beta
+                        yield [
+                            dict(
+                                status=status, chain=list(chain), q=q,
+                                S=sorted(S), S_prime=sorted(S_prime),
+                                reason="underline intersection below q-2beta",
+                            )
+                        ] if short else []
 
 
 def _qbound_side_condition(status, coll, S_prime, n):
@@ -668,20 +610,9 @@ def _qbound_side_condition(status, coll, S_prime, n):
     return second is not None and len(S_prime) < second
 
 
-def _harness_obs1(sweep: _Sweep, inst, seq, rng):
-    eta = seq.n
+def _harness_observation(seq, rng, submax):
+    n = eta = seq.n
     tau_eta, _ = brute_force_tau_eta(seq, eta)
-    _harness_observation(sweep, inst, seq, rng, tau_eta, eta, submax=False)
-
-
-def _harness_obs2(sweep: _Sweep, inst, seq, rng):
-    eta = seq.n
-    tau_eta, _ = brute_force_tau_eta(seq, eta)
-    _harness_observation(sweep, inst, seq, rng, tau_eta, eta, submax=True)
-
-
-def _harness_observation(sweep, inst, seq, rng, tau_eta, eta, submax):
-    n = seq.n
     for coll in _some_collections(seq, rng, per_instance=25):
         if coll.signature[n - 1] >= len(coll.sets):
             continue
@@ -689,34 +620,16 @@ def _harness_observation(sweep, inst, seq, rng, tau_eta, eta, submax):
         hypothesis = status == ("submaximal" if submax else "maximal")
         size = (n - 1) if submax else istar(coll)
         for root in iter_roots(seq, coll, size=size):
-            for chain_len in (0, 1):
-                chains = (
-                    [()]
-                    if chain_len == 0
-                    else [(j,) for j in range(len(coll.sets)) if j != root.index]
-                )
-                for chain in chains:
-                    casc = cascade_search(seq, root, chain)
-                    sweep.exercise()
-                    if not hypothesis:
-                        continue
-                    for elem, trace in casc.items():
-                        ok, why = _check_observation(
-                            seq, coll, chain, elem, submax, n
+            for chain in _chains(coll, root):
+                casc = cascade_search(seq, root, chain)
+                found = []
+                for elem in casc if hypothesis else ():
+                    ok, why = _check_observation(seq, coll, chain, elem, submax, n)
+                    if not ok:
+                        found.append(
+                            dict(chain=list(chain), element=list(elem), reason=why)
                         )
-                        if not ok:
-                            sweep.fail(
-                                inst,
-                                chain=list(chain),
-                                element=list(elem),
-                                reason=why,
-                            )
-                    if sweep.done():
-                        return
-            if sweep.done():
-                return
-        if sweep.done():
-            return
+                yield found
 
 
 def _check_observation(seq, coll, chain, elem, submax, n):
@@ -744,12 +657,7 @@ def _check_observation(seq, coll, chain, elem, submax, n):
 def _qbound_stream(family: str, seeds: int = 60):
     """Larger disjoint instances: the only desk scale where the side
     conditions (three spare sets and alpha above the overlap) can hold."""
-    from .instances import generate_instance
-
-    if family == "all":
-        families = ("uniform", "sparse_paving")
-    else:
-        families = (family,)
+    families = ("uniform", "sparse_paving") if family == "all" else (family,)
     for seed in range(seeds):
         for fam in families:
             try:
@@ -766,8 +674,8 @@ _HARNESSES = {
     "exchange": (_harness_exchange, 1000, _harness_stream),
     "levelbound": (_harness_levelbound, 1000, _harness_stream),
     "qbound": (_harness_qbound, 100, _qbound_stream),
-    "obs1": (_harness_obs1, 1000, _harness_stream),
-    "obs2": (_harness_obs2, 1000, _harness_stream),
+    "obs1": (partial(_harness_observation, submax=False), 1000, _harness_stream),
+    "obs2": (partial(_harness_observation, submax=True), 1000, _harness_stream),
 }
 
 HARNESS_IDS = tuple(_HARNESSES)
@@ -783,20 +691,30 @@ def run_lemma_harness(
 
     The sweep counts every examined configuration (root, chain, transition or
     pair system) as exercised; conclusion checks fire whenever the lemma's
-    hypotheses hold on the examined configuration.
+    hypotheses hold on the examined configuration.  It stops after the
+    configuration that reaches the target, or the first one past the
+    budget's wall clock.
     """
     if lemma not in _HARNESSES:
         raise InputError(
             f"unknown lemma id {lemma!r}; known: {', '.join(_HARNESSES)}"
         )
-    fn, default_target, stream = _HARNESSES[lemma]
-    sweep = _Sweep(lemma, target if target is not None else default_target, budget)
+    harness, default_target, stream = _HARNESSES[lemma]
+    target = target if target is not None else default_target
+    report = HarnessReport(lemma=lemma)
+    deadline = time.monotonic() + budget.wall_ms / 1000.0
     rng = random.Random(f"harness:{lemma}:{family}")
-    for inst, seq in stream(family):
-        fn(sweep, inst, seq, rng)
-        if sweep.done():
+    configurations = (
+        (inst, found) for inst, seq in stream(family) for found in harness(seq, rng)
+    )
+    for inst, found in configurations:
+        report.exercised += 1
+        report.counterexamples += [
+            {"instance": emit_instance(inst), **ce} for ce in found
+        ]
+        if report.exercised >= target or time.monotonic() > deadline:
             break
-    sweep.report.complete = sweep.report.exercised >= sweep.target
-    if not sweep.report.complete:
-        sweep.report.notes = "stream exhausted or wall clock hit before target"
-    return sweep.report
+    report.complete = report.exercised >= target
+    if not report.complete:
+        report.notes = "stream exhausted or wall clock hit before target"
+    return report

@@ -74,12 +74,13 @@ MOVE_KINDS = ("augment", "cascade")
 
 
 def _change(i, removed, added) -> dict:
-    """One entry of a move's ``changes``; both element lists sorted."""
-    return {
-        "set": i,
-        "removed": [[x, c] for x, c in removed],
-        "added": [[x, c] for x, c in added],
-    }
+    """One entry of a move's ``changes``; both element lists sorted.
+
+    The coloured elements stay the tuples given, so the sets
+    :func:`apply_move` builds from them hold the universe's own objects;
+    ``json.dumps`` writes them as ``[element, colour]`` lists.
+    """
+    return {"set": i, "removed": list(removed), "added": list(added)}
 
 
 def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
@@ -189,16 +190,14 @@ def _attempt_exchange(seq, coll, probe):
     j = probe.landing_index
     target = coll.sets[j]
     blocked = set(probe.chain) | {probe.root.index, j}
-    by_colour = {c: (x, c) for x, c in probe.witnesses}
+    by_colour = {xc[1]: xc for xc in probe.witnesses}
     donors = sorted(
         (d for d in range(len(coll.sets)) if d not in blocked),
         key=lambda d: (len(coll.sets[d]), d),
     )
     for d in donors:
         source = coll.sets[d]
-        pairs = [
-            ((x, c), by_colour[c]) for x, c in sorted(source) if c in by_colour
-        ]
+        pairs = [(xc, by_colour[xc[1]]) for xc in sorted(source) if xc[1] in by_colour]
         # Keep only pairs whose left element relates to some right element;
         # repeat until stable since dropping pairs shrinks the right side.
         while pairs:

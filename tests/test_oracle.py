@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
+from rainbowpack import oracle
+from rainbowpack.cli import EXIT_FAIL, run_command
 from rainbowpack.errors import BudgetExceededError, InputError
-from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
+from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance, load_instance
 from rainbowpack.matroids import SparsePavingMatroid, UniformMatroid
 from rainbowpack.model import (
     BaseSequence,
@@ -257,4 +259,28 @@ def test_harness_smoke_small_target():
     for lemma in ("swappable", "injection", "obs1"):
         report = run_lemma_harness(lemma, target=40)
         assert report.ok, report.counterexamples[:2]
-        assert report.exercised >= 40 and report.complete
+        assert report.exercised == 40 and report.complete
+
+
+def test_harness_reports_a_broken_lemma(monkeypatch, capsys):
+    real = oracle.exchange_injection
+
+    def collapsing(seq, S, c):
+        # maps the first two raw elements to one base element
+        phi = real(seq, S, c)
+        if len(phi) >= 2:
+            first, second = sorted(phi)[:2]
+            phi[second] = phi[first]
+        return phi
+
+    monkeypatch.setattr(oracle, "exchange_injection", collapsing)
+    report = run_lemma_harness("injection", target=40)
+    assert not report.ok and report.exercised == 40
+    ce = next(
+        ce for ce in report.counterexamples
+        if ce["reason"] == "not injective into base"
+    )
+    _, seq = load_instance(ce["instance"])
+    assert {tuple(xc) for xc in ce["set"]} <= seq.universe
+    assert run_command(["harness", "--lemma", "injection"]) == EXIT_FAIL
+    assert "not injective into base" in capsys.readouterr().out

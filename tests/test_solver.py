@@ -288,6 +288,31 @@ def test_free_pool_tracks_unused_elements():
     assert with_removals > 0
 
 
+def test_solved_sets_hold_the_universes_objects():
+    # Set operations against seq.universe stay identity checks only when the
+    # collection holds the universe's own (element, colour) tuples, not copies.
+    kinds = set()
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            for n in (3, 4, 5):
+                for seed in (0, 1):
+                    try:
+                        inst = generate_instance(family, n, mode, kappa=2, seed=seed)
+                    except InputError:
+                        continue  # the generator cannot sample these bases
+                    seq = inst.base_sequence()
+                    own = {ce: ce for ce in seq.universe}
+                    result = pack_rainbow_bases(seq)
+                    logged = [
+                        ch[k] for m in result.moves for ch in m["changes"]
+                        for k in ("removed", "added")
+                    ]
+                    for S in (*result.collection.sets, *logged):
+                        assert all(own[ce] is ce for ce in S), (family, mode, n, seed)
+                    kinds.update(m["kind"] for m in result.moves)
+    assert kinds == set(solver.MOVE_KINDS)
+
+
 def test_moves_keep_the_cached_signature(monkeypatch):
     # Collection trusts a signature it is given, so every collection that
     # apply_move builds, in a solve and in its replay, must carry the
