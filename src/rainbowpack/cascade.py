@@ -185,39 +185,39 @@ def cascade_search(
         root.ris, *(root.collection.sets[i] for i in chain)
     )
     results: dict = {}
-    seen_states: set = set()
-    nodes = [0]
-
-    def walk(current: Root, pos: int):
-        nodes[0] += 1
-        if nodes[0] > SEARCH_NODE_BUDGET:
-            return
-        if good:
-            current, _ = good_transform(seq, current)
-        state = (current.collection.sets, current.index, current.b, pos)
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        if pos == len(chain):
-            for rec in add_set(seq, current):
-                if rec.element not in forbidden and rec.element not in results:
-                    results[rec.element] = CascadeTrace(rec.element, current, rec)
-            return
-        target = current.collection.sets[chain[pos]]
-        for rec, variant in _expand_records(add_set(seq, current)):
-            if rec.element not in target:
-                continue
-            try:
-                nxt = transition(seq, current, rec, variant)
-            except PreconditionError:
-                continue  # singleton donor; no continuation through it
-            walk(nxt, pos + 1)
-
-    walk(root, 0)
-    # walk's closure refers to walk; breaking that cycle lets reference
-    # counting free seen_states and results, not the next full collection
-    del walk
+    _walk(seq, chain, good, forbidden, results, set(), [0], root, 0)
     return results
+
+
+# Module level, not a recursive closure: a closure that refers to itself is
+# a reference cycle, which would hold the search's states and results until
+# the next full garbage collection.
+
+
+def _walk(seq, chain, good, forbidden, results, seen_states, nodes, current, pos):
+    nodes[0] += 1
+    if nodes[0] > SEARCH_NODE_BUDGET:
+        return
+    if good:
+        current, _ = good_transform(seq, current)
+    state = (current.collection.sets, current.index, current.b, pos)
+    if state in seen_states:
+        return
+    seen_states.add(state)
+    if pos == len(chain):
+        for rec in add_set(seq, current):
+            if rec.element not in forbidden and rec.element not in results:
+                results[rec.element] = CascadeTrace(rec.element, current, rec)
+        return
+    target = current.collection.sets[chain[pos]]
+    for rec, variant in _expand_records(add_set(seq, current)):
+        if rec.element not in target:
+            continue
+        try:
+            nxt = transition(seq, current, rec, variant)
+        except PreconditionError:
+            continue  # singleton donor; no continuation through it
+        _walk(seq, chain, good, forbidden, results, seen_states, nodes, nxt, pos + 1)
 
 
 def associated_root(seq: BaseSequence, trace: CascadeTrace) -> Root:

@@ -174,37 +174,17 @@ def transition(
     return Root(coll, donor, xc[1])
 
 
-def exchange_injection(seq: BaseSequence, S, c: int) -> dict:
-    """Injection phi from the raw elements of an RIS into base B_c.
+def exchange_injection(seq: BaseSequence, S: frozenset, c: int) -> dict:
+    """Injection phi from the raw elements of the RIS ``S`` into base B_c.
 
     phi maps each x to an element keeping underline(S) - x + phi(x)
     independent; returned as the lexicographically least such injection.
     """
-    M = seq.matroid
-    raw = sorted(underline(S) if S and isinstance(next(iter(S)), tuple) else S)
+    raw = sorted(underline(S))
+    state = seq.matroid.state(raw)
     B = sorted(seq.base(c))
-    state = M.state(raw)
-    edges = {x: [y for y in B if state.independent((x,), (y,))] for x in raw}
-
-    # Depth-first with ascending candidates: the first complete assignment is
-    # the lexicographically least one.
-    def assign(i: int, used: set, acc: dict) -> Optional[dict]:
-        if i == len(raw):
-            return dict(acc)
-        x = raw[i]
-        for y in edges[x]:
-            if y in used:
-                continue
-            used.add(y)
-            acc[x] = y
-            result = assign(i + 1, used, acc)
-            if result is not None:
-                return result
-            used.remove(y)
-            del acc[x]
-        return None
-
-    phi = assign(0, set(), {})
+    edges = [[y for y in B if state.independent((x,), (y,))] for x in raw]
+    phi = _assign(raw, edges, 0, set(), {})
     if phi is None:
         raise OracleInconsistencyError(
             f"no exchange injection into colour {c}; the oracle violates "
@@ -213,7 +193,29 @@ def exchange_injection(seq: BaseSequence, S, c: int) -> dict:
     return phi
 
 
-def arrow(M: Matroid, S_from, S_to, xc: CElem, xpc: CElem) -> bool:
+# Module level, not a recursive closure: a closure that refers to itself is
+# a reference cycle, held until the next full garbage collection.
+
+
+def _assign(raw: list, edges: list, i: int, used: set, acc: dict) -> Optional[dict]:
+    """Depth-first with ascending candidates: the first complete assignment
+    is the lexicographically least one."""
+    if i == len(raw):
+        return dict(acc)
+    for y in edges[i]:
+        if y in used:
+            continue
+        used.add(y)
+        acc[raw[i]] = y
+        result = _assign(raw, edges, i + 1, used, acc)
+        if result is not None:
+            return result
+        used.remove(y)
+        del acc[raw[i]]
+    return None
+
+
+def arrow(M: Matroid, S_to, xc: CElem, xpc: CElem) -> bool:
     """True when the target set stays independent after the raw swap.
 
     ``S_to`` must be an RIS holding ``xpc``.
@@ -227,9 +229,14 @@ def cyclic_exchange(
     """Nonempty index set realizing a valid multi-element swap into S_prime.
 
     ``pairs`` lists ((x_i, c_i) in S, (x'_i, c_i) in S_prime) with distinct
-    colours; every left element must relate to some right element.  Returns
-    0-based indices I such that removing the right elements of I and adding
-    the left ones keeps S_prime an RIS.
+    colours.  Pair i relates to pair j when :func:`arrow` holds for x_i and
+    x'_j, asked once per (i, j).  Returns the 0-based indices I of a
+    shortest cycle of that relation, a self-swap first, so that removing the
+    right elements of I and adding the left ones keeps S_prime an RIS.  A
+    pair with no partner reaches no cycle, nor does a pair whose arrows all
+    lead to such pairs, so they need no pruning.  Raises
+    :class:`PreconditionError` when no cycle exists and some pair has no
+    partner; when every pair has one, a cycle exists.
     """
     M = seq.matroid
     k = len(pairs)
@@ -251,18 +258,10 @@ def cyclic_exchange(
                 f"raw element {xi} already present in the target set"
             )
 
-    succ = []
-    for i in range(k):
-        outs = [
-            j
-            for j in range(k)
-            if arrow(M, S, S_prime, pairs[i][0], pairs[j][1])
-        ]
-        if not outs:
-            raise PreconditionError(
-                f"pair {i} relates to no partner; hypothesis violated"
-            )
-        succ.append(outs)
+    succ = [
+        [j for j in range(k) if arrow(M, S_prime, pairs[i][0], pairs[j][1])]
+        for i in range(k)
+    ]
 
     for i in range(k):
         if i in succ[i]:
@@ -296,7 +295,9 @@ def cyclic_exchange(
             if best is None or (len(cycle), cycle) < (len(best), best):
                 best = cycle
     if best is None:
-        raise InternalInvariantError("functional digraph with no cycle")
+        if not all(succ):
+            raise PreconditionError("no cycle, and some pair has no partner")
+        raise InternalInvariantError("every pair has a partner, yet no cycle")
     return _checked_exchange(seq, S_prime, pairs, frozenset(best))
 
 

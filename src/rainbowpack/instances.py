@@ -10,13 +10,7 @@ from typing import Optional
 import yaml
 
 from .errors import InputError, ValidationError
-from .matroids import (
-    GIRTH_SEARCH_CAP,
-    GirthTooExpensiveError,
-    Matroid,
-    build_matroid,
-    girth,
-)
+from .matroids import GirthTooExpensiveError, Matroid, build_matroid, girth
 from .model import BaseSequence, overlap_counts
 
 FORMAT_VERSION = 1
@@ -144,9 +138,16 @@ def _check_declared(inst: Instance, seq: BaseSequence) -> None:
 
 def _safe_girth(M: Matroid):
     try:
-        return girth(M, cap=GIRTH_SEARCH_CAP)
+        return girth(M)
     except GirthTooExpensiveError:
         return None
+
+
+def _girth_deficit(M: Matroid, n: int) -> Optional[int]:
+    """The least beta with girth >= n - beta + 1; 0 for a free matroid,
+    None when the girth search is over its cap."""
+    g = _safe_girth(M)
+    return None if g is None else max(0, n + 1 - g)
 
 
 def canonical_dict(inst: Instance) -> dict:
@@ -315,20 +316,11 @@ def generate_instance(
     rng = random.Random(f"{family}:{n}:{mode}:{kappa}:{seed}")
     params, bases = _GENERATORS[family](n, mode, kappa, rng)
     seq = BaseSequence(build_matroid(family, params), bases)
-    g = _safe_girth(seq.matroid)
-    if g is None:
-        beta = None
-    elif g == float("inf"):
-        beta = 0
-    else:
-        beta = max(0, n - int(g) + 1)
-    inst = Instance(
+    return Instance(
         family=family,
         params=params,
         bases=tuple(tuple(sorted(b)) for b in bases),
-        declared_beta=beta,
+        declared_beta=_girth_deficit(seq.matroid, n),
         declared_kappa=max(seq.overlap_kappa(), kappa if mode == "overlapping" else 1),
         provenance={"generator": f"{family}-{mode}", "seed": seed},
     )
-    _check_declared(inst, seq)
-    return inst

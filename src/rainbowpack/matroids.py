@@ -630,18 +630,19 @@ def find_circuit(M: Matroid, elements: Iterable[int], contains: int | None = Non
     return frozenset(A)
 
 
-def girth(M: Matroid, cap: int = GIRTH_SEARCH_CAP):
+def girth(M: Matroid):
     """Size of a smallest circuit, or ``math.inf`` if the matroid is free.
 
     Uses the family's closed form when available; otherwise searches subsets
-    by increasing size, which is only permitted for ground sets up to ``cap``.
+    by increasing size, which is only permitted for ground sets up to
+    ``GIRTH_SEARCH_CAP`` elements.
     """
     closed = M._girth_closed_form()
     if closed is not None:
         return closed
-    if M.size > cap:
+    if M.size > GIRTH_SEARCH_CAP:
         raise GirthTooExpensiveError(
-            f"girth needs exhaustive search on m={M.size} > cap={cap}"
+            f"girth needs exhaustive search on m={M.size} > cap={GIRTH_SEARCH_CAP}"
         )
     return girth_by_search(M)
 

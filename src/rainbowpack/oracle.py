@@ -27,7 +27,7 @@ from .exchange import (
     swap_set,
     transition,
 )
-from .instances import GENERATOR_FAMILIES, _safe_girth, emit_instance, generate_instance
+from .instances import GENERATOR_FAMILIES, _girth_deficit, emit_instance, generate_instance
 from .matroids import closure
 from .model import (
     BaseSequence,
@@ -45,16 +45,19 @@ from .model import (
 )
 
 
+# The largest n the exhaustive oracles admit, and the search nodes one
+# oracle call may visit.
+MAX_N = 5
+MAX_NODES = 5_000_000
+
+
 @dataclass(frozen=True)
 class OracleBudget:
-    max_n: int = 5
-    max_universe: int = 36
     wall_ms: int = 60000
-    max_nodes: int = 5_000_000
 
     def __post_init__(self):
-        if min(self.max_n, self.max_universe, self.wall_ms, self.max_nodes) < 1:
-            raise InputError("all budget fields must be positive")
+        if self.wall_ms < 1:
+            raise InputError("the wall-clock budget must be positive")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -68,12 +71,10 @@ class _Meter:
         self.nodes = 0
         self.deadline = time.monotonic() + budget.wall_ms / 1000.0
 
-    def tick(self, amount: int = 1):
-        self.nodes += amount
-        if self.nodes > self.budget.max_nodes:
-            raise BudgetExceededError(
-                f"node budget {self.budget.max_nodes} exhausted"
-            )
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            raise BudgetExceededError(f"node budget {MAX_NODES} exhausted")
         if self.nodes % 1024 == 0 and time.monotonic() > self.deadline:
             raise BudgetExceededError(
                 f"wall-clock budget {self.budget.wall_ms} ms exhausted"
@@ -81,12 +82,8 @@ class _Meter:
 
 
 def _admit(seq: BaseSequence, budget: OracleBudget) -> _Meter:
-    if seq.n > budget.max_n:
-        raise BudgetExceededError(f"n={seq.n} above oracle cap {budget.max_n}")
-    if len(seq.universe) > budget.max_universe:
-        raise BudgetExceededError(
-            f"|U|={len(seq.universe)} above oracle cap {budget.max_universe}"
-        )
+    if seq.n > MAX_N:
+        raise BudgetExceededError(f"n={seq.n} above oracle cap {MAX_N}")
     return _Meter(budget)
 
 
@@ -311,19 +308,12 @@ class HarnessReport:
         return not self.counterexamples
 
 
-def _beta_of(seq: BaseSequence) -> int:
-    g = _safe_girth(seq.matroid)
-    if g is None or g == float("inf"):
-        return 0
-    return max(0, seq.n - int(g) + 1)
-
-
-def _harness_stream(family: str, max_n: int = 4, seeds: int = 60):
-    """Deterministic instance stream; 'all' interleaves every family."""
+def _harness_stream(family: str):
+    """Deterministic instance stream, n = 2..4; 'all' interleaves every family."""
     families = GENERATOR_FAMILIES if family == "all" else (family,)
-    for seed in range(seeds):
+    for seed in range(60):
         for fam in families:
-            for n in range(2, max_n + 1):
+            for n in range(2, 5):
                 for mode in ("disjoint", "overlapping"):
                     try:
                         inst = generate_instance(fam, n, mode, kappa=2, seed=seed)
@@ -493,7 +483,7 @@ def _harness_exchange(seq, rng):
             right = {c: next(e for e in sorted(S_prime) if e[1] == c) for c in shared}
             pairs = [(left[c], right[c]) for c in shared]
             hyp = all(
-                any(arrow(seq.matroid, S, S_prime, l, r2) for _, r2 in pairs)
+                any(arrow(seq.matroid, S_prime, l, r2) for _, r2 in pairs)
                 for l, _ in pairs
             )
             if not hyp:
@@ -558,7 +548,7 @@ def _harness_levelbound(seq, rng):
 def _harness_qbound(seq, rng):
     n = seq.n
     kappa = seq.overlap_kappa()
-    beta = _beta_of(seq)
+    beta = _girth_deficit(seq.matroid, n) or 0
     eta = n
     tau_eta, _ = brute_force_tau_eta(seq, eta)
     # at most n - kappa - 1 sets: alpha = n - |collection| is above kappa
@@ -654,11 +644,11 @@ def _check_observation(seq, coll, chain, elem, submax, n):
     return True, None
 
 
-def _qbound_stream(family: str, seeds: int = 60):
+def _qbound_stream(family: str):
     """Larger disjoint instances: the only desk scale where the side
     conditions (three spare sets and alpha above the overlap) can hold."""
     families = ("uniform", "sparse_paving") if family == "all" else (family,)
-    for seed in range(seeds):
+    for seed in range(60):
         for fam in families:
             try:
                 inst = generate_instance(fam, 5, "disjoint", seed=seed)

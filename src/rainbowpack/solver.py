@@ -29,7 +29,7 @@ from typing import Optional
 
 from .cascade import associated_root, concentration_probe
 from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
-from .exchange import arrow, cyclic_exchange
+from .exchange import cyclic_exchange
 from .model import (
     BaseSequence,
     BoundParams,
@@ -176,10 +176,13 @@ def _cascade_move(seq, coll, params):
         istar(coll)
     except PreconditionError:
         return None
+    tried = None
     for k in range(PROBE_K, 0, -1):
         probe = concentration_probe(seq, coll, k, depth_limit=params.depth_limit)
-        if probe is None:
+        # a smaller k may find the same probe, and the same attempt would fail
+        if probe is None or probe == tried:
             continue
+        tried = probe
         attempt = _attempt_exchange(seq, coll, probe)
         if attempt is not None:
             return attempt
@@ -198,17 +201,6 @@ def _attempt_exchange(seq, coll, probe):
     for d in donors:
         source = coll.sets[d]
         pairs = [(xc, by_colour[xc[1]]) for xc in sorted(source) if xc[1] in by_colour]
-        # Keep only pairs whose left element relates to some right element;
-        # repeat until stable since dropping pairs shrinks the right side.
-        while pairs:
-            kept = [
-                p
-                for p in pairs
-                if any(arrow(seq.matroid, source, target, p[0], q[1]) for q in pairs)
-            ]
-            if len(kept) == len(pairs):
-                break
-            pairs = kept
         if not pairs:
             continue
         try:

@@ -1,5 +1,6 @@
 """Roots, swap/add enumeration, transitions and the cyclic exchange move."""
 
+import gc
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from rainbowpack.exchange import (
     swap_set,
     transition,
 )
+from rainbowpack.instances import generate_instance
 from rainbowpack.matroids import LinearMatroid, UniformMatroid
 from rainbowpack.model import (
     BaseSequence,
@@ -254,11 +256,25 @@ def test_exchange_injection_properties():
                         )
 
 
+def test_exchange_injection_leaves_no_garbage_cycles():
+    # Its search must be freed by reference counting when it returns, not
+    # held in a reference cycle until the next full garbage collection.
+    seq = generate_instance("linear", 4, "disjoint", seed=0).base_sequence()
+    S = pack_rainbow_bases(seq).collection.sets[0]
+    gc.collect()
+    gc.disable()
+    try:
+        for c in range(1, seq.n + 1):
+            exchange_injection(seq, S, c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_arrow(u24_disjoint):
     seq = u24_disjoint
-    S = frozenset({(0, 1)})
     T = frozenset({(1, 1), (2, 2)})
-    assert arrow(seq.matroid, S, T, (0, 1), (1, 1))
+    assert arrow(seq.matroid, T, (0, 1), (1, 1))
 
 
 def test_cyclic_exchange_self_swap():
@@ -279,11 +295,43 @@ def test_cyclic_exchange_true_cycle():
     S = frozenset({(2, 1), (3, 2)})
     S_prime = frozenset({(0, 1), (1, 2)})
     pairs = [((2, 1), (0, 1)), ((3, 2), (1, 2))]
-    assert not arrow(M, S, S_prime, (2, 1), (0, 1))
-    assert not arrow(M, S, S_prime, (3, 2), (1, 2))
+    assert not arrow(M, S_prime, (2, 1), (0, 1))
+    assert not arrow(M, S_prime, (3, 2), (1, 2))
     I = cyclic_exchange(seq, S, S_prime, pairs)
     assert I == {0, 1}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
+
+
+def _partnerless_system():
+    """GF(3) columns 0..3 = e1..e4, 4 = 2e2, 5 = 2e1, 6 = 2e4.  Pair 0's left
+    element 2e4 stays in the span of S_prime minus any right element, so it
+    relates to no partner; pairs 1 and 2 relate only to each other."""
+    M = LinearMatroid(3, [
+        [1, 0, 0, 0, 0, 2, 0],
+        [0, 1, 0, 0, 2, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 2],
+    ])
+    seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {0, 1, 2, 6}, {0, 1, 2, 3}])
+    S = frozenset({(4, 1), (5, 2), (6, 3)})
+    S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+    pairs = [((6, 3), (2, 3)), ((4, 1), (0, 1)), ((5, 2), (1, 2))]
+    return seq, S, S_prime, pairs
+
+
+def test_cyclic_exchange_skips_a_pair_with_no_partner():
+    seq, S, S_prime, pairs = _partnerless_system()
+    assert not any(arrow(seq.matroid, S_prime, pairs[0][0], q[1]) for q in pairs)
+    I = cyclic_exchange(seq, S, S_prime, pairs)
+    assert I == {1, 2}
+    assert is_ris(seq, exchanged_set(S_prime, pairs, I))
+
+
+def test_cyclic_exchange_without_a_cycle_needs_a_pair_with_no_partner():
+    seq, S, S_prime, pairs = _partnerless_system()
+    # pair 1 relates only to pair 2, which is left out
+    with pytest.raises(PreconditionError, match="no partner"):
+        cyclic_exchange(seq, S, S_prime, pairs[:2])
 
 
 def test_cyclic_exchange_exhaustive_cross_check():
@@ -306,7 +354,7 @@ def test_cyclic_exchange_exhaustive_cross_check():
                 right = {c: (x, c) for x, c in S_prime}
                 pairs = [(left[c], right[c]) for c in shared]
                 if not all(
-                    any(arrow(seq.matroid, S, S_prime, p[0], q[1]) for q in pairs)
+                    any(arrow(seq.matroid, S_prime, p[0], q[1]) for q in pairs)
                     for p in pairs
                 ):
                     continue
@@ -329,7 +377,7 @@ def test_cyclic_exchange_preconditions(u24_overlapping):
             seq, S, T, [((0, 1), (1, 1)), ((0, 1), (3, 2))]
         )  # duplicate pair colour
     # raw collision between an incoming element and the target set
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="already present in the target"):
         cyclic_exchange(
             u24_overlapping,
             frozenset({(1, 1), (0, 2)}),

@@ -145,14 +145,15 @@ def test_girth_by_search_matches_closed_forms():
         assert girth(M) == girth_by_search(M)
 
 
-def test_girth_cap():
+def test_girth_cap(monkeypatch):
     # rank-2 GF(2) matroid with 25 nonzero columns: no closed form, over cap
     cols = [[1, 1, 0], [0, 1, 1]]
     matrix = [[cols[0][j % 3] for j in range(25)], [cols[1][j % 3] for j in range(25)]]
     M = LinearMatroid(2, matrix)
     with pytest.raises(GirthTooExpensiveError):
-        girth(M, cap=20)
-    assert girth(M, cap=25) == girth_by_search(M)
+        girth(M)  # GIRTH_SEARCH_CAP = 20
+    monkeypatch.setattr("rainbowpack.matroids.GIRTH_SEARCH_CAP", 25)
+    assert girth(M) == girth_by_search(M)
 
 
 @pytest.mark.parametrize(

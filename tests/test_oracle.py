@@ -50,13 +50,14 @@ def _rainbow_bases_from_scratch(seq):
     return tuple(out)
 
 
-def test_enumerate_rainbow_bases_matches_from_scratch_search():
+def test_enumerate_rainbow_bases_matches_from_scratch_search(monkeypatch):
     """Generated instances, n = 3..5 in every family and mode, and n = 6 on
     graphic ones; the other n = 6 instances hold 35k-47k rainbow bases each
     and take seconds here."""
+    monkeypatch.setattr(oracle, "MAX_N", 6)
     cases = [*generated_seqs(range(3, 6)), *generated_seqs((6,), ("graphic",))]
     for name, seq in cases:
-        got = enumerate_rainbow_bases(seq, OracleBudget(max_n=6))
+        got = enumerate_rainbow_bases(seq)
         assert got == _rainbow_bases_from_scratch(seq), name
 
 
@@ -142,14 +143,15 @@ def test_max_disjoint_matches_exhaustive_search():
     assert short > 300
 
 
-def test_max_disjoint_obeys_node_budget():
+def test_max_disjoint_obeys_node_budget(monkeypatch):
     # every mask holds bit 0 or bit 1, so no three are disjoint
     sets = [{0, 2, 3}, {0, 4, 5}, {0, 6, 7}, {1, 2, 4}, {1, 3, 6}, {1, 5, 8}, {1, 7, 8}]
     masks = [sum(1 << b for b in S) for S in sets]
     meter = _Meter(OracleBudget())
     assert _max_disjoint(masks, 3, meter) == 2
+    monkeypatch.setattr(oracle, "MAX_NODES", meter.nodes - 1)
     with pytest.raises(BudgetExceededError):
-        _max_disjoint(masks, 3, _Meter(OracleBudget(max_nodes=meter.nodes - 1)))
+        _max_disjoint(masks, 3, _Meter(OracleBudget()))
 
 
 def test_oracles_leave_no_garbage_cycles():
@@ -220,14 +222,15 @@ def test_iter_collections_valid_and_distinct(u24_overlapping):
     assert len(seen) > 4
 
 
-def test_budget_node_cap():
+def test_budget_node_cap(monkeypatch):
     n = 4
     blocks = [set(range(c * n, (c + 1) * n)) for c in range(n)]
     seq = uniform_seq(n, blocks)
+    monkeypatch.setattr(oracle, "MAX_NODES", 10)
     with pytest.raises(BudgetExceededError):
-        enumerate_ris(seq, OracleBudget(max_nodes=10))
+        enumerate_ris(seq)
     with pytest.raises(InputError):
-        OracleBudget(wall_ms=0)  # budget fields must be positive
+        OracleBudget(wall_ms=0)  # the wall-clock budget must be positive
 
 
 def test_budget_size_gate():
@@ -235,7 +238,7 @@ def test_budget_size_gate():
     blocks = [set(range(c * n, (c + 1) * n)) for c in range(n)]
     seq = uniform_seq(n, blocks)
     with pytest.raises(BudgetExceededError):
-        enumerate_rainbow_bases(seq, OracleBudget(max_n=5))
+        enumerate_rainbow_bases(seq)  # n = 6 is above oracle.MAX_N
 
 
 def test_harness_ids_and_unknown_lemma():

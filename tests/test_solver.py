@@ -265,6 +265,24 @@ def test_replay_of_a_cascade_move():
             apply_move(seq, before, broken)
 
 
+def test_cascade_attempts_each_distinct_probe_once(monkeypatch):
+    # The k = 1 probe can find the k = 2 probe again; the same exchange
+    # attempt would fail the same way, so it is made once.
+    attempted = []
+    attempt = solver._attempt_exchange
+
+    def recording(seq, coll, probe):
+        attempted.append((coll, probe))
+        return attempt(seq, coll, probe)
+
+    monkeypatch.setattr(solver, "_attempt_exchange", recording)
+    seq = generate_instance("graphic", 4, "disjoint", seed=4).base_sequence()
+    pack_rainbow_bases(seq)
+    assert attempted
+    for (c1, p1), (c2, p2) in zip(attempted, attempted[1:]):
+        assert c1 is not c2 or p1 != p2
+
+
 def test_free_pool_tracks_unused_elements():
     # Augment moves with removals and cascade moves, which move elements
     # between sets, must leave the pool equal to a from-scratch rebuild.
