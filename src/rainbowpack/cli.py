@@ -26,6 +26,7 @@ from .instances import (
 )
 from .model import BaseSequence, BoundParams
 from .oracle import (
+    HARNESS_FAMILIES,
     HARNESS_IDS,
     OracleBudget,
     brute_force_t,
@@ -43,6 +44,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# Option types: a value out of range is a usage error (exit 2).
+POSITIVE = click.IntRange(min=1)
+NON_NEGATIVE = click.IntRange(min=0)
 
 CSV_FIELDS = [
     "instance_digest",
@@ -97,7 +102,7 @@ def main():
 
 @main.command()
 @click.option("--family", type=click.Choice(GENERATOR_FAMILIES), required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=POSITIVE, required=True)
 @click.option(
     "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
 )
@@ -114,19 +119,18 @@ def _solver_params(alpha, depth, budget_ms, inst) -> SolverParams:
     bound = BoundParams(
         beta=inst.declared_beta or 0,
         kappa=inst.declared_kappa or 1,
-        alpha=max(0, alpha),
+        alpha=alpha,
     )
-    iteration_budget = 5000 if budget_ms is None else max(1, budget_ms)
-    return SolverParams(bound=bound, depth_limit=depth, iteration_budget=iteration_budget)
+    return SolverParams(bound=bound, depth_limit=depth, iteration_budget=budget_ms)
 
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, required=True)
-@click.option("--alpha", type=int, default=0, show_default=True)
-@click.option("--depth", type=int, default=2, show_default=True)
+@click.option("--alpha", type=NON_NEGATIVE, default=0, show_default=True)
+@click.option("--depth", type=POSITIVE, default=2, show_default=True)
 @click.option(
-    "--budget-ms", type=int, default=None,
-    help="cap on the number of solver moves (not milliseconds; default 5000); "
+    "--budget-ms", type=POSITIVE, default=5000, show_default=True,
+    help="cap on the number of solver moves (not milliseconds); "
     "a solve that reaches it exits 3",
 )
 @click.option("--out", type=str, default=None, help="report path (default stdout)")
@@ -200,7 +204,7 @@ def _csv_text(rows) -> str:
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, required=True)
-@click.option("--budget-ms", type=int, default=60000, show_default=True)
+@click.option("--budget-ms", type=POSITIVE, default=60000, show_default=True)
 def brute(instance_path, budget_ms):
     """Exact maximum number of disjoint rainbow bases (tiny instances)."""
     inst, seq = _read_instance(instance_path)
@@ -238,9 +242,9 @@ def verify(instance_path, log_path, report_path):
 
 @main.command()
 @click.option("--lemma", type=click.Choice(HARNESS_IDS), required=True)
-@click.option("--family", type=str, default="all", show_default=True)
-@click.option("--target", type=int, default=None)
-@click.option("--budget-ms", type=int, default=60000, show_default=True)
+@click.option("--family", type=click.Choice(HARNESS_FAMILIES), default="all")
+@click.option("--target", type=POSITIVE, default=None)
+@click.option("--budget-ms", type=POSITIVE, default=60000, show_default=True)
 def harness(lemma, family, target, budget_ms):
     """Run one lemma harness over generated tiny instances."""
     report = run_lemma_harness(
@@ -259,9 +263,9 @@ def harness(lemma, family, target, budget_ms):
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--beta", type=int, required=True)
-@click.option("--kappa", type=int, default=1, show_default=True)
+@click.option("--n", type=NON_NEGATIVE, required=True)
+@click.option("--beta", type=NON_NEGATIVE, required=True)
+@click.option("--kappa", type=POSITIVE, default=1, show_default=True)
 @click.option("--disjoint/--overlapping", default=True)
 def bounds(n, beta, kappa, disjoint):
     """Closed-form lower bound on the number of disjoint rainbow bases."""
@@ -274,13 +278,13 @@ def bounds(n, beta, kappa, disjoint):
 
 @main.command()
 @click.option("--family", type=click.Choice(GENERATOR_FAMILIES), required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=POSITIVE, required=True)
 @click.option(
     "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
 )
 @click.option("--kappa", type=int, default=2, show_default=True)
 @click.option("--seeds", type=int, default=10, show_default=True)
-@click.option("--budget-ms", type=int, default=60000, show_default=True)
+@click.option("--budget-ms", type=POSITIVE, default=60000, show_default=True)
 @click.option("--no-brute", is_flag=True, help="skip the exact oracle column")
 @click.option("--out", type=str, default=None, help="CSV path (default stdout)")
 def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
@@ -290,7 +294,7 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
         inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
         seq = inst.base_sequence()
         started = time.monotonic()
-        result = pack_rainbow_bases(seq, _solver_params(0, 2, None, inst))
+        result = pack_rainbow_bases(seq, _solver_params(0, 2, 5000, inst))
         brute_t = ""
         status = None  # keep the solve's own status
         if not no_brute:

@@ -6,7 +6,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 from .cascade import build_good_graph, cascade_search
@@ -81,7 +81,10 @@ class _Meter:
             )
 
 
-def _admit(seq: BaseSequence, budget: OracleBudget) -> _Meter:
+def _admit(seq: BaseSequence, budget) -> _Meter:
+    """One oracle call's meter; a ``budget`` that is a meter is returned as is."""
+    if isinstance(budget, _Meter):
+        return budget
     if seq.n > MAX_N:
         raise BudgetExceededError(f"n={seq.n} above oracle cap {MAX_N}")
     return _Meter(budget)
@@ -91,10 +94,19 @@ def enumerate_rainbow_bases(
     seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple:
     """All size-n RIS's, one element per colour, by colour-wise backtracking."""
+    return tuple(_enumerate(seq, seq.n, budget))
+
+
+def enumerate_ris(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
+    """All nonempty RIS's, in canonical order (by their sorted elements)."""
+    return tuple(sorted(_enumerate(seq, 1, budget), key=sorted))
+
+
+def _enumerate(seq: BaseSequence, size: int, budget) -> list:
+    """Every RIS of at least ``size`` elements, colour by colour."""
     out: list = []
-    state = seq.matroid.state(())
-    _extend_rainbow(seq, _admit(seq, budget), 1, [], state, out)
-    return tuple(out)
+    _extend_rainbow(seq, _admit(seq, budget), size, 1, [], seq.matroid.state(()), out)
+    return out
 
 
 # The searches below recurse through module-level helpers, not closures: a
@@ -102,8 +114,10 @@ def enumerate_rainbow_bases(
 # until the next full garbage collection.
 
 
-def _extend_rainbow(seq, meter, colour: int, chosen: list, state, out: list):
-    """``state`` is the independence state of the raw elements chosen."""
+def _extend_rainbow(seq, meter, size: int, colour: int, chosen: list, state, out: list):
+    """``state`` is the independence state of the raw elements chosen.  A
+    colour is left out only while the later colours can still reach ``size``,
+    so every set that reaches the last colour has at least ``size`` elements."""
     meter.tick()
     if colour > seq.n:
         out.append(frozenset(chosen))
@@ -114,8 +128,10 @@ def _extend_rainbow(seq, meter, colour: int, chosen: list, state, out: list):
         chosen.append((x, colour))
         # the last colour's state would answer no further query
         child = state.extend(x) if colour < seq.n else None
-        _extend_rainbow(seq, meter, colour + 1, chosen, child, out)
+        _extend_rainbow(seq, meter, size, colour + 1, chosen, child, out)
         chosen.pop()
+    if len(chosen) + seq.n - colour >= size:
+        _extend_rainbow(seq, meter, size, colour + 1, chosen, state, out)
 
 
 def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:
@@ -134,8 +150,9 @@ def brute_force_t(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> i
     and the search keeps no structure per pair of rainbow bases: memory is
     the list of masks and the filtered candidate lists along one path.
     """
-    masks = _masks(seq, enumerate_rainbow_bases(seq, budget))
-    return _max_disjoint(masks, seq.n, _admit(seq, budget))
+    meter = _admit(seq, budget)
+    masks = _masks(seq, enumerate_rainbow_bases(seq, meter))
+    return _max_disjoint(masks, seq.n, meter)
 
 
 def _max_disjoint(masks: Sequence[int], n: int, meter: _Meter) -> int:
@@ -176,8 +193,9 @@ def brute_force_t_naive(
     seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET
 ) -> int:
     """Independent cross-check: plain include/exclude recursion, no ordering."""
-    rbs = list(enumerate_rainbow_bases(seq, budget))
-    return _include_exclude(rbs, 0, frozenset(), _admit(seq, budget))
+    meter = _admit(seq, budget)
+    rbs = list(enumerate_rainbow_bases(seq, meter))
+    return _include_exclude(rbs, 0, frozenset(), meter)
 
 
 def _include_exclude(rbs: list, idx: int, used: frozenset, meter: _Meter) -> int:
@@ -188,27 +206,6 @@ def _include_exclude(rbs: list, idx: int, used: frozenset, meter: _Meter) -> int
     if rbs[idx] & used:
         return skip
     return max(skip, 1 + _include_exclude(rbs, idx + 1, used | rbs[idx], meter))
-
-
-def enumerate_ris(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
-    """All nonempty RIS's, in canonical order."""
-    out: list = []
-    _extend_ris(seq, _admit(seq, budget), sorted(seq.universe), 0, [], out)
-    return tuple(out)
-
-
-def _extend_ris(seq, meter, elems: list, start: int, chosen: list, out: list):
-    meter.tick()
-    for i in range(start, len(elems)):
-        xc = elems[i]
-        if any(xc[0] == x or xc[1] == c for x, c in chosen):
-            continue
-        if not seq.matroid.is_independent([x for x, _ in chosen] + [xc[0]]):
-            continue
-        chosen.append(xc)
-        out.append(frozenset(chosen))
-        _extend_ris(seq, meter, elems, i + 1, chosen, out)
-        chosen.pop()
 
 
 def brute_force_tau_eta(
@@ -223,8 +220,8 @@ def brute_force_tau_eta(
     """
     if eta < 1:
         raise InputError("eta must be positive")
-    all_ris = enumerate_ris(seq, budget)
     meter = _admit(seq, budget)
+    all_ris = enumerate_ris(seq, meter)
     n = seq.n
     masks = _masks(seq, all_ris)
     sig, picked = _tau_dfs(
@@ -308,13 +305,16 @@ class HarnessReport:
         return not self.counterexamples
 
 
-def _harness_stream(family: str):
-    """Deterministic instance stream, n = 2..4; 'all' interleaves every family."""
-    families = GENERATOR_FAMILIES if family == "all" else (family,)
+def _harness_stream(
+    family, ns=(2, 3, 4), modes=("disjoint", "overlapping"), every=GENERATOR_FAMILIES
+):
+    """Deterministic instance stream, seeds 0..59; 'all' interleaves ``every``
+    family.  Generators that find no instance at some n are skipped."""
+    families = every if family == "all" else (family,)
     for seed in range(60):
         for fam in families:
-            for n in range(2, 5):
-                for mode in ("disjoint", "overlapping"):
+            for n in ns:
+                for mode in modes:
                     try:
                         inst = generate_instance(fam, n, mode, kappa=2, seed=seed)
                         yield inst, inst.base_sequence()
@@ -322,14 +322,16 @@ def _harness_stream(family: str):
                         continue
 
 
+# Larger disjoint instances for qbound: the only desk scale where its side
+# conditions (three spare sets and alpha above the overlap) can hold.
+_qbound_stream = partial(
+    _harness_stream, ns=(5,), modes=("disjoint",), every=("uniform", "sparse_paving")
+)
+
+
 def _some_collections(seq, rng, per_instance=30, max_sets=None):
     cap = max_sets if max_sets is not None else seq.n
-    out = []
-    for coll in iter_collections(seq, cap, rng=rng):
-        out.append(coll)
-        if len(out) >= per_instance:
-            break
-    return out
+    return list(islice(iter_collections(seq, cap, rng=rng), per_instance))
 
 
 def _chains(coll, root):
@@ -644,19 +646,6 @@ def _check_observation(seq, coll, chain, elem, submax, n):
     return True, None
 
 
-def _qbound_stream(family: str):
-    """Larger disjoint instances: the only desk scale where the side
-    conditions (three spare sets and alpha above the overlap) can hold."""
-    families = ("uniform", "sparse_paving") if family == "all" else (family,)
-    for seed in range(60):
-        for fam in families:
-            try:
-                inst = generate_instance(fam, 5, "disjoint", seed=seed)
-                yield inst, inst.base_sequence()
-            except InputError:
-                continue
-
-
 _HARNESSES = {
     "swappable": (_harness_swappable, 1000, _harness_stream),
     "injection": (_harness_injection, 1000, _harness_stream),
@@ -669,6 +658,7 @@ _HARNESSES = {
 }
 
 HARNESS_IDS = tuple(_HARNESSES)
+HARNESS_FAMILIES = ("all", *GENERATOR_FAMILIES)
 
 
 def run_lemma_harness(
@@ -688,6 +678,10 @@ def run_lemma_harness(
     if lemma not in _HARNESSES:
         raise InputError(
             f"unknown lemma id {lemma!r}; known: {', '.join(_HARNESSES)}"
+        )
+    if family not in HARNESS_FAMILIES:
+        raise InputError(
+            f"unknown family {family!r}; known: {', '.join(HARNESS_FAMILIES)}"
         )
     harness, default_target, stream = _HARNESSES[lemma]
     target = target if target is not None else default_target

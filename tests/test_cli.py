@@ -271,12 +271,31 @@ def test_bench_reports_a_budget_stop(tmp_path):
     assert row["moves"] == "5000" and row["status"] == "budget"
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_command(["solve"]) == EXIT_USAGE  # missing required option
     assert run_command(["gen", "--family", "nosuch", "--n", "3"]) == EXIT_USAGE
     assert run_command(
         ["solve", "--instance", "/nonexistent/inst.yaml"]
     ) == EXIT_USAGE
+    inst = str(gen_instance_file(tmp_path))
+    out_of_range = [
+        ["solve", "--instance", inst, "--budget-ms", "0"],
+        ["solve", "--instance", inst, "--budget-ms", "-4"],
+        ["solve", "--instance", inst, "--alpha", "-2"],
+        ["solve", "--instance", inst, "--depth", "0"],
+        ["brute", "--instance", inst, "--budget-ms", "0"],
+        ["harness", "--lemma", "exchange", "--budget-ms", "0"],
+        ["harness", "--lemma", "exchange", "--target", "0"],
+        ["harness", "--lemma", "exchange", "--family", "nosuch"],
+        ["bench", "--family", "uniform", "--n", "3", "--budget-ms", "0"],
+        ["bench", "--family", "uniform", "--n", "0"],
+        ["gen", "--family", "uniform", "--n", "0"],
+        ["bounds", "--n", "-1", "--beta", "0"],
+        ["bounds", "--n", "3", "--beta", "-1"],
+        ["bounds", "--n", "3", "--beta", "0", "--kappa", "0"],
+    ]
+    for argv in out_of_range:
+        assert run_command(argv) == EXIT_USAGE, argv
 
 
 def test_invalid_instance_file_fails(tmp_path):

@@ -50,15 +50,37 @@ def _rainbow_bases_from_scratch(seq):
     return tuple(out)
 
 
+def _ris_from_scratch(seq):
+    """Every nonempty RIS in canonical order: a walk over the sorted universe
+    that extends each set by later elements, each checked with is_independent."""
+    elems = sorted(seq.universe)
+    out = []
+
+    def extend(start, chosen):
+        for i in range(start, len(elems)):
+            x, c = elems[i]
+            if any(x == y or c == d for y, d in chosen):
+                continue
+            if seq.matroid.is_independent([y for y, _ in chosen] + [x]):
+                out.append(frozenset(chosen + [(x, c)]))
+                extend(i + 1, chosen + [(x, c)])
+
+    extend(0, [])
+    return tuple(out)
+
+
 def test_enumerate_rainbow_bases_matches_from_scratch_search(monkeypatch):
     """Generated instances, n = 3..5 in every family and mode, and n = 6 on
     graphic ones; the other n = 6 instances hold 35k-47k rainbow bases each
-    and take seconds here."""
+    and take seconds here.  enumerate_ris is checked for n = 3..5, order
+    included, since the harnesses sample configurations in that order."""
     monkeypatch.setattr(oracle, "MAX_N", 6)
     cases = [*generated_seqs(range(3, 6)), *generated_seqs((6,), ("graphic",))]
     for name, seq in cases:
         got = enumerate_rainbow_bases(seq)
         assert got == _rainbow_bases_from_scratch(seq), name
+        if seq.n <= 5:
+            assert enumerate_ris(seq) == _ris_from_scratch(seq), name
 
 
 def test_enumerate_rainbow_bases_u24(u24_disjoint):
@@ -152,6 +174,17 @@ def test_max_disjoint_obeys_node_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_NODES", meter.nodes - 1)
     with pytest.raises(BudgetExceededError):
         _max_disjoint(masks, 3, _Meter(OracleBudget()))
+
+
+def test_one_node_budget_per_oracle_call(monkeypatch):
+    # brute_force_t visits 1,074 enumeration nodes, then 6 search nodes; the
+    # cap covers both together
+    seq = generate_instance("graphic", 5, "disjoint", seed=0).base_sequence()
+    monkeypatch.setattr(oracle, "MAX_NODES", 1079)
+    with pytest.raises(BudgetExceededError):
+        brute_force_t(seq)
+    monkeypatch.setattr(oracle, "MAX_NODES", 1080)
+    assert brute_force_t(seq) == 5
 
 
 def test_oracles_leave_no_garbage_cycles():
@@ -254,6 +287,8 @@ def test_harness_ids_and_unknown_lemma():
     }
     with pytest.raises(InputError):
         run_lemma_harness("nosuch")
+    with pytest.raises(InputError):
+        run_lemma_harness("exchange", family="nosuch")
 
 
 def test_harness_smoke_small_target():
