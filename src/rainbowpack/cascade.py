@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -220,22 +221,26 @@ def _walk(seq, chain, good, forbidden, results, seen_states, nodes, current, pos
         _walk(seq, chain, good, forbidden, results, seen_states, nodes, nxt, pos + 1)
 
 
-def associated_root(seq: BaseSequence, trace: CascadeTrace) -> Root:
-    """One more transition moving the cascadable element out of its set.
-
-    Raises :class:`PreconditionError` when no other set holds the element,
-    or its set holds nothing else.
-    """
-    return transition(seq, trace.final_root, trace.record)
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     root: Root
     chain: tuple  # intermediate set positions, root's set excluded
     landing_index: int
-    witnesses: frozenset
-    traces: dict = field(compare=False)
+    traces: dict = field(compare=False)  # one per element landed in the set
+
+
+def _chains(coll: Collection, roots, max_hops: int):
+    """(root, chain) pairs breadth first: every chain of h hops before h + 1."""
+    frontier = [(root, ()) for root in roots]
+    while frontier:
+        yield from frontier
+        frontier = [
+            (root, chain + (j,))
+            for root, chain in frontier
+            if len(chain) + 1 < max_hops
+            for j in range(len(coll.sets))
+            if j != root.index and j not in chain
+        ]
 
 
 def concentration_probe(
@@ -243,12 +248,15 @@ def concentration_probe(
     coll: Collection,
     k: int,
     depth_limit: Optional[int] = None,
-) -> Optional[ProbeResult]:
-    """Look for a chain whose cascadable elements pile k-deep in one set.
+) -> Optional[tuple]:
+    """Look for chains whose cascadable elements pile up in one set.
 
-    Bounded search over chains of at most ``depth_limit`` (default k) hops,
-    making at most ``PROBE_SEARCH_BUDGET`` cascade searches; ``None`` means
-    none found within budget, not that none exists.
+    One breadth-first pass over chains of at most ``depth_limit`` (default
+    k) hops, making at most ``PROBE_SEARCH_BUDGET`` cascade searches.  For
+    each c = 1, ..., k it keeps the first chain, and that chain's first other
+    set, holding at least c cascadable elements, and it stops at the first
+    chain that reaches k.  Returns those results most concentrated first,
+    each once; ``None`` means none found within budget, not that none exists.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -257,36 +265,20 @@ def concentration_probe(
     except PreconditionError:
         return None
     max_hops = depth_limit if depth_limit is not None else k
-    calls = [0]
-
-    def try_chain(root: Root, chain: tuple) -> Optional[ProbeResult]:
-        calls[0] += 1
+    found: list = []  # found[c - 1]: the first result landing c elements
+    pairs = _chains(coll, iter_roots(seq, coll, size=top), max_hops)
+    for root, chain in islice(pairs, PROBE_SEARCH_BUDGET):
         casc = cascade_search(seq, root, chain)
         used = set(chain) | {root.index}
         for j, S in enumerate(coll.sets):
-            if j in used:
-                continue
-            landed = frozenset(e for e in casc if e in S)
-            if len(landed) >= k:
-                return ProbeResult(
-                    root, chain, j, landed,
-                    {e: casc[e] for e in landed},
-                )
-        return None
-
-    roots = list(iter_roots(seq, coll, size=top))
-    frontier = [(root, ()) for root in roots]
-    while frontier and calls[0] < PROBE_SEARCH_BUDGET:
-        next_frontier = []
-        for root, chain in frontier:
-            if calls[0] >= PROBE_SEARCH_BUDGET:
-                break
-            hit = try_chain(root, chain)
-            if hit is not None:
-                return hit
-            if len(chain) + 1 < max_hops:
-                for j in range(len(coll.sets)):
-                    if j != root.index and j not in chain:
-                        next_frontier.append((root, chain + (j,)))
-        frontier = next_frontier
-    return None
+            if j not in used:
+                landed = {e: trace for e, trace in casc.items() if e in S}
+                while len(found) < min(len(landed), k):
+                    found.append(ProbeResult(root, chain, j, landed))
+        if len(found) == k:
+            break
+    results: list = []
+    for probe in reversed(found):
+        if not results or probe != results[-1]:
+            results.append(probe)
+    return tuple(results) or None

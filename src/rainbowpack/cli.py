@@ -71,8 +71,11 @@ def _write(path: Optional[str], text: str):
     if path is None or path == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output: {exc}")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -106,7 +109,8 @@ def main():
 @click.option(
     "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
 )
-@click.option("--kappa", type=int, default=2, show_default=True)
+# 2 is the generator's least overlap; disjoint mode ignores the value
+@click.option("--kappa", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None, help="output path (default stdout)")
 def gen(family, n, mode, kappa, seed, out):
@@ -115,21 +119,20 @@ def gen(family, n, mode, kappa, seed, out):
     _write(out, emit_instance(inst))
 
 
-def _solver_params(alpha, depth, budget_ms, inst) -> SolverParams:
-    bound = BoundParams(
+def _bound_params(inst: Instance, alpha: int = 0) -> BoundParams:
+    return BoundParams(
         beta=inst.declared_beta or 0,
         kappa=inst.declared_kappa or 1,
         alpha=alpha,
     )
-    return SolverParams(bound=bound, depth_limit=depth, iteration_budget=budget_ms)
 
 
 @main.command()
 @click.option("--instance", "instance_path", type=str, required=True)
 @click.option("--alpha", type=NON_NEGATIVE, default=0, show_default=True)
-@click.option("--depth", type=POSITIVE, default=2, show_default=True)
+@click.option("--depth", type=POSITIVE, default=SolverParams.depth_limit, show_default=True)
 @click.option(
-    "--budget-ms", type=POSITIVE, default=5000, show_default=True,
+    "--budget-ms", type=POSITIVE, default=SolverParams.iteration_budget, show_default=True,
     help="cap on the number of solver moves (not milliseconds); "
     "a solve that reaches it exits 3",
 )
@@ -142,7 +145,9 @@ def _solver_params(alpha, depth, budget_ms, inst) -> SolverParams:
 def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     """Pack disjoint rainbow bases and report the result."""
     inst, seq = _read_instance(instance_path)
-    params = _solver_params(alpha, depth, budget_ms, inst)
+    params = SolverParams(
+        bound=_bound_params(inst, alpha), depth_limit=depth, iteration_budget=budget_ms
+    )
     started = time.monotonic()
     result = pack_rainbow_bases(seq, params)
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -282,8 +287,9 @@ def bounds(n, beta, kappa, disjoint):
 @click.option(
     "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
 )
-@click.option("--kappa", type=int, default=2, show_default=True)
-@click.option("--seeds", type=int, default=10, show_default=True)
+# 2 is the generator's least overlap; disjoint mode ignores the value
+@click.option("--kappa", type=click.IntRange(min=2), default=2, show_default=True)
+@click.option("--seeds", type=POSITIVE, default=10, show_default=True)
 @click.option("--budget-ms", type=POSITIVE, default=60000, show_default=True)
 @click.option("--no-brute", is_flag=True, help="skip the exact oracle column")
 @click.option("--out", type=str, default=None, help="CSV path (default stdout)")
@@ -294,7 +300,7 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
         inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
         seq = inst.base_sequence()
         started = time.monotonic()
-        result = pack_rainbow_bases(seq, _solver_params(0, 2, 5000, inst))
+        result = pack_rainbow_bases(seq, SolverParams(bound=_bound_params(inst)))
         brute_t = ""
         status = None  # keep the solve's own status
         if not no_brute:

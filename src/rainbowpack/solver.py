@@ -27,9 +27,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cascade import associated_root, concentration_probe
+from .cascade import concentration_probe
 from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
-from .exchange import cyclic_exchange
+from .exchange import cyclic_exchange, transition
 from .model import (
     BaseSequence,
     BoundParams,
@@ -43,7 +43,7 @@ from .model import (
     validate_ris,
 )
 
-# Deepest concentration a cascade probes for; it falls back to k - 1, ..., 1.
+# Deepest concentration a cascade probes for; it also tries k - 1, ..., 1.
 PROBE_K = 2
 
 
@@ -176,13 +176,8 @@ def _cascade_move(seq, coll, params):
         istar(coll)
     except PreconditionError:
         return None
-    tried = None
-    for k in range(PROBE_K, 0, -1):
-        probe = concentration_probe(seq, coll, k, depth_limit=params.depth_limit)
-        # a smaller k may find the same probe, and the same attempt would fail
-        if probe is None or probe == tried:
-            continue
-        tried = probe
+    probes = concentration_probe(seq, coll, PROBE_K, depth_limit=params.depth_limit)
+    for probe in probes or ():
         attempt = _attempt_exchange(seq, coll, probe)
         if attempt is not None:
             return attempt
@@ -193,7 +188,7 @@ def _attempt_exchange(seq, coll, probe):
     j = probe.landing_index
     target = coll.sets[j]
     blocked = set(probe.chain) | {probe.root.index, j}
-    by_colour = {xc[1]: xc for xc in probe.witnesses}
+    by_colour = {xc[1]: xc for xc in probe.traces}
     donors = sorted(
         (d for d in range(len(coll.sets)) if d not in blocked),
         key=lambda d: (len(coll.sets[d]), d),
@@ -207,10 +202,11 @@ def _attempt_exchange(seq, coll, probe):
             I = cyclic_exchange(seq, source, target, pairs)
         except (PreconditionError, InternalInvariantError):
             continue
-        # every right element is a probe witness, so it has a trace
+        # every right element landed, so it has a trace; one more transition
+        # moves it out of the landing set (the paper's associated root)
         trace = probe.traces[pairs[min(I)][1]]
         try:
-            aroot = associated_root(seq, trace)
+            aroot = transition(seq, trace.final_root, trace.record)
         except PreconditionError:
             continue
         removed = frozenset(pairs[i][1] for i in I)

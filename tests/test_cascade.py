@@ -6,7 +6,6 @@ import random
 import pytest
 
 from rainbowpack.cascade import (
-    associated_root,
     build_good_graph,
     cascade_search,
     concentration_probe,
@@ -167,7 +166,7 @@ def test_cascade_trace_replays(bad_root_u36):
             and len(trace.final_root.collection.sets[holder]) > 1
         ):
             # only elements held by another member admit an associated root
-            aroot = associated_root(seq, trace)
+            aroot = transition(seq, trace.final_root, trace.record)
             assert elem in aroot.collection.sets[trace.final_root.index]
             ok, why = validate_collection(seq, aroot.collection)
             assert ok, why
@@ -175,15 +174,22 @@ def test_cascade_trace_replays(bad_root_u36):
 
 def test_concentration_probe(bad_root_u36):
     seq, root = bad_root_u36
-    probe = concentration_probe(seq, root.collection, 1, depth_limit=2)
-    if probe is not None:
-        assert len(probe.witnesses) >= 1
+    coll = root.collection
+    probes = concentration_probe(seq, coll, PROBE_K, depth_limit=2)
+    assert probes  # the worked instance has cascadable elements via set 1
+    for probe in probes:
+        assert probe.traces
         for elem, trace in probe.traces.items():
-            assert elem in probe.witnesses
+            assert trace.element == elem
+            assert elem in coll.sets[probe.landing_index]
             ok, why = validate_collection(seq, trace.final_root.collection)
             assert ok, why
+    # most concentrated first, and no result twice
+    sizes = [len(probe.traces) for probe in probes]
+    assert sizes == sorted(sizes, reverse=True)
+    assert len(set(probes)) == len(probes)
     with pytest.raises(InputError):
-        concentration_probe(seq, root.collection, 0)
+        concentration_probe(seq, coll, 0)
 
 
 def test_good_cascade_on_sampled_bad_roots():

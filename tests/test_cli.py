@@ -289,12 +289,30 @@ def test_usage_errors(tmp_path):
         ["harness", "--lemma", "exchange", "--family", "nosuch"],
         ["bench", "--family", "uniform", "--n", "3", "--budget-ms", "0"],
         ["bench", "--family", "uniform", "--n", "0"],
+        ["bench", "--family", "uniform", "--n", "3", "--seeds", "0"],
+        ["bench", "--family", "uniform", "--n", "3", "--seeds", "-1"],
+        ["bench", "--family", "uniform", "--n", "3", "--kappa", "1"],
         ["gen", "--family", "uniform", "--n", "0"],
+        ["gen", "--family", "uniform", "--n", "3", "--kappa", "-5"],
+        ["gen", "--family", "uniform", "--n", "3", "--mode", "overlapping", "--kappa", "1"],
         ["bounds", "--n", "-1", "--beta", "0"],
         ["bounds", "--n", "3", "--beta", "-1"],
         ["bounds", "--n", "3", "--beta", "0", "--kappa", "0"],
     ]
     for argv in out_of_range:
+        assert run_command(argv) == EXIT_USAGE, argv
+
+
+def test_unwritable_output_is_usage_error(tmp_path):
+    inst = str(gen_instance_file(tmp_path))
+    nowhere = str(tmp_path / "missing" / "out")  # its directory does not exist
+    unwritable = [
+        ["gen", "--family", "uniform", "--n", "3", "--out", nowhere],
+        ["solve", "--instance", inst, "--out", nowhere],
+        ["solve", "--instance", inst, "--log", nowhere],
+        ["bench", "--family", "uniform", "--n", "3", "--seeds", "1", "--out", nowhere],
+    ]
+    for argv in unwritable:
         assert run_command(argv) == EXIT_USAGE, argv
 
 

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from rainbowpack import solver
+from rainbowpack import cascade, solver
 from rainbowpack.errors import (
     CorruptedTraceError,
     InputError,
@@ -281,6 +281,31 @@ def test_cascade_attempts_each_distinct_probe_once(monkeypatch):
     assert attempted
     for (c1, p1), (c2, p2) in zip(attempted, attempted[1:]):
         assert c1 is not c2 or p1 != p2
+
+
+def test_cascade_move_searches_each_chain_once(monkeypatch):
+    # One probe pass per cascade move: no (root, chain) pair is searched twice.
+    searched = []  # one list of searched pairs per cascade move
+    search, move = cascade.cascade_search, solver._cascade_move
+
+    def recording_move(seq, coll, params):
+        searched.append([])
+        return move(seq, coll, params)
+
+    def recording_search(seq, root, chain, good=False):
+        searched[-1].append((root, chain))
+        return search(seq, root, chain, good)
+
+    monkeypatch.setattr(solver, "_cascade_move", recording_move)
+    monkeypatch.setattr(cascade, "cascade_search", recording_search)
+    for inst in (
+        generate_instance("graphic", 4, "disjoint", seed=4),
+        generate_instance("graphic", 5, "overlapping", kappa=2, seed=1),
+    ):
+        pack_rainbow_bases(inst.base_sequence())
+    assert any(searched)
+    for pairs in searched:
+        assert len(pairs) == len(set(pairs))
 
 
 def test_free_pool_tracks_unused_elements():
