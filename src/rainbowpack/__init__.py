@@ -31,8 +31,6 @@ from .model import (
     BoundParams,
     Collection,
     colours_of,
-    is_eta_maximal,
-    is_eta_submaximal,
     is_ris,
     istar,
     istarstar,

@@ -42,7 +42,6 @@ class GoodGraph:
     levels: tuple  # levels[d] = vertices at distance d; levels[0] == (base,)
     parents: dict
     terminals: tuple  # in discovery order; good_transform routes through the first
-    complete: bool  # ended on a terminal level rather than a fixed point
 
     def cumulative_sizes(self) -> tuple:
         """|V_0|, |V_1|, ...: vertices within each distance."""
@@ -84,12 +83,10 @@ def build_good_graph(seq: BaseSequence, root: Root) -> GoodGraph:
                         next_level.append(w)
                         terminals.append(w)
         if not next_level:
-            return GoodGraph(base, tuple(levels), parents, (), False)
+            return GoodGraph(base, tuple(levels), parents, ())
         levels.append(tuple(next_level))
         if terminals:
-            return GoodGraph(
-                base, tuple(levels), parents, tuple(terminals), True
-            )
+            return GoodGraph(base, tuple(levels), parents, tuple(terminals))
         current = next_level
 
 

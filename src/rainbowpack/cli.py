@@ -67,15 +67,27 @@ CSV_FIELDS = [
 ]
 
 
-def _write(path: Optional[str], text: str):
+def _open_out(path: Optional[str]):
+    """``path`` opened for writing, closed with the command; None for stdout.
+
+    Commands open their outputs before any solving, so a path that cannot be
+    written is a usage error that costs no work.
+    """
     if path is None or path == "-":
+        return None
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}")
+    click.get_current_context().call_on_close(fh.close)
+    return fh
+
+
+def _write(fh, text: str):
+    if fh is None:
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write output: {exc}")
+        fh.write(text)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -116,15 +128,7 @@ def main():
 def gen(family, n, mode, kappa, seed, out):
     """Generate a seeded instance file."""
     inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
-    _write(out, emit_instance(inst))
-
-
-def _bound_params(inst: Instance, alpha: int = 0) -> BoundParams:
-    return BoundParams(
-        beta=inst.declared_beta or 0,
-        kappa=inst.declared_kappa or 1,
-        alpha=alpha,
-    )
+    _write(_open_out(out), emit_instance(inst))
 
 
 @main.command()
@@ -145,14 +149,15 @@ def _bound_params(inst: Instance, alpha: int = 0) -> BoundParams:
 def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     """Pack disjoint rainbow bases and report the result."""
     inst, seq = _read_instance(instance_path)
+    out_fh, log_fh = _open_out(out), _open_out(log_path)
     params = SolverParams(
-        bound=_bound_params(inst, alpha), depth_limit=depth, iteration_budget=budget_ms
+        bound=BoundParams(alpha=alpha), depth_limit=depth, iteration_budget=budget_ms
     )
     started = time.monotonic()
     result = pack_rainbow_bases(seq, params)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     if log_path:
-        _write(log_path, dump_move_log(result.moves))
+        _write(log_fh, dump_move_log(result.moves))
     report = {
         "instance_digest": instance_digest(inst),
         "n": seq.n,
@@ -166,9 +171,9 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
         "stopped": result.stopped,
     }
     if fmt == "csv":
-        _write(out, _csv_text([_solve_csv_row(inst, seq, result, elapsed_ms)]))
+        _write(out_fh, _csv_text([_solve_csv_row(inst, seq, result, elapsed_ms)]))
     else:
-        _write(out, yaml.safe_dump(report, sort_keys=True))
+        _write(out_fh, yaml.safe_dump(report, sort_keys=True))
     if result.stopped == "budget":
         sys.exit(EXIT_BUDGET)
 
@@ -256,7 +261,7 @@ def harness(lemma, family, target, budget_ms):
         lemma, family, OracleBudget(wall_ms=budget_ms), target
     )
     click.echo(
-        f"lemma={report.lemma} exercised={report.exercised} "
+        f"lemma={report.lemma} exercised={report.exercised} checked={report.checked} "
         f"counterexamples={len(report.counterexamples)} complete={report.complete}"
     )
     for ce in report.counterexamples[:5]:
@@ -295,12 +300,13 @@ def bounds(n, beta, kappa, disjoint):
 @click.option("--out", type=str, default=None, help="CSV path (default stdout)")
 def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
     """Batch solve+brute over seeds and emit one CSV row per instance."""
+    out_fh = _open_out(out)
     rows = []
     for seed in range(seeds):
         inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
         seq = inst.base_sequence()
         started = time.monotonic()
-        result = pack_rainbow_bases(seq, SolverParams(bound=_bound_params(inst)))
+        result = pack_rainbow_bases(seq, SolverParams())
         brute_t = ""
         status = None  # keep the solve's own status
         if not no_brute:
@@ -316,7 +322,7 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
         if status is not None:
             row["status"] = status
         rows.append(row)
-    _write(out, _csv_text(rows))
+    _write(out_fh, _csv_text(rows))
     if any(r["status"] == "solver_above_oracle" for r in rows):
         sys.exit(EXIT_FAIL)
     if any(r["status"] == "budget" for r in rows):

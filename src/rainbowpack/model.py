@@ -260,15 +260,3 @@ def submaximal_signature(tau_eta: Signature) -> Signature:
     out[n - 2] += 1
     out[n - 1] -= 1
     return tuple(out)
-
-
-def is_eta_maximal(coll: Collection, tau_eta: Signature) -> bool:
-    return coll.signature == tuple(tau_eta)
-
-
-def is_eta_submaximal(coll: Collection, tau_eta: Signature) -> bool:
-    try:
-        target = submaximal_signature(tuple(tau_eta))
-    except PreconditionError:
-        return False
-    return coll.signature == target

@@ -9,7 +9,7 @@ from functools import partial
 from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
-from .cascade import build_good_graph, cascade_search
+from .cascade import _chains, build_good_graph, cascade_search
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -33,13 +33,12 @@ from .model import (
     BaseSequence,
     Collection,
     colours_of,
-    is_eta_maximal,
-    is_eta_submaximal,
     is_ris,
     istar,
     istarstar,
     lex_compare,
     signature_of_sizes,
+    submaximal_signature,
     underline,
     validate_ris,
 )
@@ -261,17 +260,14 @@ def _tau_dfs(feasible: list, slots: int, sizes: list, picked: list, best, n, met
 
 
 def iter_collections(
-    seq: BaseSequence,
-    max_sets: int,
-    ris_pool: Optional[tuple] = None,
-    rng: Optional[random.Random] = None,
+    seq: BaseSequence, max_sets: int, rng: Optional[random.Random] = None
 ):
     """Lazy stream of nonempty collections (canonically ordered members).
 
     A seeded rng shuffles branch order so bounded prefixes of the stream show
     varied shapes rather than lexicographic near-duplicates.
     """
-    pool = list(ris_pool if ris_pool is not None else enumerate_ris(seq))
+    pool = enumerate_ris(seq)
     order = list(range(len(pool)))
     if rng is not None:
         rng.shuffle(order)
@@ -296,6 +292,7 @@ def _walk_collections(n, max_sets, pool, order, start, chosen, used):
 class HarnessReport:
     lemma: str
     exercised: int = 0
+    checked: int = 0  # exercised configurations whose hypothesis held
     counterexamples: list = field(default_factory=list)
     complete: bool = True
     notes: str = ""
@@ -330,18 +327,32 @@ _qbound_stream = partial(
 
 
 def _some_collections(seq, rng, per_instance=30, max_sets=None):
+    """The stream's first ``per_instance`` collections, less those made only
+    of rainbow bases: they have no roots, so no harness examines them."""
     cap = max_sets if max_sets is not None else seq.n
-    return list(islice(iter_collections(seq, cap, rng=rng), per_instance))
+    prefix = islice(iter_collections(seq, cap, rng=rng), per_instance)
+    return [coll for coll in prefix if coll.signature[seq.n - 1] < len(coll.sets)]
 
 
-def _chains(coll, root):
-    """The empty chain, then every one-set chain that avoids the root's set."""
-    return [()] + [(j,) for j in range(len(coll.sets)) if j != root.index]
+def _statuses(seq):
+    """Signature -> "maximal" or "submaximal" against the exact tau_n.
+
+    The submaximal key is left out where the submaximal signature is
+    undefined, e.g. when tau_n is n rainbow bases.
+    """
+    tau, _ = brute_force_tau_eta(seq, seq.n)
+    statuses = {tau: "maximal"}
+    try:
+        statuses[submaximal_signature(tau)] = "submaximal"
+    except PreconditionError:
+        pass
+    return statuses
 
 
 # Each harness is a generator over one instance's base sequence: for every
 # configuration it examines it yields the counterexamples found there, [] when
-# the lemma holds or its hypothesis fails.  run_lemma_harness does the rest.
+# the lemma holds there and None when its hypothesis fails.  run_lemma_harness
+# does the rest.
 
 
 def _harness_swappable(seq, rng):
@@ -355,7 +366,7 @@ def _harness_swappable(seq, rng):
                 same_colour = [e for e in S if e[1] == c]
                 for yb in witnesses:
                     if is_ris(seq, S | {yb}):
-                        yield []  # witness directly addable
+                        yield None  # witness directly addable
                         continue
                     bad = [
                         x
@@ -399,25 +410,11 @@ def _harness_injection(seq, rng):
             yield found
 
 
-def _classify(coll, tau_eta, eta):
-    if len(coll.sets) > eta:
-        return None
-    if is_eta_maximal(coll, tau_eta):
-        return "maximal"
-    if is_eta_submaximal(coll, tau_eta):
-        return "submaximal"
-    return None
-
-
 def _harness_maxsubmax(seq, rng):
-    eta = seq.n
-    tau_eta, _ = brute_force_tau_eta(seq, eta)
+    statuses = _statuses(seq)
     for coll in _some_collections(seq, rng):
-        if coll.signature[seq.n - 1] >= len(coll.sets):
-            continue
-        status = _classify(coll, tau_eta, eta)
-        top = istar(coll)
-        for root in iter_roots(seq, coll, size=top):
+        status = statuses.get(coll.signature)
+        for root in iter_roots(seq, coll, size=istar(coll)):
             for rec in add_set(seq, root):
                 if coll.index_of_element(rec.element) in (None, root.index):
                     continue
@@ -427,11 +424,9 @@ def _harness_maxsubmax(seq, rng):
                     except PreconditionError:
                         moved = None
                     if moved is None or status is None:
-                        yield []  # no transition or no hypothesis; nothing to check
+                        yield None  # no transition or no hypothesis
                         continue
-                    ok, why = _check_maxsubmax_case(
-                        status, tau_eta, seq.n, moved, eta
-                    )
+                    ok, why = _check_maxsubmax_case(statuses, coll, moved)
                     yield [] if ok else [
                         dict(
                             status=status, signature=list(coll.signature),
@@ -440,17 +435,23 @@ def _harness_maxsubmax(seq, rng):
                     ]
 
 
-def _check_maxsubmax_case(status, tau_eta, n, moved, eta):
+def _check_maxsubmax_case(statuses, coll, moved):
+    """(ok, reason) for a transition ``moved`` of the eta-maximal or
+    eta-submaximal ``coll``, against the signature ``statuses``."""
+    n = coll.n
     coll2 = moved.collection
+    status = statuses.get(coll.signature)
+    result = statuses.get(coll2.signature)
     s0p = len(moved.ris)
-    if status == "maximal" and tau_eta[n - 2] > 0:
-        if not is_eta_maximal(coll2, tau_eta):
+    # case i: tau_n, the signature of a maximal input, holds an (n-1)-set
+    if status == "maximal" and coll.signature[n - 2] > 0:
+        if result != "maximal":
             return False, "result not maximal (case i)"
         if s0p != n - 1:
             return False, f"|S0'|={s0p} != n-1 (case i)"
         return True, None
     if status == "maximal":
-        if not is_eta_submaximal(coll2, tau_eta):
+        if result != "submaximal":
             return False, "result not submaximal (case ii)"
         try:
             if s0p != n - 1 or istar(coll2) != n - 1:
@@ -464,7 +465,7 @@ def _check_maxsubmax_case(status, tau_eta, n, moved, eta):
             return False, f"|S0'|={s0p} != i*(result) (case iii)"
     except PreconditionError:
         return False, "i* undefined on result (case iii)"
-    if not (is_eta_maximal(coll2, tau_eta) or is_eta_submaximal(coll2, tau_eta)):
+    if result is None:
         return False, "result neither maximal nor submaximal (case iii)"
     return True, None
 
@@ -489,7 +490,7 @@ def _harness_exchange(seq, rng):
                 for l, _ in pairs
             )
             if not hyp:
-                yield []
+                yield None
                 continue
             where = dict(S=sorted(S), S_prime=sorted(S_prime))
             try:
@@ -524,15 +525,11 @@ def _harness_levelbound(seq, rng):
         for root in iter_roots(seq, coll):
             graph = build_good_graph(seq, root)
             sizes = graph.cumulative_sizes()
-            terminal_levels = {
-                i for i, lvl in enumerate(graph.levels)
-                if any(v in graph.terminals for v in lvl)
-            }
             where = dict(root=(root.index, root.b))
             found = []
+            # the graph stops at its first level holding a terminal, so only
+            # the last level can hold one
             for lvl in range(len(sizes) - 1):
-                if any(t <= lvl for t in terminal_levels):
-                    break
                 if sizes[lvl + 1] * kappa < sizes[lvl] * alpha:
                     found.append(
                         dict(
@@ -540,7 +537,7 @@ def _harness_levelbound(seq, rng):
                             reason="growth ratio below alpha/kappa",
                         )
                     )
-            if not graph.complete:
+            if not graph.terminals:
                 found.append(
                     dict(where, reason="no terminal vertices despite alpha > kappa")
                 )
@@ -551,19 +548,14 @@ def _harness_qbound(seq, rng):
     n = seq.n
     kappa = seq.overlap_kappa()
     beta = _girth_deficit(seq.matroid, n) or 0
-    eta = n
-    tau_eta, _ = brute_force_tau_eta(seq, eta)
+    statuses = _statuses(seq)
     # at most n - kappa - 1 sets: alpha = n - |collection| is above kappa
     for coll in _some_collections(seq, rng, per_instance=24, max_sets=n - kappa - 1):
         if len(coll.sets) < 3:
             continue
-        status = _classify(coll, tau_eta, eta)
-        try:
-            top = istar(coll)
-        except PreconditionError:
-            continue
-        for root in iter_roots(seq, coll, size=top):
-            for chain in _chains(coll, root):
+        status = statuses.get(coll.signature)
+        for root in iter_roots(seq, coll, size=istar(coll)):
+            for _, chain in _chains(coll, (root,), 2):
                 try:
                     casc = cascade_search(seq, root, chain, good=True)
                 except LevelBoundViolatedError:
@@ -581,7 +573,7 @@ def _harness_qbound(seq, rng):
                         if status is None or not _qbound_side_condition(
                             status, coll, S_prime, n
                         ):
-                            yield []
+                            yield None
                             continue
                         short = len(underline(S) & underline(S_prime)) < q - 2 * beta
                         yield [
@@ -603,19 +595,19 @@ def _qbound_side_condition(status, coll, S_prime, n):
 
 
 def _harness_observation(seq, rng, submax):
-    n = eta = seq.n
-    tau_eta, _ = brute_force_tau_eta(seq, eta)
+    n = seq.n
+    statuses = _statuses(seq)
     for coll in _some_collections(seq, rng, per_instance=25):
-        if coll.signature[n - 1] >= len(coll.sets):
-            continue
-        status = _classify(coll, tau_eta, eta)
+        status = statuses.get(coll.signature)
         hypothesis = status == ("submaximal" if submax else "maximal")
         size = (n - 1) if submax else istar(coll)
         for root in iter_roots(seq, coll, size=size):
-            for chain in _chains(coll, root):
-                casc = cascade_search(seq, root, chain)
+            for _, chain in _chains(coll, (root,), 2):
+                if not hypothesis:
+                    yield None
+                    continue
                 found = []
-                for elem in casc if hypothesis else ():
+                for elem in cascade_search(seq, root, chain):
                     ok, why = _check_observation(seq, coll, chain, elem, submax, n)
                     if not ok:
                         found.append(
@@ -670,8 +662,8 @@ def run_lemma_harness(
     """Sweep generated tiny instances checking one lemma's contract.
 
     The sweep counts every examined configuration (root, chain, transition or
-    pair system) as exercised; conclusion checks fire whenever the lemma's
-    hypotheses hold on the examined configuration.  It stops after the
+    pair system) as exercised, and those on which the lemma's hypotheses hold,
+    the only ones its conclusion is checked on, as checked.  It stops after the
     configuration that reaches the target, or the first one past the
     budget's wall clock.
     """
@@ -693,9 +685,11 @@ def run_lemma_harness(
     )
     for inst, found in configurations:
         report.exercised += 1
-        report.counterexamples += [
-            {"instance": emit_instance(inst), **ce} for ce in found
-        ]
+        if found is not None:
+            report.checked += 1
+            report.counterexamples += [
+                {"instance": emit_instance(inst), **ce} for ce in found
+            ]
         if report.exercised >= target or time.monotonic() > deadline:
             break
     report.complete = report.exercised >= target

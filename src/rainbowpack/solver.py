@@ -36,7 +36,6 @@ from .model import (
     Collection,
     colours_of,
     is_ris,
-    istar,
     lex_compare,
     underline,
     validate_collection,
@@ -171,10 +170,6 @@ def _augment_move(seq, coll, eta, free):
 
 def _cascade_move(seq, coll, params):
     if len(coll.sets) < 3:
-        return None
-    try:
-        istar(coll)
-    except PreconditionError:
         return None
     probes = concentration_probe(seq, coll, PROBE_K, depth_limit=params.depth_limit)
     for probe in probes or ():

@@ -45,7 +45,7 @@ def test_worked_example_graph(bad_root_u36):
     assert set(g.levels[1]) == {(0, 2), (1, 3)}
     assert set(g.levels[2]) == {(5, 2), (3, 3)}
     assert set(g.terminals) == {(5, 2), (3, 3)}
-    assert g.complete
+    assert set(g.terminals) <= set(g.levels[-1])  # it stops at a terminal level
     assert g.parents[(5, 2)] == (0, 2)
     assert g.parents[(3, 3)] == (1, 3)
     assert g.cumulative_sizes() == (1, 3, 5)
@@ -84,7 +84,7 @@ def test_good_transform_level_bound_error():
     )
     root = Root(coll, 0, 1)
     g = build_good_graph(seq, root)
-    assert not g.complete and g.terminals == ()
+    assert g.terminals == ()
     with pytest.raises(LevelBoundViolatedError):
         good_transform(seq, root)
 

@@ -6,7 +6,7 @@ import io
 import pytest
 import yaml
 
-from rainbowpack import instances
+from rainbowpack import cli, instances
 from rainbowpack.cli import (
     CSV_FIELDS,
     EXIT_BUDGET,
@@ -15,6 +15,7 @@ from rainbowpack.cli import (
     EXIT_USAGE,
     run_command,
 )
+from rainbowpack.oracle import run_lemma_harness
 
 
 def gen_instance_file(tmp_path, name="inst.yaml", family="uniform", n=3, extra=()):
@@ -233,6 +234,8 @@ def test_harness_command(capsys):
     ) == EXIT_OK
     out = capsys.readouterr().out
     assert "counterexamples=0" in out and "complete=True" in out
+    checked = run_lemma_harness("swappable", target=30).checked
+    assert f"exercised=30 checked={checked} " in out
 
 
 def test_bench_command(tmp_path):
@@ -313,6 +316,22 @@ def test_unwritable_output_is_usage_error(tmp_path):
         ["bench", "--family", "uniform", "--n", "3", "--seeds", "1", "--out", nowhere],
     ]
     for argv in unwritable:
+        assert run_command(argv) == EXIT_USAGE, argv
+
+
+def test_unwritable_output_fails_before_solving(tmp_path, monkeypatch):
+    inst = str(gen_instance_file(tmp_path))
+    nowhere = str(tmp_path / "missing" / "out")
+
+    def never(*args):
+        raise AssertionError("solved before opening the output paths")
+
+    monkeypatch.setattr(cli, "pack_rainbow_bases", never)
+    for argv in (
+        ["solve", "--instance", inst, "--out", nowhere],
+        ["solve", "--instance", inst, "--log", nowhere],
+        ["bench", "--family", "uniform", "--n", "3", "--seeds", "2", "--out", nowhere],
+    ):
         assert run_command(argv) == EXIT_USAGE, argv
 
 

@@ -10,8 +10,6 @@ from rainbowpack.model import (
     BoundParams,
     Collection,
     colours_of,
-    is_eta_maximal,
-    is_eta_submaximal,
     is_ris,
     istar,
     istarstar,
@@ -183,22 +181,3 @@ def test_submaximal_signature_preconditions():
         submaximal_signature((0, 1, 2))  # t_{n-1} != 0
     with pytest.raises(PreconditionError):
         submaximal_signature((0, 0, 3))  # every set full-size
-
-
-def test_eta_maximality_predicates():
-    tau = (2, 0)  # two singletons is maximal on a trivial instance shape
-    coll = Collection(2, (frozenset({(0, 1)}), frozenset({(1, 1)})))
-    assert is_eta_maximal(coll, tau)
-    assert not is_eta_maximal(coll, (0, 1))
-    # submaximality against an undefined target is simply false, not an error
-    assert not is_eta_submaximal(coll, (2, 0))
-    sub_target = submaximal_signature((0, 0, 2, 0, 4))
-    probe = Collection(
-        5,
-        tuple(
-            frozenset((j, c) for c in range(1, size + 1))
-            for j, size in enumerate([3, 4, 4, 5, 5, 5])
-        ),
-    )
-    assert probe.signature == (0, 0, 1, 2, 3) == sub_target
-    assert is_eta_submaximal(probe, (0, 0, 2, 0, 4))

@@ -9,6 +9,7 @@ import pytest
 from rainbowpack import oracle
 from rainbowpack.cli import EXIT_FAIL, run_command
 from rainbowpack.errors import BudgetExceededError, InputError
+from rainbowpack.exchange import Root
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance, load_instance
 from rainbowpack.matroids import SparsePavingMatroid, UniformMatroid
 from rainbowpack.model import (
@@ -21,8 +22,11 @@ from rainbowpack.model import (
 from rainbowpack.oracle import (
     HARNESS_IDS,
     OracleBudget,
+    _check_maxsubmax_case,
     _max_disjoint,
     _Meter,
+    _qbound_side_condition,
+    _statuses,
     brute_force_t,
     brute_force_t_naive,
     brute_force_tau_eta,
@@ -255,6 +259,88 @@ def test_iter_collections_valid_and_distinct(u24_overlapping):
     assert len(seen) > 4
 
 
+def _sized(n, sizes):
+    """A collection with sets of the given sizes, set j on raw elements
+    10j, 10j + 1, ... and colours 1, 2, ...; no base sequence needed."""
+    return Collection(
+        n,
+        tuple(
+            frozenset((10 * j + c, c) for c in range(1, size + 1))
+            for j, size in enumerate(sizes)
+        ),
+    )
+
+
+def test_eta_statuses(monkeypatch):
+    # a disjoint instance with t = n: tau_n is n rainbow bases, and its
+    # submaximal signature is undefined
+    seq = uniform_seq(3, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
+    assert _statuses(seq) == {(0, 0, 3): "maximal"}
+    # tau_n with no (n-1)-set: the submaximal key is the one-step-below signature
+    tau = (0, 0, 2, 0, 4)
+    monkeypatch.setattr(oracle, "brute_force_tau_eta", lambda seq, eta: (tau, None))
+    statuses = _statuses(seq)
+    assert statuses == {tau: "maximal", (0, 0, 1, 2, 3): "submaximal"}
+    assert statuses.get(_sized(5, [3, 3, 5, 5, 5, 5]).signature) == "maximal"
+    assert statuses.get(_sized(5, [3, 4, 4, 5, 5, 5]).signature) == "submaximal"
+    assert statuses.get(_sized(5, [3, 4, 5, 5, 5, 5]).signature) is None
+    # tau_n with an (n-1)-set: only the maximal key
+    monkeypatch.setattr(
+        oracle, "brute_force_tau_eta", lambda seq, eta: ((0, 1, 1), None)
+    )
+    assert _statuses(seq) == {(0, 1, 1): "maximal"}
+
+
+def _moved(sizes, index):
+    """The root a transition leaves: its collection and the donor's index."""
+    return Root(_sized(3, sizes), index, 1)
+
+
+def test_maxsubmax_cases():
+    # n = 3.  (i): tau_3 = (0, 1, 1) holds a 2-set, so only "maximal" exists
+    with_two = {(0, 1, 1): "maximal"}
+    coll = _sized(3, [2, 3])
+    assert _check_maxsubmax_case(with_two, coll, _moved([3, 2], 1)) == (True, None)
+    assert _check_maxsubmax_case(with_two, coll, _moved([3, 1], 1)) == (
+        False, "result not maximal (case i)",
+    )
+    assert _check_maxsubmax_case(with_two, coll, _moved([2, 3], 1)) == (
+        False, "|S0'|=3 != n-1 (case i)",
+    )
+    # (ii) and (iii): tau_3 = (1, 0, 1), one step below it (0, 2, 0)
+    statuses = {(1, 0, 1): "maximal", (0, 2, 0): "submaximal"}
+    coll = _sized(3, [1, 3])
+    assert _check_maxsubmax_case(statuses, coll, _moved([2, 2], 1)) == (True, None)
+    assert _check_maxsubmax_case(statuses, coll, _moved([1, 3], 0)) == (
+        False, "result not submaximal (case ii)",
+    )
+    coll = _sized(3, [2, 2])
+    assert _check_maxsubmax_case(statuses, coll, _moved([3, 1], 1)) == (True, None)
+    assert _check_maxsubmax_case(statuses, coll, _moved([3, 1], 0)) == (
+        False, "|S0'|=3 != i*(result) (case iii)",
+    )
+    assert _check_maxsubmax_case(statuses, coll, _moved([1, 1, 2], 2)) == (
+        False, "result neither maximal nor submaximal (case iii)",
+    )
+
+
+def test_qbound_side_condition():
+    n = 4
+    # maximal: S' at most n - 1
+    coll = _sized(n, [4, 3, 3, 2])
+    assert _qbound_side_condition("maximal", coll, coll.sets[1], n)
+    assert not _qbound_side_condition("maximal", coll, coll.sets[0], n)
+    # submaximal with two (n-1)-sets: S' below n - 1
+    assert _qbound_side_condition("submaximal", coll, coll.sets[3], n)
+    assert not _qbound_side_condition("submaximal", coll, coll.sets[1], n)
+    # submaximal otherwise: S' below i**, when there is one
+    coll = _sized(n, [4, 3, 2, 1])
+    assert _qbound_side_condition("submaximal", coll, coll.sets[3], n)
+    assert not _qbound_side_condition("submaximal", coll, coll.sets[2], n)
+    # ... and never when there is no i**
+    assert not _qbound_side_condition("submaximal", _sized(n, [4, 3]), frozenset(), n)
+
+
 def test_budget_node_cap(monkeypatch):
     n = 4
     blocks = [set(range(c * n, (c + 1) * n)) for c in range(n)]
@@ -298,6 +384,9 @@ def test_harness_smoke_small_target():
         report = run_lemma_harness(lemma, target=40)
         assert report.ok, report.counterexamples[:2]
         assert report.exercised == 40 and report.complete
+        # injection's hypothesis always holds; a directly addable witness
+        # fails swappable's; every stream collection fails obs1's (t = n)
+        assert report.checked == {"swappable": 3, "injection": 40, "obs1": 0}[lemma]
 
 
 def test_harness_reports_a_broken_lemma(monkeypatch, capsys):

@@ -55,7 +55,7 @@ def test_augmenting_path_matches_oracle(family, mode):
     for n in (2, 3, 4):
         seq = generate_instance(family, n, mode, kappa=2, seed=n).base_sequence()
         all_ris = enumerate_ris(seq)
-        for coll in islice(iter_collections(seq, 3, all_ris, random.Random(n)), 200):
+        for coll in islice(iter_collections(seq, 3, rng=random.Random(n)), 200):
             free = seq.universe - coll.used()
             for S in coll.sets + (frozenset(),):
                 if len(S) == seq.n:
