@@ -153,6 +153,7 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     params = SolverParams(
         bound=BoundParams(alpha=alpha), depth_limit=depth, iteration_budget=budget_ms
     )
+    answers = dict(seq.matroid.answers)  # those of the instance's base checks
     started = time.monotonic()
     result = pack_rainbow_bases(seq, params)
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -169,6 +170,7 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
         "elapsed_ms": elapsed_ms,
         "move_log": log_path,
         "stopped": result.stopped,
+        "independence": {k: v - answers[k] for k, v in seq.matroid.answers.items()},
     }
     if fmt == "csv":
         _write(out_fh, _csv_text([_solve_csv_row(inst, seq, result, elapsed_ms)]))

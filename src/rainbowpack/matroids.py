@@ -13,16 +13,24 @@ A loop that asks many questions about one fixed independent set ``T``
 re-checking T, and :meth:`IndependenceState.extend` gives the state of
 ``T + y``.  Linear states keep row operations that bring T to unit vectors,
 graphic states the component labels of the forest T; uniform and
-sparse-paving states ask the family's closed form directly.  Closure,
-circuits and the girth search are derived from the oracle alone, so they
-are valid for any family that satisfies the matroid axioms.
+sparse-paving states ask the family's closed form directly.
+
+Linear and graphic matroids keep one state that follows a set as it grows:
+when :meth:`Matroid.is_independent` or :meth:`Matroid.state` asks about the
+kept set plus one element, one state query answers, and an independent
+answer moves the kept state to the larger set.  Any other question is an
+isolated query and builds no state; a from-scratch "independent" answer
+only remembers its set, whose state is built when the next question asks
+about it plus one element.  Each matroid counts its independence answers
+(:attr:`Matroid.answers`).  Closure, circuits and the girth search are
+derived from the oracle alone, so they are valid for any family that
+satisfies the matroid axioms.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import mul
 from typing import Iterable
 
 from .errors import (
@@ -52,7 +60,10 @@ def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
 class Matroid:
     """Immutable independence oracle over the ground set ``0..size-1``.
 
-    Each family sets ``rank``, the size of its bases.
+    Each family sets ``rank``, the size of its bases.  ``answers`` counts the
+    answers :meth:`is_independent` has given: ``cached`` (a set asked
+    before), ``incremental`` (one state query) and ``scratch`` (a check of
+    the whole set).
     """
 
     family = "abstract"
@@ -63,14 +74,21 @@ class Matroid:
             raise ValidationError("ground set size must be at least 1")
         self.size = size
         self._indep_cache: dict = {frozenset(): True}
-        self._state = None  # see _kept_state()
+        self.answers = {"cached": 0, "incremental": 0, "scratch": 0}
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         A = _as_element_set(self.size, elements)
         cached = self._indep_cache.get(A)
         if cached is None:
-            cached = self._indep_cache[A] = self._independent(A)
+            cached = self._indep_cache[A] = self._answer(A)
+        else:
+            self.answers["cached"] += 1
         return cached
+
+    def _answer(self, A: frozenset) -> bool:
+        """Independence of a set not asked about before, counted."""
+        self.answers["scratch"] += 1
+        return self._independent(A)
 
     def _independent(self, A: frozenset) -> bool:
         raise NotImplementedError
@@ -80,27 +98,13 @@ class Matroid:
 
         Raises :class:`PreconditionError` when T is dependent.  This state
         asks the family's closed form about each changed set, which costs
-        no more than building it; linear and graphic matroids keep the
-        state of the last T asked about instead, so that a loop over one
-        fixed set builds it once.
+        no more than building it; linear and graphic matroids keep one state
+        instead (see :meth:`_KeptStateMatroid._kept_state`).
         """
         T = _as_element_set(self.size, T)
         if not self._independent(T):
             raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
         return _ClosedFormState(self, T)
-
-    def _kept_state(self, T: Iterable[int]) -> "IndependenceState":
-        """:meth:`state` built by ``_new_state`` and kept for the last T.
-
-        A kept state must hold no reference to its matroid: the two would
-        form a reference cycle, and a dropped matroid, independence cache
-        and all, would wait for the cycle collector.
-        """
-        T = frozenset(T)
-        state = self._state
-        if state is None or state.T != T:
-            state = self._state = self._new_state(_as_element_set(self.size, T))
-        return state
 
     def params(self) -> dict:
         """Family parameters, round-trippable through the instance format."""
@@ -112,6 +116,84 @@ class Matroid:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.params()})"
+
+
+class _KeptStateMatroid(Matroid):
+    """A family whose states are built by ``_new_state`` and worth keeping.
+
+    It keeps one state and one remembered set.  A kept state must hold no
+    reference to its matroid: the two would form a reference cycle, and a
+    dropped matroid, independence cache and all, would wait for the cycle
+    collector.
+    """
+
+    def __init__(self, size: int):
+        super().__init__(size)
+        self._state = None  # the kept state, see _kept_state()
+        self._remembered = None  # the last set found independent from scratch
+
+    def state(self, T):
+        return self._kept_state(T)
+
+    def _kept_state(self, T: Iterable[int]) -> "IndependenceState":
+        """:meth:`state`, from the one kept state where it can be.
+
+        The kept state follows growth by one element: asked about its own
+        set, it is returned as it is; asked about its set plus one element,
+        or about the remembered set plus one, one state query answers
+        (:meth:`_grow`), and an independent answer moves the kept state to
+        the larger set.  Any other set is built afresh and kept.  An
+        isolated :meth:`is_independent` query builds no state; an
+        independent answer from scratch only remembers its set.
+        """
+        T = frozenset(T)
+        state = self._state
+        if state is not None and state.T == T:
+            return state
+        T = _as_element_set(self.size, T)
+        grown = self._grow(T)
+        if grown is None:
+            self._state = self._new_state(T)
+        elif not grown:
+            raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
+        return self._state
+
+    def _answer(self, A):
+        grown = self._grow(A)
+        if grown is None:
+            self.answers["scratch"] += 1
+            grown = self._independent(A)
+            if grown:
+                self._remembered = A
+        else:
+            self.answers["incremental"] += 1
+        return grown
+
+    def _grow(self, A: frozenset):
+        """A's independence when A is the kept set, or else the remembered
+        set, plus one element; None otherwise.
+
+        The remembered set's state is built here, once, and kept; an
+        independent A moves the kept state to A.
+        """
+        state = self._state
+        n = len(A) - 1
+        if state is None or len(state.T) != n or not state.T < A:
+            R = self._remembered
+            if R is None or len(R) != n or not R < A:
+                return None
+            state = self._state = self._new_state(R)
+            self._remembered = None
+        (y,) = A - state.T
+        if not state._query((), (y,)):
+            return False
+        self._state = state._extend(y)
+        return True
+
+    def _new_state(self, T: frozenset) -> "IndependenceState":
+        """The state of T, built from scratch; :class:`PreconditionError`
+        when T is dependent."""
+        raise NotImplementedError
 
 
 class IndependenceState:
@@ -238,7 +320,7 @@ def gf_rank(columns: list, p: int) -> int:
     return len(pivots)
 
 
-class LinearMatroid(Matroid):
+class LinearMatroid(_KeptStateMatroid):
     """Columns of a k-by-m matrix over GF(p); independence is linear independence."""
 
     family = "linear"
@@ -265,21 +347,13 @@ class LinearMatroid(Matroid):
         cols = [self._columns[j] for j in sorted(A)]
         return gf_rank(cols, self.p) == len(cols)
 
-    def state(self, T):
-        return self._kept_state(T)
-
     def _new_state(self, T):
-        k = len(self.matrix)
-        ops = [[int(h == i) for h in range(k)] for i in range(k)]
-        position: dict = {}
+        state = _LinearState(frozenset(), self._columns, self.p, {}, ())
         for x in sorted(T):
-            w = _times(ops, self._columns[x], self.p)
-            r = len(position)
-            if not any(w[r:]):
+            if not state._query((), (x,)):
                 raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
-            _pivot(ops, w, r, self.p)
-            position[x] = r
-        return _LinearState(T, self._columns, self.p, position, ops)
+            state = state._extend(x)
+        return state
 
     def params(self):
         return {"p": self.p, "matrix": [list(row) for row in self.matrix]}
@@ -292,22 +366,28 @@ class LinearMatroid(Matroid):
         return None
 
 
-def _times(ops: list, col, p: int) -> list:
-    return [sum(map(mul, row, col)) % p for row in ops]
+def _pivot_step(w: list, r: int, p: int) -> tuple:
+    """The row operations that turn the column ``w`` into unit vector r,
+    pivoting on the first non-zero entry of w at or below row r.
 
-
-def _pivot(ops: list, w: list, r: int, p: int) -> None:
-    """Row operations on ``ops`` that turn the column ``w = ops y`` into unit
-    vector r, pivoting on the first non-zero entry of w at or below row r."""
+    Returns ``(r, i, inv, factors)``: swap rows r and i, scale row r by
+    ``inv``, then subtract ``factors[j]`` times the new row r from every
+    other row j.
+    """
     i = next(i for i in range(r, len(w)) if w[i])
-    ops[r], ops[i] = ops[i], ops[r]
-    w = list(w)
-    w[r], w[i] = w[i], w[r]
-    inv = pow(w[r], -1, p)
-    top = ops[r] = [a * inv % p for a in ops[r]]
-    for j, f in enumerate(w):
-        if f and j != r:
-            ops[j] = [(a - f * b) % p for a, b in zip(ops[j], top)]
+    factors = list(w)
+    factors[r], factors[i] = factors[i], factors[r]
+    return r, i, pow(factors[r], -1, p), factors
+
+
+def _step(step: tuple, v: list, p: int) -> None:
+    """Apply one :func:`_pivot_step` to the column ``v``, in place."""
+    r, i, inv, factors = step
+    v[r], v[i] = v[i], v[r]
+    c = v[r] * inv % p
+    if c:
+        v[:] = [(a - f * c) % p for a, f in zip(v, factors)]
+        v[r] = c
 
 
 class _LinearState(IndependenceState):
@@ -317,21 +397,25 @@ class _LinearState(IndependenceState):
     A column reduced by E (cached per element) shows at once whether T - x
     plus it is independent: modulo span(T - x), only x's coordinate row and
     the vanishing rows remain, so one added column is independent iff it is
-    non-zero there, and two iff they have rank 2 there.
+    non-zero there, and two iff they have rank 2 there.  E is kept as one
+    pivot step per element of T, in the order they were added, so that
+    :meth:`extend` adds one step and copies no matrix.
     """
 
-    def __init__(self, T, columns, p, position, ops):
+    def __init__(self, T, columns, p, position, steps):
         super().__init__(T, len(columns))
         self.columns = columns
         self.p = p
         self.position = position  # element of T -> its coordinate row
-        self.ops = ops  # E, one list per row
+        self.steps = steps  # one _pivot_step per element of T
         self._reduced: dict = {}  # element -> E times its column
 
     def _vector(self, y: int) -> list:
         w = self._reduced.get(y)
         if w is None:
-            w = self._reduced[y] = _times(self.ops, self.columns[y], self.p)
+            w = self._reduced[y] = list(self.columns[y])
+            for step in self.steps:
+                _step(step, w, self.p)
         return w
 
     def _query(self, gone, new):
@@ -349,11 +433,10 @@ class _LinearState(IndependenceState):
         return any((b - f * a) % p for a, b in zip(u, v))
 
     def _extend(self, y):
-        ops = [list(row) for row in self.ops]
         r = len(self.T)
-        _pivot(ops, self._vector(y), r, self.p)
+        step = _pivot_step(self._vector(y), r, self.p)
         position = {**self.position, y: r}
-        return _LinearState(self.T | {y}, self.columns, self.p, position, ops)
+        return _LinearState(self.T | {y}, self.columns, self.p, position, self.steps + (step,))
 
 
 class _UnionFind:
@@ -375,7 +458,7 @@ class _UnionFind:
         return True
 
 
-class GraphicMatroid(Matroid):
+class GraphicMatroid(_KeptStateMatroid):
     """Edges of a multigraph; a set is independent iff it is acyclic."""
 
     family = "graphic"
@@ -397,9 +480,6 @@ class GraphicMatroid(Matroid):
 
     def _independent(self, A):
         return _forest(self.vertices, self.edges, A) is not None
-
-    def state(self, T):
-        return self._kept_state(T)
 
     def _new_state(self, T):
         labels = _components(self.vertices, self.edges, T)
@@ -456,10 +536,17 @@ def _forest(vertices: int, edges: tuple, A):
 
 
 def _components(vertices: int, edges: tuple, A):
-    """The component of each vertex in the forest ``A``, or None when ``A``
-    has a cycle."""
-    uf = _forest(vertices, edges, A)
-    return None if uf is None else [uf.find(v) for v in range(vertices)]
+    """The component label of each vertex in the forest ``A``, or None when
+    ``A`` has a cycle.  Each edge relabels the component of one end with the
+    label of the other's, as :meth:`_GraphicState.extend` does."""
+    labels = list(range(vertices))
+    for i in A:
+        u, v = edges[i]
+        a, b = labels[u], labels[v]
+        if a == b:
+            return None
+        labels = [a if c == b else c for c in labels]
+    return labels
 
 
 class _GraphicState(IndependenceState):

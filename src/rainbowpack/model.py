@@ -75,6 +75,9 @@ class BaseSequence:
         )
         # the colour classes are disjoint, so the union keeps their objects
         self.universe = frozenset().union(*self._coloured)
+        # each coloured element keyed by itself, so that an equal pair (such
+        # as one read from a move log) finds the universe's own tuple
+        self.own = {ce: ce for ce in self.universe}
 
     def base(self, colour: int) -> frozenset:
         if not 1 <= colour <= self.n:

@@ -75,9 +75,8 @@ MOVE_KINDS = ("augment", "cascade")
 def _change(i, removed, added) -> dict:
     """One entry of a move's ``changes``; both element lists sorted.
 
-    The coloured elements stay the tuples given, so the sets
-    :func:`apply_move` builds from them hold the universe's own objects;
-    ``json.dumps`` writes them as ``[element, colour]`` lists.
+    ``json.dumps`` writes the coloured elements as ``[element, colour]``
+    lists.
     """
     return {"set": i, "removed": list(removed), "added": list(added)}
 
@@ -282,16 +281,22 @@ def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
     changed set is an RIS and each change's ``added`` avoids every other set
     of the result.  Given the precondition, that makes the result pass
     :func:`validate_collection`: untouched sets stay RIS's, and two sets of
-    the result can share only an element one of them gained.
+    the result can share only an element one of them gained.  The sets it
+    builds hold the universe's own coloured elements, whether the move names
+    them by tuples (a solve) or by the lists a log holds (a replay).
     """
+    own = seq.own
     try:
         kind = move["kind"]
         # A change whose three fields were read holds no others iff len == 3.
+        # Added elements become the universe's own tuples (an element outside
+        # it stays a new tuple, which the RIS check rejects); removed ones
+        # leave a set whose elements already are.
         changes = [
             (
                 ch["set"],
                 frozenset(map(tuple, ch["removed"])),
-                frozenset(map(tuple, ch["added"])),
+                frozenset([own.get(y, y) for y in map(tuple, ch["added"])]),
                 len(ch),
             )
             for ch in move["changes"]

@@ -1,4 +1,5 @@
-"""The benchmark's traced runs on the workloads perfbench's own tests skip.
+"""The benchmark's traced runs on the workloads perfbench's own tests skip,
+and the move logs its workloads make at seed 0.
 
 A traced run reports ``correct: false`` when a span its workload requires
 stays empty (dense-oracle: ``exchange.arrow``, ``exchange.add_set``,
@@ -7,6 +8,7 @@ tracing changes a move log.  ``perfbench/test_perfbench.py`` traces
 exact-small only.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +17,15 @@ import sys
 import pytest
 
 RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "run.py")
+
+# The benchmark's movelog_sha256 of one round at seed 0.  A speed-up must
+# leave the move logs byte-identical; a change of behaviour on purpose
+# updates these digests and says why.
+SEED0_MOVELOG_SHA256 = {
+    "exact-small": "31db21403cb74afc4f2215119b3a43e2dc0cc61d192fdc706cb2033a67f3abc8",
+    "dense-oracle": "4db3cc3a1f81b9332f3f180cc6535c3b0d6a7d96f3e6b4c1d417e76e394177f4",
+    "closed-form-large": "19bc96bafef0f4e822331fa2e7ff6c74358f8f0b9c3c6bee6908f562b5288688",
+}
 
 
 @pytest.mark.parametrize("workload", ["dense-oracle", "closed-form-large"])
@@ -26,3 +37,21 @@ def test_traced_run_is_correct(workload):
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert proc.returncode == 0 and result["correct"], proc.stdout[-2000:]
+
+
+def _benchmark_module():
+    module = sys.modules.get("perfbench_run")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+        module = sys.modules["perfbench_run"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look the module up
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(SEED0_MOVELOG_SHA256))
+def test_seed0_move_logs_are_pinned(workload):
+    run = _benchmark_module()
+    ledger = run.Ledger()
+    digest = run.run_round(run.instance_texts(run.WORKLOADS[workload], 0), ledger)
+    assert ledger.failed == 0, ledger.reasons
+    assert digest == SEED0_MOVELOG_SHA256[workload]

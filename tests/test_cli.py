@@ -106,6 +106,22 @@ def test_solve_reports_why_it_stopped(tmp_path):
     ) == EXIT_OK
 
 
+def test_solve_reports_independence_answers(tmp_path):
+    # Each answer the solve's is_independent calls got, by how it was found;
+    # a linear matroid answers most growth by one element from its kept state.
+    report = tmp_path / "report.yaml"
+    for family in ("linear", "uniform"):
+        inst = gen_instance_file(tmp_path, family=family, n=5)
+        assert run_command(["solve", "--instance", str(inst), "--out", str(report)]) == EXIT_OK
+        answers = yaml.safe_load(report.read_text())["independence"]
+        assert set(answers) == {"cached", "incremental", "scratch"}
+        assert all(type(v) is int and v >= 0 for v in answers.values())
+        if family == "linear":
+            assert answers["incremental"] > answers["scratch"]
+        else:
+            assert answers["incremental"] == 0 and answers["scratch"] > 0
+
+
 def test_verify_missing_log_or_report_is_usage_error(tmp_path):
     inst = gen_instance_file(tmp_path)
     report = tmp_path / "report.yaml"

@@ -233,17 +233,51 @@ def all_matroids():
     return linear_matroids() | graphic_matroids() | uniform_matroids() | sparse_paving_matroids()
 
 
-@st.composite
-def independent_sets(draw, M):
-    """An independent set: the greedy maximal subset of a random subset."""
-    pick = draw(st.sets(st.integers(0, M.size - 1)))
-    return max_independent_subset(M, pick)
-
-
 @settings(deadline=None)
 @given(linear_matroids() | graphic_matroids())
 def test_closed_form_rank_matches_greedy(M):
     assert M.rank == len(max_independent_subset(M, range(M.size)))
+
+
+def _acyclic(vertices, edges):
+    """Plain union-find: False at the first edge that closes a cycle."""
+    parent = list(range(vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        a, b = root(u), root(v)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+def _from_scratch(M, A):
+    """Whether A is independent in M, from the family's definition alone:
+    never through the matroid's cache, kept state or counters."""
+    A = sorted(A)
+    if M.family == "linear":
+        return _rref_rank([[row[j] for row in M.matrix] for j in A], M.p) == len(A)
+    if M.family == "graphic":
+        return _acyclic(M.vertices, [M.edges[j] for j in A])
+    if M.family == "uniform":
+        return len(A) <= M.k
+    return len(A) < M.k or (len(A) == M.k and frozenset(A) not in M.circuit_hyperplanes)
+
+
+@st.composite
+def independent_sets(draw, M):
+    """An independent set found without asking M: the greedy maximal
+    subset of a random subset, by :func:`_from_scratch`."""
+    picked: set = set()
+    for e in sorted(draw(st.sets(st.integers(0, M.size - 1)))):
+        if _from_scratch(M, picked | {e}):
+            picked.add(e)
+    return frozenset(picked)
 
 
 @settings(deadline=None)
@@ -253,7 +287,7 @@ def test_exchange_query_matches_oracle(data, M):
     state = M.state(T)
     for x in sorted(T):
         for y in range(M.size):  # y == x, y in T and loops included
-            assert state.independent((x,), (y,)) == M.is_independent(T - {x} | {y})
+            assert state.independent((x,), (y,)) == _from_scratch(M, T - {x} | {y})
 
 
 @settings(deadline=None)
@@ -269,7 +303,7 @@ def test_exchange_query_alternating_targets(data, M):
     # alternate between the two targets, so the cached state keeps changing
     queries = [q for pair in zip(queries, reversed(queries)) for q in pair]
     for T, x, y in queries:
-        assert M.state(T).independent((x,), (y,)) == M.is_independent(T - {x} | {y})
+        assert M.state(T).independent((x,), (y,)) == _from_scratch(M, T - {x} | {y})
 
 
 def test_exchange_query_preconditions():
@@ -302,7 +336,7 @@ def test_state_matches_oracle(data, M):
     T = data.draw(independent_sets(M))
     state = M.state(T)
     for removed, added in _queries(M, T):
-        want = M.is_independent(T - set(removed) | set(added))
+        want = _from_scratch(M, T - set(removed) | set(added))
         assert state.independent(removed, added) == want, (sorted(T), removed, added)
 
 
@@ -313,13 +347,13 @@ def test_state_extend_chains(data, M):
     for start in (data.draw(independent_sets(M)), frozenset()):
         state = M.state(start)
         for y in order:  # the chain ends at a base, |base - start| steps long
-            if not M.is_independent(state.T | {y}):
+            if not _from_scratch(M, state.T | {y}):
                 with pytest.raises(PreconditionError):
                     state.extend(y)
                 continue
             state = state.extend(y)
             for removed, added in _queries(M, state.T):
-                want = M.is_independent(state.T - set(removed) | set(added))
+                want = _from_scratch(M, state.T - set(removed) | set(added))
                 assert state.independent(removed, added) == want
         assert len(state.T) == M.rank and start <= state.T
 
@@ -328,34 +362,109 @@ def test_state_extend_chains(data, M):
 @given(st.data(), all_matroids())
 def test_state_rejects_dependent_sets(data, M):
     A = frozenset(data.draw(st.sets(st.integers(0, M.size - 1))))
-    if M.is_independent(A):
+    if _from_scratch(M, A):
         assert M.state(A).T == A
     else:
         with pytest.raises(PreconditionError):
             M.state(A)
 
 
+def _one_more(T, A):
+    return len(A) == len(T) + 1 and T < A
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), linear_matroids() | graphic_matroids())
+def test_kept_state_follows_growth(data, M):
+    # Growth chains through is_independent (dependent extensions included),
+    # states of other sets and isolated queries, interleaved.  Every answer
+    # must equal a from-scratch check, and be counted as the rule says: a
+    # set one element larger than the kept set, or than the set last found
+    # independent from scratch, takes one state query; an independent answer
+    # moves the kept set to it, and a dependent one leaves it where it was.
+    sets = st.frozensets(st.integers(0, M.size - 1))
+    asked = {frozenset()}
+    kept = remembered = None
+    chain = frozenset()
+
+    def grow(A):
+        """The rule: whether A is answered from a state, and the new kept set."""
+        nonlocal kept, remembered
+        if kept is None or not _one_more(kept, A):
+            if remembered is None or not _one_more(remembered, A):
+                return False
+            kept, remembered = remembered, None
+        if _from_scratch(M, A):
+            kept = A
+        return True
+
+    ops = ("grow", "restart", "state", "isolated")
+    for op in data.draw(st.lists(st.sampled_from(ops), max_size=30)):
+        if op == "restart":
+            chain = data.draw(independent_sets(M))
+            continue
+        A = chain | {data.draw(st.integers(0, M.size - 1))} if op == "grow" else data.draw(sets)
+        want = _from_scratch(M, A)
+        if op == "state":
+            if kept != A and not grow(A) and want:
+                kept = A
+            if want:
+                assert M.state(A).T == A
+            else:
+                with pytest.raises(PreconditionError):
+                    M.state(A)
+            continue
+        before = dict(M.answers)
+        assert M.is_independent(A) == want, (sorted(A), op)
+        if A in asked:
+            kind = "cached"
+        elif grow(A):
+            kind = "incremental"
+        else:
+            kind = "scratch"
+            if want:
+                remembered = A
+        asked.add(A)
+        assert {k: M.answers[k] - before[k] for k in before} == {
+            k: int(k == kind) for k in before
+        }, (sorted(A), op)
+        if op == "grow" and want:
+            chain = A
+
+
+def _query_states(M):
+    want = M.is_independent({1, 2, 3})
+    assert M.state({0}).extend(2).independent((0,), (1, 3)) == want
+
+
+def _grow_a_chain(M):
+    # {0}, {0, 1}, ... : on linear and graphic matroids the kept state
+    # follows the chain
+    for k in range(1, M.size + 1):
+        assert M.is_independent(range(k)) == _from_scratch(M, range(k))
+
+
 def test_states_hold_no_reference_cycle():
-    # A matroid whose state is kept must still be freed by reference
-    # counting, with its independence cache, once the caller drops it.
+    # A matroid that keeps a state must still be freed by reference
+    # counting, with its independence cache, once the caller drops it: after
+    # state queries, and right after a growth chain through is_independent.
     for build in (
         lambda: LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]]),
         lambda: GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         lambda: UniformMatroid(2, 4),
         lambda: SparsePavingMatroid(2, 4, [[0, 1]]),
     ):
-        M = build()
-        gc.collect()
-        gc.disable()
-        try:
-            want = M.is_independent({1, 2, 3})
-            state = M.state({0}).extend(2)
-            got = state.independent((0,), (1, 3))
-            ref = weakref.ref(M)
-            del M, state
-            assert ref() is None and got == want
-        finally:
-            gc.enable()
+        for use in (_query_states, _grow_a_chain):
+            M = build()
+            gc.collect()
+            gc.disable()
+            try:
+                use(M)
+                ref = weakref.ref(M)
+                del M
+                assert ref() is None, use.__name__
+            finally:
+                gc.enable()
 
 
 def test_state_query_limits():

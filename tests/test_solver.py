@@ -356,6 +356,22 @@ def test_solved_sets_hold_the_universes_objects():
     assert kinds == set(solver.MOVE_KINDS)
 
 
+def test_replayed_sets_hold_the_universes_objects():
+    # A replay reads [element, colour] lists from the log; the collection it
+    # builds must still hold the universe's own tuples, as a solve's does.
+    for family in GENERATOR_FAMILIES:
+        seq = generate_instance(family, 4, "overlapping", kappa=2, seed=1).base_sequence()
+        own = {ce: ce for ce in seq.universe}
+        log = load_move_log(dump_move_log(pack_rainbow_bases(seq).moves))
+        replayed = replay_moves(seq, log)
+        assert replayed.sets and all(own[ce] is ce for S in replayed.sets for ce in S), family
+        for edit in ([99, 1], [0, seq.n + 1]):  # outside the universe
+            broken = copy.deepcopy(log)
+            broken[-1]["changes"][0]["added"].append(edit)
+            with pytest.raises(CorruptedTraceError, match=f"move {len(log) - 1}: "):
+                replay_moves(seq, broken)
+
+
 def test_moves_keep_the_cached_signature(monkeypatch):
     # Collection trusts a signature it is given, so every collection that
     # apply_move builds, in a solve and in its replay, must carry the
