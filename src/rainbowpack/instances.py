@@ -45,7 +45,9 @@ def _require(mapping, key, kind, where):
     if not isinstance(mapping, dict) or key not in mapping:
         raise InputError(f"{where}: missing field {key!r}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    # not isinstance: YAML's true and false load as bools, which isinstance
+    # counts as integers
+    if kind is not None and type(value) is not kind:
         raise InputError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -78,7 +80,7 @@ def load_instance(text: str) -> tuple:
     bases_raw = _require(data, "bases", list, "instance")
     bases = []
     for c, base in enumerate(bases_raw, start=1):
-        if not isinstance(base, list) or not all(isinstance(x, int) for x in base):
+        if not isinstance(base, list) or not all(type(x) is int for x in base):
             raise InputError(f"bases[{c}]: expected a list of integers")
         bases.append(tuple(sorted(base)))
 
@@ -88,7 +90,7 @@ def load_instance(text: str) -> tuple:
     beta = declared.get("beta")
     kappa = declared.get("kappa")
     for name, value in (("beta", beta), ("kappa", kappa)):
-        if value is not None and not isinstance(value, int):
+        if value is not None and type(value) is not int:
             raise InputError(f"declared.{name}: expected an integer")
 
     provenance = data.get("provenance") or {}

@@ -3,8 +3,8 @@
 Elements of a matroid are the integers ``0..m-1``.  Every family answers
 independence queries through :meth:`Matroid.is_independent`, and gives its
 rank in closed form: ``k`` for uniform and sparse-paving matroids, one
-forward elimination of the columns (:func:`gf_rank`) for linear ones, one
-union-find pass over the edges for graphic ones.
+elimination of the columns (:func:`gf_rank`) for linear ones, one
+relabelling pass over the edges for graphic ones.
 
 A loop that asks many questions about one fixed independent set ``T``
 ("is T - x + y independent?", "is T - x + y + z?") asks them through
@@ -18,12 +18,15 @@ sparse-paving states ask the family's closed form directly.
 Linear and graphic matroids keep one state that follows a set as it grows:
 when :meth:`Matroid.is_independent` or :meth:`Matroid.state` asks about the
 kept set plus one element, one state query answers, and an independent
-answer moves the kept state to the larger set.  Any other question is an
-isolated query and builds no state; a from-scratch "independent" answer
-only remembers its set, whose state is built when the next question asks
-about it plus one element.  Each matroid counts its independence answers
-(:attr:`Matroid.answers`).  Closure, circuits and the girth search are
-derived from the oracle alone, so they are valid for any family that
+answer moves the kept state to the larger set.  Any other set is checked
+from scratch, and that check is the state build itself: the pivot steps of
+its columns, or the component labels of its edges, stopping at the first
+dependent element.  An independent set's state becomes the kept one,
+except that an isolated answer about a base keeps none: no growth of a base
+is independent.  Each family has this one elimination for its rank, its
+from-scratch answers and its states.  Each matroid counts its independence
+answers (:attr:`Matroid.answers`).  Closure, circuits and the girth search
+are derived from the oracle alone, so they are valid for any family that
 satisfies the matroid axioms.
 """
 
@@ -52,7 +55,7 @@ def _outside(m: int, e) -> InputError:
 def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
     A = frozenset(elements)
     for e in A:
-        if not isinstance(e, int) or not 0 <= e < m:
+        if type(e) is not int or not 0 <= e < m:
             raise _outside(m, e)
     return A
 
@@ -119,18 +122,16 @@ class Matroid:
 
 
 class _KeptStateMatroid(Matroid):
-    """A family whose states are built by ``_new_state`` and worth keeping.
+    """A family whose from-scratch check, ``_build``, builds a state.
 
-    It keeps one state and one remembered set.  A kept state must hold no
-    reference to its matroid: the two would form a reference cycle, and a
-    dropped matroid, independence cache and all, would wait for the cycle
-    collector.
+    It keeps one state.  A kept state must hold no reference to its
+    matroid: the two would form a reference cycle, and a dropped matroid,
+    independence cache and all, would wait for the cycle collector.
     """
 
     def __init__(self, size: int):
         super().__init__(size)
         self._state = None  # the kept state, see _kept_state()
-        self._remembered = None  # the last set found independent from scratch
 
     def state(self, T):
         return self._kept_state(T)
@@ -138,13 +139,12 @@ class _KeptStateMatroid(Matroid):
     def _kept_state(self, T: Iterable[int]) -> "IndependenceState":
         """:meth:`state`, from the one kept state where it can be.
 
-        The kept state follows growth by one element: asked about its own
-        set, it is returned as it is; asked about its set plus one element,
-        or about the remembered set plus one, one state query answers
-        (:meth:`_grow`), and an independent answer moves the kept state to
-        the larger set.  Any other set is built afresh and kept.  An
-        isolated :meth:`is_independent` query builds no state; an
-        independent answer from scratch only remembers its set.
+        Asked about its own set, the kept state is returned as it is; asked
+        about its set plus one element, one state query answers
+        (:meth:`_grow`).  Any other set is built from scratch
+        (:meth:`_check`).  Either way an independent set's state becomes
+        the kept one; :meth:`is_independent` keeps it too, unless the set
+        is a base.
         """
         T = frozenset(T)
         state = self._state
@@ -153,46 +153,47 @@ class _KeptStateMatroid(Matroid):
         T = _as_element_set(self.size, T)
         grown = self._grow(T)
         if grown is None:
-            self._state = self._new_state(T)
-        elif not grown:
+            grown = self._check(T)
+        if not grown:
             raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
         return self._state
 
     def _answer(self, A):
         grown = self._grow(A)
-        if grown is None:
-            self.answers["scratch"] += 1
-            grown = self._independent(A)
-            if grown:
-                self._remembered = A
-        else:
+        if grown is not None:
             self.answers["incremental"] += 1
-        return grown
+            return grown
+        self.answers["scratch"] += 1
+        if len(A) >= self.rank:
+            # A base has no independent growth to answer, and keeping its
+            # state would drop the one a caller works on: the cyclic
+            # exchange checks exchanged bases while arrow asks state() of
+            # its root set.
+            return self._build(A) is not None
+        return self._check(A)
 
     def _grow(self, A: frozenset):
-        """A's independence when A is the kept set, or else the remembered
-        set, plus one element; None otherwise.
-
-        The remembered set's state is built here, once, and kept; an
-        independent A moves the kept state to A.
-        """
+        """A's independence when A is the kept set plus one element, None
+        otherwise; an independent A moves the kept state to A."""
         state = self._state
-        n = len(A) - 1
-        if state is None or len(state.T) != n or not state.T < A:
-            R = self._remembered
-            if R is None or len(R) != n or not R < A:
-                return None
-            state = self._state = self._new_state(R)
-            self._remembered = None
+        if state is None or len(state.T) != len(A) - 1 or not state.T < A:
+            return None
         (y,) = A - state.T
         if not state._query((), (y,)):
             return False
         self._state = state._extend(y)
         return True
 
-    def _new_state(self, T: frozenset) -> "IndependenceState":
-        """The state of T, built from scratch; :class:`PreconditionError`
-        when T is dependent."""
+    def _check(self, A: frozenset) -> bool:
+        """A's independence from scratch; an independent A's state is kept."""
+        state = self._build(A)
+        if state is None:
+            return False
+        self._state = state
+        return True
+
+    def _build(self, T: frozenset):
+        """The state of T, or None at T's first dependent element."""
         raise NotImplementedError
 
 
@@ -222,7 +223,7 @@ class IndependenceState:
         new = []
         for y in added:
             if y not in T and y not in new:
-                if not isinstance(y, int) or not 0 <= y < self.size:
+                if type(y) is not int or not 0 <= y < self.size:
                     raise _outside(self.size, y)
                 new.append(y)
         if not new:
@@ -294,30 +295,18 @@ def _is_prime(p: int) -> bool:
 
 
 def gf_rank(columns: list, p: int) -> int:
-    """Rank of a list of column vectors over GF(p) by forward elimination.
+    """Rank of a list of column vectors over GF(p).
 
-    Each column is reduced against the pivot columns kept so far; a column
-    that stays non-zero becomes a pivot, scaled to 1 at its first non-zero
-    row.  Stops once there are as many pivots as rows.
+    Each column, reduced mod p, goes through :func:`_pivot`: a column that
+    depends on the earlier ones adds no pivot step.  Stops once there are
+    as many pivot steps as rows.
     """
     rows = len(columns[0]) if columns else 0
-    # (row i, the pivot column from row i on): 1 at row i, 0 above it and at
-    # earlier pivots' rows
-    pivots: list = []
+    steps: list = []
     for col in columns:
-        v = [a % p for a in col]
-        for i, u in pivots:
-            f = v[i]
-            if f:
-                v[i:] = [(a - f * b) % p for a, b in zip(v[i:], u)]
-        i = next((i for i, a in enumerate(v) if a), None)
-        if i is None:
-            continue
-        inv = pow(v[i], -1, p)
-        pivots.append((i, [a * inv % p for a in v[i:]]))
-        if len(pivots) == rows:
+        if _pivot(steps, [a % p for a in col], p) and len(steps) == rows:
             break
-    return len(pivots)
+    return len(steps)
 
 
 class LinearMatroid(_KeptStateMatroid):
@@ -335,7 +324,7 @@ class LinearMatroid(_KeptStateMatroid):
             raise ValidationError("matrix rows have unequal lengths")
         for row in matrix:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < p:
+                if type(v) is not int or not 0 <= v < p:
                     raise ValidationError(f"matrix entry {v!r} not reduced mod {p}")
         super().__init__(width)
         self.p = p
@@ -343,17 +332,14 @@ class LinearMatroid(_KeptStateMatroid):
         self._columns = [tuple(row[j] for row in matrix) for j in range(width)]
         self.rank = gf_rank(self._columns, p)
 
-    def _independent(self, A):
-        cols = [self._columns[j] for j in sorted(A)]
-        return gf_rank(cols, self.p) == len(cols)
-
-    def _new_state(self, T):
-        state = _LinearState(frozenset(), self._columns, self.p, {}, ())
-        for x in sorted(T):
-            if not state._query((), (x,)):
-                raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
-            state = state._extend(x)
-        return state
+    def _build(self, T):
+        order = sorted(T)
+        steps: list = []
+        for x in order:
+            if not _pivot(steps, list(self._columns[x]), self.p):
+                return None
+        position = {x: r for r, x in enumerate(order)}
+        return _LinearState(T, self._columns, self.p, position, tuple(steps))
 
     def params(self):
         return {"p": self.p, "matrix": [list(row) for row in self.matrix]}
@@ -380,14 +366,28 @@ def _pivot_step(w: list, r: int, p: int) -> tuple:
     return r, i, pow(factors[r], -1, p), factors
 
 
-def _step(step: tuple, v: list, p: int) -> None:
-    """Apply one :func:`_pivot_step` to the column ``v``, in place."""
-    r, i, inv, factors = step
-    v[r], v[i] = v[i], v[r]
-    c = v[r] * inv % p
-    if c:
-        v[:] = [(a - f * c) % p for a, f in zip(v, factors)]
-        v[r] = c
+def _reduce(steps, v: list, p: int) -> None:
+    """Apply the pivot steps ``steps`` (see :func:`_pivot_step`), in order,
+    to the column ``v``, in place."""
+    for r, i, inv, factors in steps:
+        v[r], v[i] = v[i], v[r]
+        c = v[r] * inv % p
+        if c:
+            v[:] = [(a - f * c) % p for a, f in zip(v, factors)]
+            v[r] = c
+
+
+def _pivot(steps: list, v: list, p: int) -> bool:
+    """Reduce the column ``v`` (entries mod p, changed in place) by
+    ``steps``, the pivot steps of the independent columns before it, and
+    append its own :func:`_pivot_step` when it stays non-zero below them.
+    Returns whether it did: whether v is independent of those columns."""
+    _reduce(steps, v, p)
+    r = len(steps)
+    if not any(v[r:]):
+        return False
+    steps.append(_pivot_step(v, r, p))
+    return True
 
 
 class _LinearState(IndependenceState):
@@ -414,8 +414,7 @@ class _LinearState(IndependenceState):
         w = self._reduced.get(y)
         if w is None:
             w = self._reduced[y] = list(self.columns[y])
-            for step in self.steps:
-                _step(step, w, self.p)
+            _reduce(self.steps, w, self.p)
         return w
 
     def _query(self, gone, new):
@@ -439,25 +438,6 @@ class _LinearState(IndependenceState):
         return _LinearState(self.T | {y}, self.columns, self.p, position, self.steps + (step,))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; False if already merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 class GraphicMatroid(_KeptStateMatroid):
     """Edges of a multigraph; a set is independent iff it is acyclic."""
 
@@ -467,7 +447,7 @@ class GraphicMatroid(_KeptStateMatroid):
         if vertices < 1:
             raise ValidationError("graph needs at least one vertex")
         for e in edges:
-            if len(e) != 2 or not all(isinstance(v, int) and 0 <= v < vertices for v in e):
+            if len(e) != 2 or not all(type(v) is int and 0 <= v < vertices for v in e):
                 raise ValidationError(f"edge {e!r} references invalid vertices")
         if not edges:
             raise ValidationError("graph needs at least one edge")
@@ -475,17 +455,14 @@ class GraphicMatroid(_KeptStateMatroid):
         self.vertices = vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         # a spanning forest's edge count: vertices minus components
-        uf = _UnionFind(vertices)
-        self.rank = sum(uf.union(u, v) for u, v in self.edges)
+        labels = list(range(vertices))
+        for u, v in self.edges:
+            labels = _joined(labels, u, v) or labels
+        self.rank = vertices - len(set(labels))
 
-    def _independent(self, A):
-        return _forest(self.vertices, self.edges, A) is not None
-
-    def _new_state(self, T):
+    def _build(self, T):
         labels = _components(self.vertices, self.edges, T)
-        if labels is None:
-            raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
-        return _GraphicState(T, self.vertices, self.edges, labels)
+        return None if labels is None else _GraphicState(T, self.vertices, self.edges, labels)
 
     def params(self):
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
@@ -524,28 +501,23 @@ class GraphicMatroid(_KeptStateMatroid):
         return best
 
 
-def _forest(vertices: int, edges: tuple, A):
-    """Union-find over the vertices joined by the edges ``A`` (indices into
-    ``edges``), or None when ``A`` has a cycle."""
-    uf = _UnionFind(vertices)
-    for i in A:
-        u, v = edges[i]
-        if u == v or not uf.union(u, v):
-            return None
-    return uf
+def _joined(labels: list, u: int, v: int):
+    """The component labels once an edge joins u and v: v's component takes
+    u's label.  None when u and v already share a component."""
+    a, b = labels[u], labels[v]
+    if a == b:
+        return None
+    return [a if c == b else c for c in labels]
 
 
 def _components(vertices: int, edges: tuple, A):
-    """The component label of each vertex in the forest ``A``, or None when
-    ``A`` has a cycle.  Each edge relabels the component of one end with the
-    label of the other's, as :meth:`_GraphicState.extend` does."""
+    """The component label of each vertex in the forest ``A`` (indices into
+    ``edges``), or None at the first edge of ``A`` that closes a cycle."""
     labels = list(range(vertices))
     for i in A:
-        u, v = edges[i]
-        a, b = labels[u], labels[v]
-        if a == b:
+        labels = _joined(labels, *edges[i])
+        if labels is None:
             return None
-        labels = [a if c == b else c for c in labels]
     return labels
 
 
@@ -582,9 +554,7 @@ class _GraphicState(IndependenceState):
         return (a if c == b else c) != (a if d == b else d)
 
     def _extend(self, y):
-        u, v = self.edges[y]
-        a, b = self.labels[u], self.labels[v]
-        labels = [a if c == b else c for c in self.labels]
+        labels = _joined(self.labels, *self.edges[y])
         return _GraphicState(self.T | {y}, self.vertices, self.edges, labels)
 
 

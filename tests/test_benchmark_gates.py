@@ -1,5 +1,6 @@
 """The benchmark's traced runs on the workloads perfbench's own tests skip,
-and the move logs its workloads make at seed 0.
+the move logs its workloads make at seed 0, and how the independence oracle
+answers on its dense-oracle workload.
 
 A traced run reports ``correct: false`` when a span its workload requires
 stays empty (dense-oracle: ``exchange.arrow``, ``exchange.add_set``,
@@ -25,6 +26,17 @@ SEED0_MOVELOG_SHA256 = {
     "exact-small": "31db21403cb74afc4f2215119b3a43e2dc0cc61d192fdc706cb2033a67f3abc8",
     "dense-oracle": "4db3cc3a1f81b9332f3f180cc6535c3b0d6a7d96f3e6b4c1d417e76e394177f4",
     "closed-form-large": "19bc96bafef0f4e822331fa2e7ff6c74358f8f0b9c3c6bee6908f562b5288688",
+}
+
+# The independence answers (cached, incremental, scratch) of the seed-0
+# dense-oracle instances by step and family, base checks left out: the solve,
+# then the replay of its log on a fresh base sequence.  A change to how the
+# linear and graphic matroids keep their state shows here first.
+SEED0_DENSE_ORACLE_ANSWERS = {
+    ("solve", "graphic"): [1729, 2379, 95],
+    ("solve", "linear"): [635, 664, 20],
+    ("replay", "graphic"): [226, 1020, 121],
+    ("replay", "linear"): [36, 619, 36],
 }
 
 
@@ -55,3 +67,23 @@ def test_seed0_move_logs_are_pinned(workload):
     digest = run.run_round(run.instance_texts(run.WORKLOADS[workload], 0), ledger)
     assert ledger.failed == 0, ledger.reasons
     assert digest == SEED0_MOVELOG_SHA256[workload]
+
+
+def test_seed0_dense_oracle_answer_routing():
+    run = _benchmark_module()
+    totals: dict = {}
+    for text in run.instance_texts(run.WORKLOADS["dense-oracle"], 0):
+        inst = run.instances.parse_instance(text)
+        log = None
+        for step in ("solve", "replay"):
+            seq = inst.base_sequence()
+            before = dict(seq.matroid.answers)
+            if log is None:
+                result = run.solver.pack_rainbow_bases(seq, run._solver_params(inst))
+                log = run.solver.dump_move_log(result.moves)
+            else:
+                run.solver.replay_moves(seq, run.solver.load_move_log(log))
+            counts = totals.setdefault((step, inst.family), [0, 0, 0])
+            for i, kind in enumerate(("cached", "incremental", "scratch")):
+                counts[i] += seq.matroid.answers[kind] - before[kind]
+    assert totals == SEED0_DENSE_ORACLE_ANSWERS

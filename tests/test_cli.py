@@ -122,6 +122,14 @@ def test_solve_reports_independence_answers(tmp_path):
             assert answers["incremental"] == 0 and answers["scratch"] > 0
 
 
+def test_solve_rejects_a_boolean_version(tmp_path):
+    inst = gen_instance_file(tmp_path)
+    text = inst.read_text()
+    assert "version: 1\n" in text
+    inst.write_text(text.replace("version: 1\n", "version: true\n"))
+    assert run_command(["solve", "--instance", str(inst)]) == EXIT_FAIL
+
+
 def test_verify_missing_log_or_report_is_usage_error(tmp_path):
     inst = gen_instance_file(tmp_path)
     report = tmp_path / "report.yaml"

@@ -97,6 +97,49 @@ def test_parse_rejects_malformed():
             parse_instance(f"version: 1\nmatroid: {matroid}\nbases: [[0, 1], [2, 3]]\n")
 
 
+_UNIFORM = "matroid: {family: uniform, params: {k: 2, m: 4}}\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("version: true\n" + _UNIFORM + "bases: [[0, 1], [2, 3]]\n", InputError),
+        (
+            "version: 1\nmatroid: {family: uniform, params: {k: 3, m: 6}}\n"
+            "bases: [[false, true, 2], [3, 4, 5], [0, 2, 4]]\n",
+            InputError,
+        ),
+        (
+            "version: 1\n" + _UNIFORM + "bases: [[0, 1], [2, 3]]\ndeclared: {beta: true}\n",
+            InputError,
+        ),
+        (
+            "version: 1\nmatroid: {family: linear, params: {p: 2, matrix: [[1, 0], [0, true]]}}\n"
+            "bases: [[0, 1], [0, 1]]\n",
+            ValidationError,
+        ),
+        (
+            "version: 1\nmatroid: {family: graphic, params: {vertices: 4, edges: "
+            "[[false, 3], [1, 2], [2, 3], [0, 1], [1, 3], [0, 2]]}}\n"
+            "bases: [[0, 1, 2], [3, 4, 5], [2, 3, 5]]\n",
+            ValidationError,
+        ),
+        (
+            "version: 1\nmatroid: {family: sparse_paving, params: "
+            "{k: 3, m: 6, circuit_hyperplanes: [[false, true, 5]]}}\n"
+            "bases: [[0, 1, 2], [3, 4, 5], [0, 2, 4]]\n",
+            InputError,  # an element outside the ground set
+        ),
+    ],
+    ids=["version", "base", "declared", "matrix-entry", "edge", "hyperplane"],
+)
+def test_parse_rejects_booleans_for_integers(text, error):
+    # YAML's true and false are not integers anywhere in the format: kept,
+    # they would give the same instance another digest
+    with pytest.raises(error):
+        load_instance(text)
+
+
 def test_parse_rejects_non_base():
     with pytest.raises(ValidationError):
         parse_instance(

@@ -233,12 +233,6 @@ def all_matroids():
     return linear_matroids() | graphic_matroids() | uniform_matroids() | sparse_paving_matroids()
 
 
-@settings(deadline=None)
-@given(linear_matroids() | graphic_matroids())
-def test_closed_form_rank_matches_greedy(M):
-    assert M.rank == len(max_independent_subset(M, range(M.size)))
-
-
 def _acyclic(vertices, edges):
     """Plain union-find: False at the first edge that closes a cycle."""
     parent = list(range(vertices))
@@ -269,15 +263,29 @@ def _from_scratch(M, A):
     return len(A) < M.k or (len(A) == M.k and frozenset(A) not in M.circuit_hyperplanes)
 
 
-@st.composite
-def independent_sets(draw, M):
-    """An independent set found without asking M: the greedy maximal
-    subset of a random subset, by :func:`_from_scratch`."""
+def _greedy(M, elements):
+    """A maximal independent subset of ``elements``, found without asking
+    M: greedy by :func:`_from_scratch`."""
     picked: set = set()
-    for e in sorted(draw(st.sets(st.integers(0, M.size - 1)))):
+    for e in sorted(elements):
         if _from_scratch(M, picked | {e}):
             picked.add(e)
     return frozenset(picked)
+
+
+@settings(deadline=None)
+@given(linear_matroids() | graphic_matroids())
+def test_closed_form_rank_matches_greedy(M):
+    # The rank shares its elimination with is_independent, so the greedy
+    # asks _from_scratch instead.
+    assert M.rank == len(_greedy(M, range(M.size)))
+
+
+@st.composite
+def independent_sets(draw, M):
+    """An independent set found without asking M: the greedy maximal
+    subset of a random subset."""
+    return _greedy(M, draw(st.sets(st.integers(0, M.size - 1))))
 
 
 @settings(deadline=None)
@@ -379,25 +387,14 @@ def test_kept_state_follows_growth(data, M):
     # Growth chains through is_independent (dependent extensions included),
     # states of other sets and isolated queries, interleaved.  Every answer
     # must equal a from-scratch check, and be counted as the rule says: a
-    # set one element larger than the kept set, or than the set last found
-    # independent from scratch, takes one state query; an independent answer
-    # moves the kept set to it, and a dependent one leaves it where it was.
+    # set one element larger than the kept set takes one state query, any
+    # other set not asked before a check from scratch.  An independent set
+    # becomes the kept set, unless it is a base answered from scratch; a
+    # dependent one leaves it where it was, and so does a cached answer.
     sets = st.frozensets(st.integers(0, M.size - 1))
     asked = {frozenset()}
-    kept = remembered = None
+    kept = None
     chain = frozenset()
-
-    def grow(A):
-        """The rule: whether A is answered from a state, and the new kept set."""
-        nonlocal kept, remembered
-        if kept is None or not _one_more(kept, A):
-            if remembered is None or not _one_more(remembered, A):
-                return False
-            kept, remembered = remembered, None
-        if _from_scratch(M, A):
-            kept = A
-        return True
-
     ops = ("grow", "restart", "state", "isolated")
     for op in data.draw(st.lists(st.sampled_from(ops), max_size=30)):
         if op == "restart":
@@ -406,10 +403,9 @@ def test_kept_state_follows_growth(data, M):
         A = chain | {data.draw(st.integers(0, M.size - 1))} if op == "grow" else data.draw(sets)
         want = _from_scratch(M, A)
         if op == "state":
-            if kept != A and not grow(A) and want:
-                kept = A
             if want:
                 assert M.state(A).T == A
+                kept = A
             else:
                 with pytest.raises(PreconditionError):
                     M.state(A)
@@ -418,12 +414,10 @@ def test_kept_state_follows_growth(data, M):
         assert M.is_independent(A) == want, (sorted(A), op)
         if A in asked:
             kind = "cached"
-        elif grow(A):
-            kind = "incremental"
         else:
-            kind = "scratch"
-            if want:
-                remembered = A
+            kind = "incremental" if kept is not None and _one_more(kept, A) else "scratch"
+            if want and (kind == "incremental" or len(A) < M.rank):
+                kept = A
         asked.add(A)
         assert {k: M.answers[k] - before[k] for k in before} == {
             k: int(k == kind) for k in before
@@ -437,6 +431,12 @@ def _query_states(M):
     assert M.state({0}).extend(2).independent((0,), (1, 3)) == want
 
 
+def _answer_in_isolation(M):
+    # a set asked on its own: on linear and graphic matroids its check from
+    # scratch builds the state they keep
+    assert M.is_independent({1})
+
+
 def _grow_a_chain(M):
     # {0}, {0, 1}, ... : on linear and graphic matroids the kept state
     # follows the chain
@@ -447,14 +447,15 @@ def _grow_a_chain(M):
 def test_states_hold_no_reference_cycle():
     # A matroid that keeps a state must still be freed by reference
     # counting, with its independence cache, once the caller drops it: after
-    # state queries, and right after a growth chain through is_independent.
+    # state queries, after an isolated is_independent and right after a
+    # growth chain through is_independent.
     for build in (
         lambda: LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]]),
         lambda: GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
         lambda: UniformMatroid(2, 4),
         lambda: SparsePavingMatroid(2, 4, [[0, 1]]),
     ):
-        for use in (_query_states, _grow_a_chain):
+        for use in (_query_states, _answer_in_isolation, _grow_a_chain):
             M = build()
             gc.collect()
             gc.disable()
