@@ -1,4 +1,5 @@
-"""Instance file format (YAML), validation and seeded generators."""
+"""Instance file format (YAML), validation and generators that build their
+bases by construction, so they succeed at every n."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Optional
 import yaml
 
 from .errors import InputError, ValidationError
-from .matroids import GirthTooExpensiveError, Matroid, build_matroid, girth
+from .matroids import GirthTooExpensiveError, Matroid, build_matroid, gf_rank, girth
 from .model import BaseSequence, overlap_counts
 
 FORMAT_VERSION = 1
@@ -179,47 +180,48 @@ def instance_digest(inst: Instance) -> str:
     return hashlib.sha256(emit_instance(inst).encode()).hexdigest()[:16]
 
 
-def _sample_subset(rng: random.Random, m: int, size: int) -> tuple:
-    return tuple(sorted(rng.sample(range(m), size)))
+def _windows(n, mode, kappa, rng):
+    """Ground size m and n bases: n cyclic windows of n elements each.
 
-
-def _overlapping_ground_size(n: int, kappa: int) -> int:
-    # kappa copies of each element must cover n*n base slots
-    return max(n + 1, -(-n * n // kappa) + n)
+    Window c holds positions c*step .. c*step + n - 1 of a cycle of
+    m = n*step positions.  Disjoint mode takes step n and keeps the labels,
+    so base c is c*n .. c*n + n - 1.  Overlapping mode draws step from
+    ceil(n/kappa)..n-1, so no position lies in more than kappa windows, and
+    relabels the cycle at random.
+    """
+    if mode == "disjoint":
+        step = n
+        label = range(n * n)
+    else:
+        least = -(-n // kappa)
+        step = rng.randint(least, max(least, n - 1))
+        label = list(range(n * step))
+        rng.shuffle(label)
+    m = n * step
+    bases = tuple(
+        tuple(sorted(label[(c * step + i) % m] for i in range(n))) for c in range(n)
+    )
+    return m, bases
 
 
 def _gen_uniform(n, mode, kappa, rng):
-    if mode == "disjoint":
-        m = n * n
-        bases = tuple(tuple(range(c * n, (c + 1) * n)) for c in range(n))
-        return {"k": n, "m": m}, bases
-    m = _overlapping_ground_size(n, kappa)
-    for _ in range(500):
-        bases = tuple(_sample_subset(rng, m, n) for _ in range(n))
-        if max(overlap_counts(bases).values()) <= kappa:
-            return {"k": n, "m": m}, bases
-    raise InputError(f"could not sample kappa={kappa} overlapping bases for n={n}")
-
-
-def _sample_circuit_hyperplanes(n, m, bases, rng, tries=200):
-    forbidden = {frozenset(B) for B in bases}
-    chs: list = []
-    for _ in range(tries):
-        if len(chs) >= n:
-            break
-        cand = frozenset(_sample_subset(rng, m, n))
-        if cand in forbidden:
-            continue
-        if all(len(cand & other) <= n - 2 for other in chs):
-            chs.append(cand)
-    return [sorted(ch) for ch in chs]
+    m, bases = _windows(n, mode, kappa, rng)
+    return {"k": n, "m": m}, bases
 
 
 def _gen_sparse_paving(n, mode, kappa, rng):
-    params, bases = _gen_uniform(n, mode, kappa, rng)
-    m = params["m"]
-    chs = _sample_circuit_hyperplanes(n, m, bases, rng)
-    return {"k": n, "m": m, "circuit_hyperplanes": chs}, bases
+    """The windows, and as circuit-hyperplanes up to n of 200 random n-sets
+    that are not bases and meet each other in at most n - 2 elements."""
+    m, bases = _windows(n, mode, kappa, rng)
+    forbidden = {frozenset(B) for B in bases}
+    chs: list = []
+    for _ in range(200):
+        if len(chs) >= n:
+            break
+        cand = frozenset(rng.sample(range(m), n))
+        if cand not in forbidden and all(len(cand & ch) <= n - 2 for ch in chs):
+            chs.append(cand)
+    return {"k": n, "m": m, "circuit_hyperplanes": [sorted(ch) for ch in chs]}, bases
 
 
 def _random_spanning_tree(rng: random.Random, vertices: int) -> list:
@@ -233,62 +235,48 @@ def _random_spanning_tree(rng: random.Random, vertices: int) -> list:
 
 
 def _gen_graphic(n, mode, kappa, rng):
+    """Fresh copies of random spanning trees on n + 1 vertices.
+
+    ``share`` colours take one copy each, 1 in disjoint mode and kappa in
+    overlapping mode, so every edge lies in at most kappa bases.
+    """
+    share = 1 if mode == "disjoint" else kappa
     vertices = n + 1
-    if mode == "disjoint":
-        # each base gets its own fresh copies of a random spanning tree
-        edges: list = []
-        bases = []
-        for _ in range(n):
-            tree = _random_spanning_tree(rng, vertices)
-            bases.append(tuple(range(len(edges), len(edges) + n)))
-            edges.extend(tree)
-        return {"vertices": vertices, "edges": [list(e) for e in edges]}, tuple(bases)
-    # groups of up to kappa colours share one fresh tree copy, so every edge
-    # instance is used by at most kappa bases and the construction never fails
-    pool: list = []
-    bases = []
-    for start in range(0, n, kappa):
-        tree = _random_spanning_tree(rng, vertices)
-        idx = tuple(range(len(pool), len(pool) + n))
-        pool.extend(tree)
-        for _ in range(min(kappa, n - start)):
-            bases.append(idx)
-    return {"vertices": vertices, "edges": [list(e) for e in pool]}, tuple(bases)
+    edges: list = []
+    bases: list = []
+    for start in range(0, n, share):
+        idx = tuple(range(len(edges), len(edges) + n))
+        edges.extend(_random_spanning_tree(rng, vertices))
+        bases.extend([idx] * min(share, n - start))
+    return {"vertices": vertices, "edges": [list(e) for e in edges]}, tuple(bases)
+
+
+def _draw_base(columns, B, p, rng) -> bool:
+    """Redraw the columns of B that no earlier base drew until B has full
+    rank; False when the columns already drawn are dependent, since then no
+    redraw can help."""
+    fixed = [columns[j] for j in B if columns[j] is not None]
+    if gf_rank(fixed, p) < len(fixed):
+        return False
+    fresh = [j for j in B if columns[j] is None]
+    while True:
+        for j in fresh:
+            columns[j] = tuple(rng.randrange(p) for _ in range(len(B)))
+        if gf_rank([columns[j] for j in B], p) == len(B):
+            return True
 
 
 def _gen_linear(n, mode, kappa, rng):
-    from .matroids import gf_rank
-
+    """Random GF(5) columns on the windows, drawn base by base; a base whose
+    earlier columns are dependent starts the whole draw over."""
     p = 5
-    def random_base_columns():
-        while True:
-            cols = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)]
-            if gf_rank(cols, p) == n:
-                return cols
-
-    if mode == "disjoint":
-        columns: list = []
-        bases = []
-        for _ in range(n):
-            bases.append(tuple(range(len(columns), len(columns) + n)))
-            columns.extend(random_base_columns())
-    else:
-        m = _overlapping_ground_size(n, kappa)
-        for _ in range(500):
-            columns = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(m)]
-            bases = []
-            for _ in range(200):
-                cand = _sample_subset(rng, m, n)
-                if gf_rank([columns[j] for j in cand], p) == n:
-                    bases.append(cand)
-                    if len(bases) == n:
-                        break
-            if len(bases) == n and max(overlap_counts(bases).values()) <= kappa:
-                break
-        else:
-            raise InputError(f"could not sample linear kappa={kappa} bases for n={n}")
+    m, bases = _windows(n, mode, kappa, rng)
+    while True:
+        columns: list = [None] * m
+        if all(_draw_base(columns, B, p, rng) for B in bases):
+            break
     matrix = [[col[i] for col in columns] for i in range(n)]
-    return {"p": p, "matrix": matrix}, tuple(bases)
+    return {"p": p, "matrix": matrix}, bases
 
 
 _GENERATORS = {
@@ -306,7 +294,13 @@ def generate_instance(
     kappa: int = 2,
     seed: int = 0,
 ) -> Instance:
-    """Deterministic per (family, n, mode, kappa, seed)."""
+    """One instance, deterministic per (family, n, mode, kappa, seed).
+
+    The bases are built, not sampled: cyclic windows (:func:`_windows`) for
+    uniform, sparse paving and linear, shared spanning-tree copies for
+    graphic.  So every n >= 1 and every kappa >= 2 give an instance with no
+    element in more than kappa bases.
+    """
     if family not in _GENERATORS:
         raise InputError(f"unknown generator family {family!r}")
     if n < 1:

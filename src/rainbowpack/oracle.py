@@ -306,17 +306,14 @@ def _harness_stream(
     family, ns=(2, 3, 4), modes=("disjoint", "overlapping"), every=GENERATOR_FAMILIES
 ):
     """Deterministic instance stream, seeds 0..59; 'all' interleaves ``every``
-    family.  Generators that find no instance at some n are skipped."""
+    family."""
     families = every if family == "all" else (family,)
     for seed in range(60):
         for fam in families:
             for n in ns:
                 for mode in modes:
-                    try:
-                        inst = generate_instance(fam, n, mode, kappa=2, seed=seed)
-                        yield inst, inst.base_sequence()
-                    except InputError:
-                        continue
+                    inst = generate_instance(fam, n, mode, kappa=2, seed=seed)
+                    yield inst, inst.base_sequence()
 
 
 # Larger disjoint instances for qbound: the only desk scale where its side
@@ -665,7 +662,8 @@ def run_lemma_harness(
     pair system) as exercised, and those on which the lemma's hypotheses hold,
     the only ones its conclusion is checked on, as checked.  It stops after the
     configuration that reaches the target, or the first one past the
-    budget's wall clock.
+    budget's wall clock.  An incomplete sweep, or a complete one that checked
+    nothing, says so in the report's notes.
     """
     if lemma not in _HARNESSES:
         raise InputError(
@@ -695,4 +693,9 @@ def run_lemma_harness(
     report.complete = report.exercised >= target
     if not report.complete:
         report.notes = "stream exhausted or wall clock hit before target"
+    elif not report.checked:
+        report.notes = (
+            "no configuration met the lemma's hypothesis, "
+            "so its conclusion was not checked"
+        )
     return report

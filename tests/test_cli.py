@@ -15,7 +15,9 @@ from rainbowpack.cli import (
     EXIT_USAGE,
     run_command,
 )
+from rainbowpack.model import Collection
 from rainbowpack.oracle import run_lemma_harness
+from rainbowpack.solver import SolveResult
 
 
 def gen_instance_file(tmp_path, name="inst.yaml", family="uniform", n=3, extra=()):
@@ -233,6 +235,17 @@ def test_solve_csv_format(tmp_path):
     assert list(rows[0]) == CSV_FIELDS
     assert rows[0]["family"] == "sparse_paving"
     assert rows[0]["status"] == "ok"
+    assert (rows[0]["beta_declared"], rows[0]["bound_thm"]) == ("1", "-12")
+    # With no declared beta the row takes the least beta the girth allows
+    # (girth 3 here, so beta 1), not beta 0.
+    doc = yaml.safe_load(inst.read_text())
+    del doc["declared"]
+    inst.write_text(yaml.safe_dump(doc))
+    assert run_command(
+        ["solve", "--instance", str(inst), "--format", "csv", "--out", str(out)]
+    ) == EXIT_OK
+    [row] = csv.DictReader(io.StringIO(out.read_text()))
+    assert (row["beta_declared"], row["girth"], row["bound_thm"]) == ("", "3", "-12")
 
 
 def test_brute_command(tmp_path, capsys):
@@ -262,6 +275,28 @@ def test_harness_command(capsys):
     assert f"exercised=30 checked={checked} " in out
 
 
+def test_harness_notes_a_sweep_that_checked_nothing(capsys):
+    # No generated instance gives obs1 an eta-maximal collection.
+    assert run_command(["harness", "--lemma", "obs1", "--target", "50"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "checked=0 " in out
+    assert "note: no configuration met the lemma's hypothesis" in out
+    assert run_command(
+        ["harness", "--lemma", "injection", "--target", "50"]
+    ) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "checked=50 " in out and "note:" not in out
+
+
+def test_gen_builds_overlapping_instances_past_n_5(tmp_path):
+    path = gen_instance_file(
+        tmp_path, n=8, extra=("--mode", "overlapping", "--kappa", "2")
+    )
+    inst, seq = instances.load_instance(path.read_text())
+    assert seq.n == 8 and inst.declared_kappa == 2
+    assert seq.overlap_kappa() <= 2
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_command(
@@ -279,6 +314,43 @@ def test_bench_command(tmp_path):
         assert list(row) == CSV_FIELDS
         assert int(row["solver_rbs"]) <= int(row["brute_t"])
         assert row["status"] == "ok"
+
+
+def _bench_rows(tmp_path, *args):
+    out = tmp_path / "bench.csv"
+    code = run_command(["bench", *args, "--no-brute", "--out", str(out)])
+    return code, list(csv.DictReader(io.StringIO(out.read_text())))
+
+
+def test_bench_leaves_an_unknown_bound_empty(tmp_path):
+    # Linear n = 8 has 64 elements: its girth is over the search cap and the
+    # generator declares no beta, so the theorem's bound is unknown.
+    code, rows = _bench_rows(
+        tmp_path, "--family", "linear", "--n", "8", "--seeds", "2"
+    )
+    assert code == EXIT_OK and len(rows) == 2
+    for row in rows:
+        assert row["beta_declared"] == "" and row["girth"] == "unknown"
+        assert row["bound_thm"] == "" and row["bound_applicable"] == "False"
+
+
+def test_bench_fails_a_row_below_the_bound(tmp_path, monkeypatch):
+    # Uniform disjoint n = 5 has beta = 0, so the bound is 1 and applicable;
+    # a solve that packs nothing falls below it.
+    def nothing(seq, params):
+        return SolveResult(Collection(seq.n), [], [], "fixed_point")
+
+    code, [row] = _bench_rows(
+        tmp_path, "--family", "uniform", "--n", "5", "--seeds", "1"
+    )
+    assert code == EXIT_OK and row["status"] == "ok"
+    assert (row["bound_thm"], row["bound_applicable"]) == ("1", "True")
+    monkeypatch.setattr(cli, "pack_rainbow_bases", nothing)
+    code, [row] = _bench_rows(
+        tmp_path, "--family", "uniform", "--n", "5", "--seeds", "1"
+    )
+    assert code == EXIT_FAIL
+    assert row["solver_rbs"] == "0" and row["status"] == "below_bound"
 
 
 def test_bench_reports_a_budget_stop(tmp_path):

@@ -1,5 +1,8 @@
 """Instance file format: round trips, validation and seeded generators."""
 
+import ast
+import pathlib
+
 import pytest
 import yaml
 
@@ -16,18 +19,34 @@ from rainbowpack.instances import (
     parse_instance,
     validate_instance,
 )
+from rainbowpack.model import overlap_counts
+
+
+# Every family in both modes at these n, seeds 0-1 with kappa = 2 and a few
+# n with kappa = 3: the generators build their bases, so each one succeeds.
+GRID = [
+    *((n, 2) for n in (*range(1, 9), 12, 16, 24, 40)),
+    *((n, 3) for n in (3, 7, 12)),
+]
 
 
 def test_round_trip_identity_fuzz():
+    # The text round trip stops at n = 16: the YAML emitter takes ~1 s on the
+    # 40 x 1600 matrix of a linear instance at n = 40.
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
-            for seed in range(4):
-                inst = generate_instance(family, 3, mode, kappa=2, seed=seed)
-                text = emit_instance(inst)
-                back = parse_instance(text)
-                assert back == inst
-                assert emit_instance(back) == text  # canonical form is a fixed point
-                assert instance_digest(back) == instance_digest(inst)
+            for n, kappa in GRID:
+                for seed in range(2):
+                    inst = generate_instance(family, n, mode, kappa=kappa, seed=seed)
+                    most = max(overlap_counts(inst.bases).values())
+                    assert most <= (kappa if mode == "overlapping" else 1)
+                    if n > 16:
+                        continue
+                    text = emit_instance(inst)
+                    back, _ = load_instance(text)
+                    assert back == inst
+                    if n <= 8:
+                        assert emit_instance(back) == text  # a fixed point
 
 
 def test_generator_determinism():
@@ -38,18 +57,61 @@ def test_generator_determinism():
     assert instance_digest(a) != instance_digest(c)
 
 
+@pytest.mark.parametrize(
+    "family, mode, digest",
+    [
+        ("uniform", "disjoint", "a8e9baa091eb650a"),
+        ("sparse_paving", "disjoint", "125a2f47789e39ec"),
+        ("graphic", "disjoint", "ae530304ec427f41"),
+        ("linear", "disjoint", "2bf6ef9d0d79dd55"),
+        ("graphic", "overlapping", "4fc04620ef98e05c"),
+    ],
+)
+def test_generator_output_is_pinned(family, mode, digest):
+    # The instances the window construction left alone: disjoint ones of
+    # every family and graphic overlapping ones.
+    assert instance_digest(generate_instance(family, 4, mode, kappa=2, seed=0)) == digest
+
+
 def test_generator_modes():
-    disjoint = generate_instance("uniform", 3, "disjoint", seed=0)
-    assert disjoint.base_sequence().is_disjoint()
-    overlapping = generate_instance("uniform", 3, "overlapping", kappa=2, seed=0)
-    assert overlapping.base_sequence().overlap_kappa() <= 2
-    assert overlapping.declared_kappa == 2
+    for family in GENERATOR_FAMILIES:
+        for n in (1, 2, 5, 8):
+            disjoint = generate_instance(family, n, "disjoint", seed=0)
+            assert disjoint.base_sequence().is_disjoint()
+            assert disjoint.declared_kappa == 1
+            for kappa in (2, 3):
+                overlapping = generate_instance(family, n, "overlapping", kappa=kappa)
+                assert overlapping.base_sequence().overlap_kappa() <= kappa
+                assert overlapping.declared_kappa == kappa
+    # the windows of an overlapping instance do overlap once n > 1
+    assert not generate_instance("uniform", 8, "overlapping").base_sequence().is_disjoint()
     with pytest.raises(InputError):
         generate_instance("uniform", 3, "overlapping", kappa=1)
     with pytest.raises(InputError):
         generate_instance("nosuch", 3)
     with pytest.raises(InputError):
         generate_instance("uniform", 0)
+
+
+def test_generators_do_not_import_each_other():
+    # The benchmark's instances must not move when the program's generators
+    # do, so neither generator may import the other.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pairs = (
+        ("src/rainbowpack/instances.py", ("gen", "perfbench")),
+        ("perfbench/gen.py", ("rainbowpack",)),
+    )
+    for path, forbidden in pairs:
+        tree = ast.parse((root / path).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in forbidden, (path, name)
 
 
 def test_declared_fields_checked():
