@@ -183,16 +183,18 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
 
 def _solve_csv_row(inst, seq, result, elapsed_ms, brute=None):
     """One CSV row; with neither a declared beta nor a computable girth the
-    theorem's bound is unknown, so the row leaves it empty and inapplicable."""
+    theorem's bound is unknown, so the row leaves it empty and inapplicable.
+    An undeclared kappa is the actual overlap."""
     g = _safe_girth(seq.matroid)
     beta = inst.declared_beta
     if beta is None and g is not None:
         beta = max(0, seq.n + 1 - g)  # the least beta the girth allows
+    kappa = inst.declared_kappa
+    if kappa is None:
+        kappa = seq.overlap_kappa()
     bound, applicable = "", False
     if beta is not None:
-        record = theorem_bounds(
-            seq.n, beta, inst.declared_kappa or 1, disjoint=seq.is_disjoint()
-        )
+        record = theorem_bounds(seq.n, beta, kappa, disjoint=seq.is_disjoint())
         bound, applicable = record.bound, record.applicable
     return {
         "instance_digest": instance_digest(inst),

@@ -18,9 +18,11 @@ FORMAT_VERSION = 1
 
 GENERATOR_FAMILIES = ("uniform", "sparse_paving", "graphic", "linear")
 
-# libyaml's safe loader where PyYAML was built with it: the same documents as
-# the pure-Python SafeLoader, several times faster.
+# libyaml's safe loader and dumper where PyYAML was built with it: the same
+# documents and text as the pure-Python SafeLoader and SafeDumper, several
+# times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,9 @@ def canonical_dict(inst: Instance) -> dict:
 
 def emit_instance(inst: Instance) -> str:
     """Canonical text form: stable key order, bit-exact across runs."""
-    return yaml.safe_dump(canonical_dict(inst), sort_keys=True, default_flow_style=None)
+    return yaml.dump(
+        canonical_dict(inst), Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=None
+    )
 
 
 def instance_digest(inst: Instance) -> str:

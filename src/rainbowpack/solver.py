@@ -11,10 +11,10 @@ with coloured elements as ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
 a set left empty is dropped once every change is applied.  ``signature`` is
 the signature the move produces.  Solve and replay share one checked step,
-:func:`apply_move`, so every logged move has passed the replay checks.  A
-solve keeps the pool of unused coloured elements as one sorted list for its
-whole run and updates it from each applied move's net changes
-(:func:`_update_free`), so no move rebuilds or re-sorts it.  Logs
+:func:`apply_move`, so every logged move has passed the replay checks.  Both
+keep the unused coloured elements as one sorted pool for the whole run;
+:func:`apply_move` checks a move's disjointness against it alone and then
+updates it from the move's net changes, so no move re-sorts it.  Logs
 with per-kind fields (``set``/``removed``/``added`` at the top level, or the
 cascade's ``root_set``, ``steps``, ``assoc``, ``landing``, ``donor_set``)
 come from earlier versions and no longer replay.
@@ -37,6 +37,7 @@ from .model import (
     colours_of,
     is_ris,
     lex_compare,
+    signature_of_sizes,
     underline,
     validate_collection,
     validate_ris,
@@ -208,40 +209,22 @@ def _attempt_exchange(seq, coll, probe):
         final = list(aroot.collection.sets)
         final[j] = target - removed | added
         final[d] = source - added
+        # every set comes from a checked transition or the checked exchange,
+        # so the signature is the one test left for pack_rainbow_bases
+        sizes = (len(S) for S in final if S)
+        if lex_compare(signature_of_sizes(sizes, seq.n), coll.signature) <= 0:
+            continue
         changes = [
             _change(i, sorted(old - new), sorted(new - old))
             for i, (old, new) in enumerate(zip(coll.sets, final))
             if old != new
         ]
-        move = {"kind": "cascade", "changes": changes}
-        try:
-            apply_move(seq, coll, move)
-        except CorruptedTraceError:
-            continue
-        return move
+        return {"kind": "cascade", "changes": changes}
     return None
 
 
 def _find_move(seq, coll, eta, params, free):
     return _augment_move(seq, coll, eta, free) or _cascade_move(seq, coll, params)
-
-
-def _update_free(free: list, move: dict) -> None:
-    """Bring the sorted pool ``free`` in step with an applied move.
-
-    Only the net change counts: an element some change adds and none removes
-    leaves the pool, one some change removes and none adds returns to it.  A
-    cascade moves elements between sets, and those never become free.
-    """
-    added = {tuple(y) for ch in move["changes"] for y in ch["added"]}
-    removed = {tuple(x) for ch in move["changes"] for x in ch["removed"]}
-    for y in added - removed:
-        i = bisect_left(free, y)
-        if i == len(free) or free[i] != y:
-            raise InternalInvariantError(f"move adds {y}, which is not free")
-        del free[i]
-    for x in removed - added:
-        insort(free, x)
 
 
 def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) -> SolveResult:
@@ -258,10 +241,9 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
             stopped = "fixed_point"
             break
         try:
-            coll = apply_move(seq, coll, move)
+            coll = apply_move(seq, coll, move, free)
         except CorruptedTraceError as exc:
             raise InternalInvariantError(f"finder made a bad move: {exc}") from exc
-        _update_free(free, move)
         move["signature"] = list(coll.signature)
         moves.append(move)
         signatures.append(coll.signature)
@@ -270,20 +252,21 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
     return SolveResult(coll, moves, signatures, stopped)
 
 
-def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
+def apply_move(seq: BaseSequence, coll: Collection, move: dict, free: list) -> Collection:
     """The collection one logged move makes of ``coll``, fully checked.
 
-    ``coll`` must pass :func:`validate_collection`; collections built by
-    ``Collection(n)`` and this function always do.  Raises
+    ``coll`` must pass :func:`validate_collection` and ``free`` must be its
+    pool, the sorted coloured elements no set holds: ``sorted(seq.universe)``
+    for ``Collection(n)``, and this function keeps it so.  Raises
     :class:`CorruptedTraceError` unless the move is well formed, each
     change's ``removed`` lies in its set and its ``added`` avoids it, the
     signature rises (and equals the recorded one, when present), each
-    changed set is an RIS and each change's ``added`` avoids every other set
-    of the result.  Given the precondition, that makes the result pass
-    :func:`validate_collection`: untouched sets stay RIS's, and two sets of
-    the result can share only an element one of them gained.  The sets it
-    builds hold the universe's own coloured elements, whether the move names
-    them by tuples (a solve) or by the lists a log holds (a replay).
+    changed set is an RIS, no element is added twice and each added element
+    no change removes is in ``free``; the result then passes
+    :func:`validate_collection`.  Only an accepted move updates ``free``.
+    The sets it builds hold the universe's own coloured elements, whether
+    the move names them by tuples (a solve) or by the lists a log holds (a
+    replay).
     """
     own = seq.own
     try:
@@ -310,6 +293,7 @@ def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
     sets = [*coll.sets, frozenset()]
     sig = list(coll.signature)
     touched: set = set()
+    lost: set = set()
     for i, removed, added, fields in changes:
         if fields != 3:
             raise CorruptedTraceError(
@@ -327,33 +311,47 @@ def apply_move(seq: BaseSequence, coll: Collection, move: dict) -> Collection:
         if T:
             sig[len(T) - 1] += 1
         sets[i] = T
+        lost |= removed
     new = Collection(coll.n, [S for S in sets if S], tuple(sig))
     if lex_compare(new.signature, coll.signature) <= 0:
         raise CorruptedTraceError(f"{kind} move does not raise the signature")
     if "signature" in move and move["signature"] != list(new.signature):
         raise CorruptedTraceError(f"{kind} move's signature differs from the record")
+    gained: set = set()
+    taken = []  # the pool positions of the added elements no change removes
     for i, _, added, _ in changes:
         ok, why = validate_ris(seq, sets[i])
         if not ok:
             raise CorruptedTraceError(f"{kind} move breaks validity: set {i}: {why}")
-        for j, T in enumerate(sets):
-            if j != i and not added.isdisjoint(T):
+        for y in added:
+            k = None if y in lost else bisect_left(free, y)
+            if y in gained or (k is not None and (k == len(free) or free[k] != y)):
+                j = next(h for h, T in enumerate(sets) if h != i and y in T)
                 raise CorruptedTraceError(
                     f"{kind} move breaks validity: sets {i} and {j} share "
-                    f"{sorted(added & T)}"
+                    f"{sorted(added & sets[j])}"
                 )
+            gained.add(y)
+            if k is not None:
+                taken.append(k)
+    for k in sorted(taken, reverse=True):
+        del free[k]
+    for x in lost.difference(gained):
+        insort(free, x)
     return new
 
 
 def replay_moves(seq: BaseSequence, moves: list) -> Collection:
     """Re-derive the final collection from the log, checking every step.
 
-    The final collection is validated once more in full.
+    The replay keeps its own pool of unused elements, as a solve does.  The
+    final collection is validated once more in full.
     """
     coll = Collection(seq.n)
+    free = sorted(seq.universe)
     for idx, move in enumerate(moves):
         try:
-            coll = apply_move(seq, coll, move)
+            coll = apply_move(seq, coll, move, free)
         except CorruptedTraceError as exc:
             raise CorruptedTraceError(f"move {idx}: {exc}") from exc
     ok, why = validate_collection(seq, coll)

@@ -199,6 +199,22 @@ def test_verify_rejects_malformed_report_signature(tmp_path, signature):
     ) == EXIT_FAIL
 
 
+def test_verify_rejects_a_wrong_rainbow_base_count(tmp_path, capsys):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    data = yaml.safe_load(report.read_text())
+    data["rainbow_bases"] -= 1
+    report.write_text(yaml.safe_dump(data))
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+    ) == EXIT_FAIL
+    assert "RB count differs" in capsys.readouterr().err
+
+
 def test_verify_rejects_wrong_instance(tmp_path):
     inst = gen_instance_file(tmp_path)
     other = gen_instance_file(tmp_path, name="other.yaml", extra=("--seed", "3"))
@@ -248,10 +264,34 @@ def test_solve_csv_format(tmp_path):
     assert (row["beta_declared"], row["girth"], row["bound_thm"]) == ("", "3", "-12")
 
 
+def test_solve_csv_takes_the_actual_overlap_for_an_undeclared_kappa(tmp_path):
+    # U(3, 4) with every element in up to three bases: the bound with no
+    # declared block is the one kappa = 3 gives, not kappa = 1's -8.
+    inst = tmp_path / "inst.yaml"
+    out = tmp_path / "row.csv"
+    text = (
+        "version: 1\nmatroid: {family: uniform, params: {k: 3, m: 4}}\n"
+        "bases: [[0, 1, 2], [0, 1, 3], [1, 2, 3]]\n"
+    )
+    for declared in ("", "declared: {kappa: 3}\n"):
+        inst.write_text(text + declared)
+        assert run_command(
+            ["solve", "--instance", str(inst), "--format", "csv", "--out", str(out)]
+        ) == EXIT_OK
+        [row] = csv.DictReader(io.StringIO(out.read_text()))
+        assert (row["kappa_actual"], row["bound_thm"]) == ("3", "-48"), declared
+
+
 def test_brute_command(tmp_path, capsys):
     inst = gen_instance_file(tmp_path, n=3)
     assert run_command(["brute", "--instance", str(inst)]) == EXIT_OK
     assert "t = 3" in capsys.readouterr().out
+
+
+def test_brute_above_the_oracle_limit_is_a_budget_stop(tmp_path, capsys):
+    inst = gen_instance_file(tmp_path, n=6)
+    assert run_command(["brute", "--instance", str(inst)]) == EXIT_BUDGET
+    assert "budget exhausted" in capsys.readouterr().err
 
 
 def test_bounds_command(capsys):
@@ -370,6 +410,16 @@ def test_bench_reports_a_budget_stop(tmp_path):
     assert row["moves"] == "5000" and row["status"] == "budget"
 
 
+def test_bench_reports_a_brute_force_budget_stop(tmp_path):
+    # n = 6 is above the exact oracle's limit, so its column runs out.
+    out = tmp_path / "bench.csv"
+    assert run_command(
+        ["bench", "--family", "uniform", "--n", "6", "--seeds", "1", "--out", str(out)]
+    ) == EXIT_BUDGET
+    [row] = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["brute_t"] == "" and row["status"] == "budget"
+
+
 def test_usage_errors(tmp_path):
     assert run_command(["solve"]) == EXIT_USAGE  # missing required option
     assert run_command(["gen", "--family", "nosuch", "--n", "3"]) == EXIT_USAGE
@@ -449,6 +499,16 @@ MALFORMED_INSTANCES = (
     "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0], [2, 3]]\n",
     "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [0, 1]]\n"
     "declared: {kappa: 1}\n",  # overlap above the declared kappa
+    *(
+        "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [2, 3]]\n"
+        + section
+        for section in (
+            "declared: [1, 2]\n",  # not a mapping
+            "declared: 5\n",
+            "provenance: [a]\n",  # not a mapping
+            "declared: {beta: -1}\n",  # a negative beta
+        )
+    ),
 )
 
 

@@ -159,9 +159,9 @@ def test_add_and_swap_sets_match_definition_on_solver_collections():
     included, on generated instances of every family and mode, n = 3..6."""
     roots = 0
     for name, seq in generated_seqs():
-        coll = Collection(seq.n)
+        coll, free = Collection(seq.n), sorted(seq.universe)
         for move in pack_rainbow_bases(seq).moves:
-            coll = apply_move(seq, coll, move)
+            coll = apply_move(seq, coll, move, free)
             for root in iter_roots(seq, coll):
                 roots += 1
                 assert add_set(seq, root) == _add_set_by_definition(seq, root), name

@@ -30,9 +30,19 @@ GRID = [
 ]
 
 
+def _round_tripped():
+    """The generator-grid instances the text round trip covers."""
+    for family in GENERATOR_FAMILIES:
+        for mode in ("disjoint", "overlapping"):
+            for n, kappa in GRID:
+                if n <= 16:
+                    for seed in range(2):
+                        yield generate_instance(family, n, mode, kappa=kappa, seed=seed)
+
+
 def test_round_trip_identity_fuzz():
-    # The text round trip stops at n = 16: the YAML emitter takes ~1 s on the
-    # 40 x 1600 matrix of a linear instance at n = 40.
+    # The text round trip stops at n = 16: even libyaml takes ~0.4 s to emit
+    # the 40 x 1600 matrix of a linear instance at n = 40.
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
             for n, kappa in GRID:
@@ -214,6 +224,16 @@ def test_digest_is_short_stable_hex():
     inst = generate_instance("linear", 2, "disjoint", seed=0)
     d = instance_digest(inst)
     assert len(d) == 16 and int(d, 16) >= 0
+
+
+def test_emit_instance_matches_the_pure_python_dumper():
+    if yaml.__with_libyaml__:
+        assert instances._YAML_DUMPER is yaml.CSafeDumper
+    for inst in _round_tripped():
+        pure = yaml.safe_dump(
+            instances.canonical_dict(inst), sort_keys=True, default_flow_style=None
+        )
+        assert emit_instance(inst) == pure
 
 
 def test_load_yaml_matches_the_pure_python_loader():

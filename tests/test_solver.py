@@ -8,11 +8,7 @@ from itertools import islice
 import pytest
 
 from rainbowpack import cascade, solver
-from rainbowpack.errors import (
-    CorruptedTraceError,
-    InternalInvariantError,
-    PreconditionError,
-)
+from rainbowpack.errors import CorruptedTraceError, PreconditionError
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
@@ -27,7 +23,6 @@ from rainbowpack.model import (
 from rainbowpack.oracle import brute_force_t, enumerate_ris, iter_collections
 from rainbowpack.solver import (
     SolverParams,
-    _update_free,
     apply_move,
     augmenting_path,
     dump_move_log,
@@ -170,7 +165,7 @@ def test_replay_rejects_tampered_log():
         with pytest.raises(CorruptedTraceError):
             load_move_log(text)
     with pytest.raises(CorruptedTraceError):
-        apply_move(seq, Collection(seq.n), {"kind": "nosuch", "changes": []})
+        apply_move(seq, Collection(seq.n), {"kind": "nosuch", "changes": []}, sorted(seq.universe))
     # the second change makes its set dependent: edges 0 and 3 are parallel
     triangle = GraphicMatroid(3, [[0, 1], [1, 2], [0, 2], [0, 1]])
     seq = BaseSequence(triangle, [{0, 1}, {2, 3}])
@@ -182,11 +177,12 @@ def test_replay_rejects_tampered_log():
             {"set": 0, "removed": [], "added": [[3, 2]]},
         ],
     }
+    free = sorted(seq.universe - coll.used())
     with pytest.raises(CorruptedTraceError, match="dependent"):
-        apply_move(seq, coll, move)
+        apply_move(seq, coll, move, free)
     move["changes"][1]["added"] = [[2, 2]]  # held by set 1 before the move
     with pytest.raises(CorruptedTraceError, match="share"):
-        apply_move(seq, coll, move)
+        apply_move(seq, coll, move, free)
 
 
 def _random_change(rng, seq, coll, i):
@@ -208,9 +204,9 @@ def test_apply_move_accepts_exactly_valid_rising_moves(family, mode):
     accepted = rejected = 0
     for n in (3, 4, 5):
         seq = generate_instance(family, n, mode, kappa=2, seed=n).base_sequence()
-        colls = [Collection(n)]
+        colls, free = [Collection(n)], sorted(seq.universe)
         for move in pack_rainbow_bases(seq).moves:
-            colls.append(apply_move(seq, colls[-1], move))
+            colls.append(apply_move(seq, colls[-1], move, free))
         for _ in range(40):
             coll = rng.choice(colls)
             slots = range(len(coll.sets) + 1)  # the last one opens a new set
@@ -233,11 +229,13 @@ def test_apply_move_accepts_exactly_valid_rising_moves(family, mode):
                     and lex_compare(result.signature, coll.signature) > 0
                 ):
                     expected = result
+            free = sorted(seq.universe - coll.used())
             try:
-                got = apply_move(seq, coll, move)
+                got = apply_move(seq, coll, move, free)
             except CorruptedTraceError:
                 got = None
             assert got == expected, (n, coll, move)
+            assert free == sorted(seq.universe - (got or coll).used())
             if got is None:
                 rejected += 1
             else:
@@ -261,7 +259,7 @@ def test_replay_of_a_cascade_move():
         broken = copy.deepcopy(cascade)
         del broken["changes"][drop]
         with pytest.raises(CorruptedTraceError):
-            apply_move(seq, before, broken)
+            apply_move(seq, before, broken, sorted(seq.universe - before.used()))
 
 
 def test_cascade_attempts_each_distinct_probe_once(monkeypatch):
@@ -307,23 +305,32 @@ def test_cascade_move_searches_each_chain_once(monkeypatch):
         assert len(pairs) == len(set(pairs))
 
 
-def test_free_pool_tracks_unused_elements():
+def test_free_pool_tracks_unused_elements(monkeypatch):
     # Augment moves with removals and cascade moves, which move elements
-    # between sets, must leave the pool equal to a from-scratch rebuild.
-    with_removals = 0
+    # between sets, must leave the pool equal to a from-scratch rebuild, in a
+    # solve and in its replay.
+    checked = with_removals = 0
+
+    def checking(seq, coll, move, free):
+        nonlocal checked, with_removals
+        result = apply_move(seq, coll, move, free)
+        assert free == sorted(seq.universe - result.used())
+        checked += 1
+        with_removals += any(ch["removed"] for ch in move["changes"])
+        return result
+
+    monkeypatch.setattr(solver, "apply_move", checking)
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
             for n in range(3, 7):
                 for seed in range(3):
                     inst = generate_instance(family, n, mode, kappa=2, seed=seed)
                     seq = inst.base_sequence()
-                    coll = Collection(seq.n)
-                    free = sorted(seq.universe)
-                    for move in pack_rainbow_bases(seq).moves:
-                        coll = apply_move(seq, coll, move)
-                        _update_free(free, move)
-                        assert free == sorted(seq.universe - coll.used())
-                        with_removals += any(ch["removed"] for ch in move["changes"])
+                    solved = checked
+                    moves = pack_rainbow_bases(seq).moves
+                    assert checked - solved == len(moves)
+                    replay_moves(seq, load_move_log(dump_move_log(moves)))
+                    assert checked - solved == 2 * len(moves)
     assert with_removals > 0
 
 
@@ -371,8 +378,8 @@ def test_moves_keep_the_cached_signature(monkeypatch):
     # signature its set sizes give.
     built = []
 
-    def recording(seq, coll, move):
-        built.append(apply_move(seq, coll, move))
+    def recording(seq, coll, move, free):
+        built.append(apply_move(seq, coll, move, free))
         return built[-1]
 
     monkeypatch.setattr(solver, "apply_move", recording)
@@ -390,21 +397,73 @@ def test_moves_keep_the_cached_signature(monkeypatch):
         assert coll.signature == signature_of_sizes(map(len, coll.sets), coll.n)
 
 
-def test_update_free_rejects_an_element_that_is_not_free():
-    free = [(0, 1), (2, 1)]
-    move = {"kind": "augment", "changes": [{"set": 0, "removed": [], "added": [[1, 1]]}]}
-    with pytest.raises(InternalInvariantError):
-        _update_free(free, move)
-    assert free == [(0, 1), (2, 1)]
+def _pool_case():
+    """U(2, 3) with bases {0, 1} and {0, 2}; sets {(0, 1)} and {(2, 2)}."""
+    seq = uniform_seq(2, [{0, 1}, {0, 2}])
+    coll = Collection(2, [{(0, 1)}, {(2, 2)}])
+    return seq, coll, sorted(seq.universe - coll.used())
+
+
+def test_apply_move_rejects_an_element_that_is_not_free():
+    # a new set takes (0, 1), which set 0 keeps
+    seq, coll, free = _pool_case()
+    move = {"kind": "augment", "changes": [{"set": 2, "removed": [], "added": [[0, 1]]}]}
+    with pytest.raises(CorruptedTraceError, match=r"sets 2 and 0 share \[\(0, 1\)\]"):
+        apply_move(seq, coll, move, free)
+    assert free == [(0, 2), (1, 1)]
+
+
+def test_apply_move_accepts_an_element_carried_between_sets():
+    # (0, 1) leaves set 0 and joins set 1 in the same move, so it never
+    # passes through the pool; the two free elements fill set 0.
+    seq, coll, free = _pool_case()
+    assert free == [(0, 2), (1, 1)]
+    move = {
+        "kind": "augment",
+        "changes": [
+            {"set": 0, "removed": [[0, 1]], "added": [[0, 2], [1, 1]]},
+            {"set": 1, "removed": [], "added": [[0, 1]]},
+        ],
+    }
+    result = apply_move(seq, coll, move, free)
+    assert result.sets == (frozenset({(0, 2), (1, 1)}), frozenset({(0, 1), (2, 2)}))
+    assert free == []
+    assert validate_collection(seq, result)[0]
+
+
+def test_apply_move_rejects_an_element_added_twice_and_keeps_the_pool():
+    seq, coll, free = _pool_case()
+    for changes, match in (
+        # set 1 and a new set both gain the free (1, 1)
+        (
+            [
+                {"set": 1, "removed": [], "added": [[1, 1]]},
+                {"set": 2, "removed": [], "added": [[1, 1]]},
+            ],
+            r"sets 2 and 1 share \[\(1, 1\)\]",
+        ),
+        # (0, 1) leaves set 0, and set 1 and a new set both gain it
+        (
+            [
+                {"set": 0, "removed": [[0, 1]], "added": [[1, 1]]},
+                {"set": 1, "removed": [], "added": [[0, 1]]},
+                {"set": 2, "removed": [], "added": [[0, 1]]},
+            ],
+            r"sets 2 and 1 share \[\(0, 1\)\]",
+        ),
+    ):
+        with pytest.raises(CorruptedTraceError, match=match):
+            apply_move(seq, coll, {"kind": "augment", "changes": changes}, free)
+        assert free == [(0, 2), (1, 1)]
 
 
 def test_intermediate_collections_all_valid():
     inst = generate_instance("graphic", 4, "overlapping", kappa=2, seed=2)
     seq = inst.base_sequence()
     result = pack_rainbow_bases(seq)
-    coll = Collection(seq.n)
+    coll, free = Collection(seq.n), sorted(seq.universe)
     for move in result.moves:
-        coll = apply_move(seq, coll, move)
+        coll = apply_move(seq, coll, move, free)
         ok, why = validate_collection(seq, coll)
         assert ok, why
     assert coll.sets == result.collection.sets
