@@ -1,10 +1,20 @@
 """Instance file format (YAML), validation and generators that build their
-bases by construction, so they succeed at every n."""
+bases by construction, so they succeed at every n.
+
+Documents load through PyYAML's safe loader (libyaml's where PyYAML has
+it) with one fast path: a plain scalar of ASCII digits with no leading
+zero, or ``0``, is an int without the resolver's regexes, and a sequence of
+only such scalars is built by ``int`` alone.  Those are nearly all the
+scalars of an instance.  Every other scalar takes the safe loader's own
+path (``017`` is still 15, ``019`` a string), so a document loads to the
+same values as ``yaml.safe_load``.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,11 +28,45 @@ FORMAT_VERSION = 1
 
 GENERATOR_FAMILIES = ("uniform", "sparse_paving", "graphic", "linear")
 
-# libyaml's safe loader and dumper where PyYAML was built with it: the same
-# documents and text as the pure-Python SafeLoader and SafeDumper, several
-# times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's safe dumper where PyYAML was built with it: the same text as the
+# pure-Python SafeDumper, several times faster.
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+_INT_TAG = "tag:yaml.org,2002:int"
+# ASCII digits with no leading zero, or 0: always a YAML 1.1 decimal int.
+_DECIMAL = re.compile("0|[1-9][0-9]*")
+
+
+class _DecimalIntLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader with the module's fast path for plain decimal ints."""
+
+    def resolve(self, kind, value, implicit):
+        # the _DECIMAL test in string methods, which are quicker than a regex
+        # call once per scalar
+        if (
+            kind is yaml.ScalarNode
+            and implicit[0]
+            and value.isdigit()
+            and value.isascii()
+            and (value[0] != "0" or value == "0")
+        ):
+            return _INT_TAG
+        return super().resolve(kind, value, implicit)
+
+    def construct_sequence(self, node, deep=False):
+        if isinstance(node, yaml.SequenceNode):
+            items = node.value
+            values = [
+                item.value
+                for item in items
+                if item.tag == _INT_TAG and type(item) is yaml.ScalarNode
+            ]
+            if len(values) == len(items) and all(map(_DECIMAL.fullmatch, values)):
+                return list(map(int, values))
+        return super().construct_sequence(node, deep)
+
+
+_YAML_LOADER = _DecimalIntLoader
 
 
 @dataclass(frozen=True)
@@ -55,9 +99,24 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _optional_mapping(data: dict, key: str) -> dict:
+    """The mapping under ``key``; an absent key or null means an empty one."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InputError(f"{key}: expected a mapping")
+    return value
+
+
 def load_yaml(text: str):
-    """One YAML document under the safe schema; raises ``yaml.YAMLError``."""
-    return yaml.load(text, Loader=_YAML_LOADER)
+    """One YAML document under the safe schema; raises ``yaml.YAMLError``,
+    also for a scalar that has no Python value (an integer over Python's
+    digit limit, an impossible date)."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except ValueError as exc:
+        raise yaml.YAMLError(str(exc)) from exc
 
 
 def parse_instance(text: str) -> Instance:
@@ -83,22 +142,18 @@ def load_instance(text: str) -> tuple:
     bases_raw = _require(data, "bases", list, "instance")
     bases = []
     for c, base in enumerate(bases_raw, start=1):
-        if not isinstance(base, list) or not all(type(x) is int for x in base):
+        if not isinstance(base, list) or not {*map(type, base)} <= {int}:
             raise InputError(f"bases[{c}]: expected a list of integers")
         bases.append(tuple(sorted(base)))
 
-    declared = data.get("declared") or {}
-    if not isinstance(declared, dict):
-        raise InputError("declared: expected a mapping")
+    declared = _optional_mapping(data, "declared")
     beta = declared.get("beta")
     kappa = declared.get("kappa")
     for name, value in (("beta", beta), ("kappa", kappa)):
         if value is not None and type(value) is not int:
             raise InputError(f"declared.{name}: expected an integer")
 
-    provenance = data.get("provenance") or {}
-    if not isinstance(provenance, dict):
-        raise InputError("provenance: expected a mapping")
+    provenance = _optional_mapping(data, "provenance")
 
     inst = Instance(
         family=family,

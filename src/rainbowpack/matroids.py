@@ -329,7 +329,7 @@ class LinearMatroid(_KeptStateMatroid):
         super().__init__(width)
         self.p = p
         self.matrix = tuple(tuple(row) for row in matrix)
-        self._columns = [tuple(row[j] for row in matrix) for j in range(width)]
+        self._columns = list(zip(*matrix))
         self.rank = gf_rank(self._columns, p)
 
     def _build(self, T):

@@ -9,7 +9,10 @@ RIS's carrying a cached signature.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, ValidationError
@@ -45,11 +48,7 @@ class BoundParams:
 
 def overlap_counts(bases: Iterable[Iterable[int]]) -> dict:
     """How many of the given bases hold each element."""
-    counts: dict = {}
-    for B in bases:
-        for x in B:
-            counts[x] = counts.get(x, 0) + 1
-    return counts
+    return Counter(chain.from_iterable(bases))
 
 
 class BaseSequence:
@@ -71,7 +70,7 @@ class BaseSequence:
         self.n = n
         self.bases = tuple(frozen)
         self._coloured = tuple(
-            frozenset((x, c) for x in B) for c, B in enumerate(self.bases, start=1)
+            frozenset(zip(B, repeat(c))) for c, B in enumerate(self.bases, start=1)
         )
         # the colour classes are disjoint, so the union keeps their objects
         self.universe = frozenset().union(*self._coloured)
@@ -102,24 +101,24 @@ class BaseSequence:
 
 def underline(S: Iterable[CElem]) -> frozenset:
     """Raw matroid elements of a set of coloured elements."""
-    return frozenset(x for x, _ in S)
+    return frozenset(map(itemgetter(0), S))
 
 
 def colours_of(S: Iterable[CElem]) -> frozenset:
-    return frozenset(c for _, c in S)
+    return frozenset(map(itemgetter(1), S))
 
 
 def validate_ris(seq: BaseSequence, S: Iterable[CElem]):
     """Check the three RIS invariants; returns (ok, first violation or None)."""
     S = frozenset(S)
-    for ce in S:
-        if ce not in seq.universe:
-            return False, f"{ce} is not a coloured element of the universe"
-    raw = [x for x, _ in S]
-    if len(set(raw)) != len(S):
+    if not S <= seq.universe:
+        for ce in S:
+            if ce not in seq.universe:
+                return False, f"{ce} is not a coloured element of the universe"
+    raw = underline(S)
+    if len(raw) != len(S):
         return False, "raw elements are not distinct"
-    cols = [c for _, c in S]
-    if len(set(cols)) != len(S):
+    if len(colours_of(S)) != len(S):
         return False, "colours are not distinct"
     if not seq.matroid.is_independent(raw):
         return False, "underlying element set is dependent"
@@ -146,10 +145,8 @@ def lex_compare(a: Signature, b: Signature) -> int:
     """Last-coordinate-first comparison; -1, 0 or 1."""
     if len(a) != len(b):
         raise InputError(f"signature lengths differ: {len(a)} vs {len(b)}")
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
+    a, b = tuple(a)[::-1], tuple(b)[::-1]
+    return (a > b) - (a < b)
 
 
 class Collection:
@@ -165,7 +162,7 @@ class Collection:
 
     def __init__(self, n: int, sets: Sequence[frozenset] = (), signature=None):
         self.n = n
-        self.sets = tuple(frozenset(S) for S in sets)
+        self.sets = tuple(map(frozenset, sets))
         if signature is None:
             signature = signature_of_sizes((len(S) for S in self.sets), n)
         self.signature = signature

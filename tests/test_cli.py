@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import pytest
 import yaml
@@ -176,6 +177,8 @@ def test_verify_rejects_report_that_is_not_yaml(tmp_path):
         "--- 1\n--- 2\n",  # two documents
         "a: *nowhere\n",  # undefined alias
         "x\x07\n",  # control character
+        f"signature: [1, {'9' * 5000}]\n",  # an integer over Python's digit limit
+        "made: 2001-02-30\n",  # an impossible date
     ):
         report.write_text(text)
         assert run_command(
@@ -506,13 +509,31 @@ MALFORMED_INSTANCES = (
             "declared: [1, 2]\n",  # not a mapping
             "declared: 5\n",
             "provenance: [a]\n",  # not a mapping
+            # falsy, but still not a mapping: only null or absence means none
+            "declared: []\n",
+            "declared: 0\n",
+            "declared: false\n",
+            "declared: ''\n",
+            "provenance: []\n",
+            "provenance: 0\n",
             "declared: {beta: -1}\n",  # a negative beta
+            # YAML scalars with no Python value
+            f"provenance: {{seed: {'9' * 5000}}}\n",  # over Python's int digit limit
+            "provenance: {made: 2001-02-30}\n",  # an impossible date
         )
     ),
+    # an integer over the digit limit inside a list of integers
+    f"version: 1\nmatroid: {{family: uniform, params: {{k: 2, m: 4}}}}\n"
+    f"bases: [[0, 1], [2, {'9' * 5000}]]\n",
 )
 
 
-@pytest.mark.parametrize("text", MALFORMED_INSTANCES)
+def _short_id(text):
+    """The text, with a long run of nines shown by its length."""
+    return re.sub("9{100,}", lambda run: f"<{len(run[0])} nines>", text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_INSTANCES, ids=_short_id)
 def test_malformed_instance_exit_codes(tmp_path, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)

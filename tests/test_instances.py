@@ -236,18 +236,93 @@ def test_emit_instance_matches_the_pure_python_dumper():
         assert emit_instance(inst) == pure
 
 
+# Plain decimals take the loader's fast path; octal, hex, binary, separated,
+# signed, base-60, float, quoted, explicitly tagged and non-ASCII digit
+# scalars, and decimals with a leading zero, do not.
+_SCALARS = (
+    "[0, 7, 10, 017, 019, 0x1F, 0b101, 1_000, +5, -3, 1:20, 12.0, '12', \"12\","
+    " !!str 12, !!int 017, \u0661\u0662\u0663, \u00b2, 007, 00]\n"
+)
+_YAML_CORPUS = (
+    _SCALARS,
+    "a: [&x 5, *x, 6]\nb: *x\n",  # anchors and aliases
+    "{7: seven, 010: eight, '7': quoted}\n",  # int mapping keys
+    "- 1\n- - 2\n  - 3\n- []\n- [[], [4, [5, 017]]]\n",  # block and nested sequences
+    "[]\n",
+    "a: []\nb: [[]]\n",
+    "- !!int 12\n- !!int '34'\n",
+)
+
+
 def test_load_yaml_matches_the_pure_python_loader():
-    if yaml.__with_libyaml__:
-        assert instances._YAML_LOADER is yaml.CSafeLoader
+    safe = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(instances._YAML_LOADER, safe)
+    texts = list(_YAML_CORPUS)
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
-            text = emit_instance(generate_instance(family, 4, mode, kappa=2, seed=1))
-            assert load_yaml(text) == yaml.safe_load(text)
+            texts.append(emit_instance(generate_instance(family, 4, mode, kappa=2, seed=1)))
+    for family in ("uniform", "sparse_paving"):
+        for mode in ("disjoint", "overlapping"):
+            texts.append(emit_instance(generate_instance(family, 40, mode, kappa=2, seed=0)))
+    texts.append(emit_instance(generate_instance("linear", 20, "disjoint", seed=0)))
+    for text in texts:
+        ours, reference = load_yaml(text), yaml.safe_load(text)
+        assert ours == reference
+        assert repr(ours) == repr(reference)  # True and 1, 15 and 15.0 differ here
+    assert load_yaml(_SCALARS)[:5] == [0, 7, 10, 15, "019"]
     for text in ("just: [a, scalar", "a: 'open\n", "--- 1\n--- 2\n", "a: *nowhere\n"):
         with pytest.raises(yaml.YAMLError):
             yaml.safe_load(text)
         with pytest.raises(yaml.YAMLError):
             load_yaml(text)
+
+
+def test_plain_decimals_skip_the_generic_resolver_and_constructor(monkeypatch):
+    calls = {"resolve": [], "construct": 0}
+    resolve = yaml.resolver.BaseResolver.resolve
+    construct = yaml.constructor.BaseConstructor.construct_object
+
+    def counting_resolve(self, kind, value, implicit):
+        calls["resolve"].append(kind)
+        return resolve(self, kind, value, implicit)
+
+    def counting_construct(self, node, deep=False):
+        calls["construct"] += 1
+        return construct(self, node, deep)
+
+    monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", counting_resolve)
+    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", counting_construct)
+    assert load_yaml("[3, 10, 0, 42]\n") == [3, 10, 0, 42]
+    assert calls == {"resolve": [yaml.SequenceNode], "construct": 1}  # the sequence alone
+
+
+# Scalars that parse but have no Python value: an integer over Python's
+# digit limit, in a sequence (the loader's fast path) and as a mapping value,
+# and an impossible date.
+_HUGE = "9" * 5000
+NO_VALUE_YAML = (
+    f"bases: [[0, 1], [2, {_HUGE}]]\n",
+    f"provenance: {{seed: {_HUGE}}}\n",
+    "provenance: {made: 2001-02-30}\n",
+)
+
+
+@pytest.mark.parametrize("section", NO_VALUE_YAML, ids=["huge-in-list", "huge", "date"])
+def test_a_scalar_without_a_value_is_invalid_yaml(section):
+    with pytest.raises(ValueError):
+        yaml.safe_load(section)
+    with pytest.raises(yaml.YAMLError):
+        load_yaml(section)
+    with pytest.raises(InputError, match="not valid YAML"):
+        load_instance("version: 1\n" + _UNIFORM + section)
+
+
+def test_null_sections_mean_none():
+    inst, _ = load_instance(
+        "version: 1\n" + _UNIFORM + "bases: [[0, 1], [2, 3]]\ndeclared: null\nprovenance: null\n"
+    )
+    assert inst.declared_beta is None and inst.declared_kappa is None
+    assert inst.provenance == {}
 
 
 @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
