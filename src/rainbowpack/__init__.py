@@ -57,7 +57,6 @@ from .exchange import (
 from .cascade import (
     CascadeTrace,
     GoodGraph,
-    GoodPath,
     build_good_graph,
     cascade_search,
     concentration_probe,

@@ -90,24 +90,13 @@ def build_good_graph(seq: BaseSequence, root: Root) -> GoodGraph:
         current = next_level
 
 
-@dataclass(frozen=True)
-class GoodPath:
-    """Shortest base-to-terminal path and the recoloured set it produces."""
-
-    vertices: tuple  # (("O", b), (x1, c1), ..., (xh, ch), (x_{h+1}, ch))
-    result: frozenset
-    missing: int
-
-    @property
-    def hops(self) -> int:
-        return len(self.vertices) - 2
-
-
 def good_transform(seq: BaseSequence, root: Root):
     """Recolour the root's set along a shortest terminal path of its graph.
 
-    Returns ``(good_root, path)``.  Already-good roots come back unchanged
-    with an empty path.  Collections small enough relative to the overlap
+    Returns ``(good_root, vertices)``, the path's vertices
+    ``(("O", b), (x1, c1), ..., (xh, ch), (x_{h+1}, ch))`` from the graph's
+    base to its first terminal; an already-good root comes back unchanged,
+    with two vertices.  Collections small enough relative to the overlap
     (|collection| <= n - alpha with alpha > kappa) always reach a terminal;
     anything else may raise :class:`LevelBoundViolatedError`.
     """
@@ -123,7 +112,7 @@ def good_transform(seq: BaseSequence, root: Root):
         path.append(graph.parents[path[-1]])
     path.reverse()
     if len(path) == 2:
-        return root, GoodPath(tuple(path), root.ris, root.b)
+        return root, tuple(path)
     inner = path[1:-1]  # (x_1, c_1) .. (x_h, c_h), elements of S
     prev_colours = [root.b] + [c for _, c in inner[:-1]]
     recoloured = {(x, pc) for (x, _), pc in zip(inner, prev_colours)}
@@ -134,7 +123,7 @@ def good_transform(seq: BaseSequence, root: Root):
     if __debug__:
         assert underline(new_root.ris) == underline(root.ris)
         assert is_good(seq, new_root)
-    return new_root, GoodPath(tuple(path), new_root.ris, b_prime)
+    return new_root, tuple(path)
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,12 @@ def cyclic_exchange(
     ``pairs`` lists ((x_i, c_i) in S, (x'_i, c_i) in S_prime) with distinct
     colours.  Pair i relates to pair j when :func:`arrow` holds for x_i and
     x'_j, asked once per (i, j).  Returns the 0-based indices I of a
-    shortest cycle of that relation, a self-swap first, so that removing the
-    right elements of I and adding the left ones keeps S_prime an RIS.  A
+    shortest cycle of that relation, the least by sorted indices among them
+    (a self-swap is a cycle of length one), so that removing the right
+    elements of I and adding the left ones keeps S_prime an RIS.  The
+    exchange argument alone gives that, so the set is not re-checked here:
+    callers check the exchanged set (the solver's
+    :func:`~rainbowpack.solver.apply_move` checks every move it makes).  A
     pair with no partner reaches no cycle, nor does a pair whose arrows all
     lead to such pairs, so they need no pruning.  Raises
     :class:`PreconditionError` when no cycle exists and some pair has no
@@ -262,10 +266,6 @@ def cyclic_exchange(
         [j for j in range(k) if arrow(M, S_prime, pairs[i][0], pairs[j][1])]
         for i in range(k)
     ]
-
-    for i in range(k):
-        if i in succ[i]:
-            return _checked_exchange(seq, S_prime, pairs, frozenset([i]))
 
     # Shortest directed cycle; breadth-first from each start, neighbours in
     # ascending order so ties resolve deterministically.
@@ -298,17 +298,7 @@ def cyclic_exchange(
         if not all(succ):
             raise PreconditionError("no cycle, and some pair has no partner")
         raise InternalInvariantError("every pair has a partner, yet no cycle")
-    return _checked_exchange(seq, S_prime, pairs, frozenset(best))
-
-
-def _checked_exchange(seq, S_prime, pairs, I: frozenset) -> frozenset:
-    ok, why = validate_ris(seq, exchanged_set(S_prime, pairs, I))
-    if not ok:
-        raise InternalInvariantError(
-            f"cyclic exchange produced an invalid set ({why}); "
-            "this contradicts the exchange argument"
-        )
-    return I
+    return frozenset(best)
 
 
 def exchanged_set(S_prime, pairs: Sequence, I: frozenset) -> frozenset:

@@ -21,9 +21,8 @@ kept set plus one element, one state query answers, and an independent
 answer moves the kept state to the larger set.  Any other set is checked
 from scratch, and that check is the state build itself: the pivot steps of
 its columns, or the component labels of its edges, stopping at the first
-dependent element.  An independent set's state becomes the kept one,
-except that an isolated answer about a base keeps none: no growth of a base
-is independent.  Each family has this one elimination for its rank, its
+dependent element.  Every independent set's state becomes the kept one, a
+base's included.  Each family has this one elimination for its rank, its
 from-scratch answers and its states.  Each matroid counts its independence
 answers (:attr:`Matroid.answers`).  Closure, circuits and the girth search
 are derived from the oracle alone, so they are valid for any family that
@@ -61,12 +60,14 @@ def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
 
 
 class Matroid:
-    """Immutable independence oracle over the ground set ``0..size-1``.
+    """Independence oracle over the ground set ``0..size-1``.
 
-    Each family sets ``rank``, the size of its bases.  ``answers`` counts the
-    answers :meth:`is_independent` has given: ``cached`` (a set asked
-    before), ``incremental`` (one state query) and ``scratch`` (a check of
-    the whole set).
+    Its answers never change, but it is not immutable: it caches every
+    answer, and linear and graphic matroids also keep one state (see
+    :class:`_KeptStateMatroid`).  Each family sets ``rank``, the size of
+    its bases.  ``answers`` counts the answers :meth:`is_independent` has
+    given: ``cached`` (a set asked before), ``incremental`` (one state
+    query) and ``scratch`` (a check of the whole set).
     """
 
     family = "abstract"
@@ -102,7 +103,7 @@ class Matroid:
         Raises :class:`PreconditionError` when T is dependent.  This state
         asks the family's closed form about each changed set, which costs
         no more than building it; linear and graphic matroids keep one state
-        instead (see :meth:`_KeptStateMatroid._kept_state`).
+        instead (see :meth:`_KeptStateMatroid.state`).
         """
         T = _as_element_set(self.size, T)
         if not self._independent(T):
@@ -124,27 +125,26 @@ class Matroid:
 class _KeptStateMatroid(Matroid):
     """A family whose from-scratch check, ``_build``, builds a state.
 
-    It keeps one state.  A kept state must hold no reference to its
-    matroid: the two would form a reference cycle, and a dropped matroid,
-    independence cache and all, would wait for the cycle collector.
+    It keeps one state: that of the last independent set it answered about
+    by a state query or a from-scratch check, or returned from
+    :meth:`state`.  A cached answer and a dependent set leave it where it
+    was.  A kept state must hold no reference to its matroid: the two would
+    form a reference cycle, and a dropped matroid, independence cache and
+    all, would wait for the cycle collector.
     """
 
     def __init__(self, size: int):
         super().__init__(size)
-        self._state = None  # the kept state, see _kept_state()
+        self._state = None  # the kept state
 
     def state(self, T):
-        return self._kept_state(T)
-
-    def _kept_state(self, T: Iterable[int]) -> "IndependenceState":
-        """:meth:`state`, from the one kept state where it can be.
+        """:meth:`Matroid.state`, from the one kept state where it can be.
 
         Asked about its own set, the kept state is returned as it is; asked
         about its set plus one element, one state query answers
         (:meth:`_grow`).  Any other set is built from scratch
         (:meth:`_check`).  Either way an independent set's state becomes
-        the kept one; :meth:`is_independent` keeps it too, unless the set
-        is a base.
+        the kept one, as it does when :meth:`is_independent` answers.
         """
         T = frozenset(T)
         state = self._state
@@ -164,12 +164,6 @@ class _KeptStateMatroid(Matroid):
             self.answers["incremental"] += 1
             return grown
         self.answers["scratch"] += 1
-        if len(A) >= self.rank:
-            # A base has no independent growth to answer, and keeping its
-            # state would drop the one a caller works on: the cyclic
-            # exchange checks exchanged bases while arrow asks state() of
-            # its root set.
-            return self._build(A) is not None
         return self._check(A)
 
     def _grow(self, A: frozenset):

@@ -61,8 +61,7 @@ class SolverParams:
 @dataclass
 class SolveResult:
     collection: Collection
-    moves: list
-    signatures: list
+    moves: list  # each records the signature it produces
     stopped: str  # "fixed_point" (no finder found a move) or "budget"
 
     @property
@@ -195,7 +194,7 @@ def _attempt_exchange(seq, coll, probe):
             continue
         try:
             I = cyclic_exchange(seq, source, target, pairs)
-        except (PreconditionError, InternalInvariantError):
+        except PreconditionError:
             continue
         # every right element landed, so it has a trace; one more transition
         # moves it out of the landing set (the paper's associated root)
@@ -209,8 +208,9 @@ def _attempt_exchange(seq, coll, probe):
         final = list(aroot.collection.sets)
         final[j] = target - removed | added
         final[d] = source - added
-        # every set comes from a checked transition or the checked exchange,
-        # so the signature is the one test left for pack_rainbow_bases
+        # the transitions are checked and the exchange argument makes the
+        # landing set an RIS (apply_move checks every changed set), so the
+        # signature is the one test left for pack_rainbow_bases
         sizes = (len(S) for S in final if S)
         if lex_compare(signature_of_sizes(sizes, seq.n), coll.signature) <= 0:
             continue
@@ -234,7 +234,6 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
     coll = Collection(seq.n)
     free = sorted(seq.universe)  # every element is unused in the empty collection
     moves: list = []
-    signatures = [coll.signature]
     for _ in range(params.iteration_budget):
         move = _find_move(seq, coll, eta, params, free)
         if move is None:
@@ -246,10 +245,9 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
             raise InternalInvariantError(f"finder made a bad move: {exc}") from exc
         move["signature"] = list(coll.signature)
         moves.append(move)
-        signatures.append(coll.signature)
     else:
         stopped = "budget"
-    return SolveResult(coll, moves, signatures, stopped)
+    return SolveResult(coll, moves, stopped)
 
 
 def apply_move(seq: BaseSequence, coll: Collection, move: dict, free: list) -> Collection:

@@ -215,7 +215,8 @@ def test_criterion_5_solver_certificates():
                     seq = inst.base_sequence()
                     result = pack_rainbow_bases(seq)
                     runs += 1
-                    for a, b in zip(result.signatures, result.signatures[1:]):
+                    signatures = [[0] * n] + [m["signature"] for m in result.moves]
+                    for a, b in zip(signatures, signatures[1:]):
                         if lex_compare(b, a) <= 0:
                             problems.append(f"{family} n={n} {mode} {seed}: non-increasing")
                     try:

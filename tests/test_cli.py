@@ -381,7 +381,7 @@ def test_bench_fails_a_row_below_the_bound(tmp_path, monkeypatch):
     # Uniform disjoint n = 5 has beta = 0, so the bound is 1 and applicable;
     # a solve that packs nothing falls below it.
     def nothing(seq, params):
-        return SolveResult(Collection(seq.n), [], [], "fixed_point")
+        return SolveResult(Collection(seq.n), [], "fixed_point")
 
     code, [row] = _bench_rows(
         tmp_path, "--family", "uniform", "--n", "5", "--seeds", "1"

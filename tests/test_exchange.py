@@ -283,7 +283,32 @@ def test_cyclic_exchange_self_swap():
     S_prime = frozenset({(1, 1), (3, 2)})
     pairs = [((0, 1), (1, 1)), ((2, 2), (3, 2))]
     I = cyclic_exchange(seq, S, S_prime, pairs)
-    assert len(I) == 1  # uniform matroids always allow the single swap
+    assert I == {0}  # uniform matroids allow every single swap; the least wins
+    assert is_ris(seq, exchanged_set(S_prime, pairs, I))
+
+
+def test_cyclic_exchange_prefers_the_least_self_swap():
+    # GF(3) columns 0..3 = e1..e4, 4 = 2e2, 5 = 2e1, 6 = e1 + e3, 7 = e2 + e4.
+    # Pairs 0 and 1 relate only to each other (a 2-cycle on the least
+    # indices); pairs 2 and 3 each relate to themselves and to one of them.
+    M = LinearMatroid(3, [
+        [1, 0, 0, 0, 0, 2, 1, 0],
+        [0, 1, 0, 0, 2, 0, 0, 1],
+        [0, 0, 1, 0, 0, 0, 1, 0],
+        [0, 0, 0, 1, 0, 0, 0, 1],
+    ])
+    seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {0, 2, 3, 7}])
+    S = frozenset({(4, 1), (5, 2), (6, 3), (7, 4)})
+    S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
+    pairs = [((4, 1), (0, 1)), ((5, 2), (1, 2)), ((6, 3), (2, 3)), ((7, 4), (3, 4))]
+    relation = {
+        (i, j)
+        for i, j in itertools.product(range(4), repeat=2)
+        if arrow(M, S_prime, pairs[i][0], pairs[j][1])
+    }
+    assert relation == {(0, 1), (1, 0), (2, 0), (2, 2), (3, 1), (3, 3)}
+    I = cyclic_exchange(seq, S, S_prime, pairs)
+    assert I == {2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
 

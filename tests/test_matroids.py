@@ -389,8 +389,8 @@ def test_kept_state_follows_growth(data, M):
     # must equal a from-scratch check, and be counted as the rule says: a
     # set one element larger than the kept set takes one state query, any
     # other set not asked before a check from scratch.  An independent set
-    # becomes the kept set, unless it is a base answered from scratch; a
-    # dependent one leaves it where it was, and so does a cached answer.
+    # becomes the kept set; a dependent one leaves it where it was, and so
+    # does a cached answer.
     sets = st.frozensets(st.integers(0, M.size - 1))
     asked = {frozenset()}
     kept = None
@@ -416,7 +416,7 @@ def test_kept_state_follows_growth(data, M):
             kind = "cached"
         else:
             kind = "incremental" if kept is not None and _one_more(kept, A) else "scratch"
-            if want and (kind == "incremental" or len(A) < M.rank):
+            if want:
                 kept = A
         asked.add(A)
         assert {k: M.answers[k] - before[k] for k in before} == {

@@ -1,6 +1,7 @@
 """Packing solver: progress, certificates, logs and replay."""
 
 import copy
+import hashlib
 import json
 import random
 from itertools import islice
@@ -8,7 +9,11 @@ from itertools import islice
 import pytest
 
 from rainbowpack import cascade, solver
-from rainbowpack.errors import CorruptedTraceError, PreconditionError
+from rainbowpack.errors import (
+    CorruptedTraceError,
+    InternalInvariantError,
+    PreconditionError,
+)
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
 from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
@@ -87,11 +92,11 @@ def test_pack_never_beats_oracle():
 def test_signatures_strictly_increase():
     seq = uniform_seq(3, [{0, 1, 2}, {0, 3, 5}, {1, 3, 4}])
     result = pack_rainbow_bases(seq)
-    for before, after in zip(result.signatures, result.signatures[1:]):
-        assert lex_compare(after, before) > 0
-    assert len(result.signatures) == len(result.moves) + 1
     for move in result.moves:
         assert "signature" in move
+    signatures = [[0] * seq.n] + [m["signature"] for m in result.moves]
+    for before, after in zip(signatures, signatures[1:]):
+        assert lex_compare(after, before) > 0
 
 
 def test_replay_reproduces_final_collection():
@@ -260,6 +265,18 @@ def test_replay_of_a_cascade_move():
         del broken["changes"][drop]
         with pytest.raises(CorruptedTraceError):
             apply_move(seq, before, broken, sorted(seq.universe - before.used()))
+
+
+def test_cascade_exchange_invariant_errors_propagate(monkeypatch):
+    # A failed donor raises PreconditionError and is skipped; an
+    # InternalInvariantError is a bug, so the solve must not swallow it.
+    def broken(seq, S, S_prime, pairs):
+        raise InternalInvariantError("every pair has a partner, yet no cycle")
+
+    monkeypatch.setattr(solver, "cyclic_exchange", broken)
+    seq = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1).base_sequence()
+    with pytest.raises(InternalInvariantError, match="yet no cycle"):
+        pack_rainbow_bases(seq)
 
 
 def test_cascade_attempts_each_distinct_probe_once(monkeypatch):
@@ -483,3 +500,24 @@ def test_eta_caps_collection_size():
     params = SolverParams(bound=BoundParams(alpha=1))
     result = pack_rainbow_bases(seq, params)
     assert len(result.collection.sets) <= 2  # eta = n - alpha = 2
+
+
+# The generated suite at n = 3..5 (kappa 2, seeds 0-19, families and modes
+# in this order): the sha256 over every solve's move log, and the rainbow
+# bases found.  A simplification that keeps behaviour keeps both.
+SUITE_MOVELOG_SHA256 = "a576f089286e16111f18a30e16ba0e817e132649620f993f23f62519a0db60cb"
+SUITE_RB_TOTAL = 1721
+
+
+def test_generated_suite_move_logs_are_pinned():
+    digest = hashlib.sha256()
+    total = 0
+    for family in ("uniform", "sparse_paving", "graphic", "linear"):
+        for n in (3, 4, 5):
+            for mode in ("disjoint", "overlapping"):
+                for seed in range(20):
+                    inst = generate_instance(family, n, mode, kappa=2, seed=seed)
+                    result = pack_rainbow_bases(inst.base_sequence())
+                    digest.update(dump_move_log(result.moves).encode())
+                    total += result.rb_count
+    assert (digest.hexdigest(), total) == (SUITE_MOVELOG_SHA256, SUITE_RB_TOTAL)
