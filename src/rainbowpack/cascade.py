@@ -20,7 +20,6 @@ from .exchange import (
 )
 from .model import (
     BaseSequence,
-    CElem,
     Collection,
     istar,
     underline,
@@ -96,9 +95,12 @@ def good_transform(seq: BaseSequence, root: Root):
     Returns ``(good_root, vertices)``, the path's vertices
     ``(("O", b), (x1, c1), ..., (xh, ch), (x_{h+1}, ch))`` from the graph's
     base to its first terminal; an already-good root comes back unchanged,
-    with two vertices.  Collections small enough relative to the overlap
-    (|collection| <= n - alpha with alpha > kappa) always reach a terminal;
-    anything else may raise :class:`LevelBoundViolatedError`.
+    with two vertices.  The result is good by construction: the terminal is
+    an unused element of the new missing colour outside the set, and the
+    recolouring keeps the set's raw elements.
+    Collections small enough relative to the overlap (|collection| <= n -
+    alpha with alpha > kappa) always reach a terminal; anything else may
+    raise :class:`LevelBoundViolatedError`.
     """
     graph = build_good_graph(seq, root)
     if not graph.terminals:
@@ -119,11 +121,7 @@ def good_transform(seq: BaseSequence, root: Root):
     new_set = root.ris - frozenset(inner) | recoloured
     b_prime = inner[-1][1]
     coll = root.collection.replace(root.index, frozenset(new_set))
-    new_root = Root(coll, root.index, b_prime)
-    if __debug__:
-        assert underline(new_root.ris) == underline(root.ris)
-        assert is_good(seq, new_root)
-    return new_root, tuple(path)
+    return Root(coll, root.index, b_prime), tuple(path)
 
 
 @dataclass(frozen=True)
@@ -132,21 +130,11 @@ class CascadeTrace:
 
     ``final_root`` is the root reached after the chain's transitions (and,
     for a good cascade, the last recolouring); ``record`` is the add record
-    that adds ``element`` at that root.
+    that adds the element, ``record.element``, at that root.
     """
 
-    element: CElem
     final_root: Root
     record: AddRecord
-
-
-def _expand_records(records):
-    for rec in records:
-        if rec.mode == "direct":
-            yield rec, None
-        else:
-            for variant in rec.variants:
-                yield rec, variant
 
 
 # Search nodes one cascade_search may visit, and cascade_search calls one
@@ -194,17 +182,18 @@ def _walk(seq, chain, good, forbidden, results, seen_states, nodes, current, pos
     if pos == len(chain):
         for rec in add_set(seq, current):
             if rec.element not in forbidden and rec.element not in results:
-                results[rec.element] = CascadeTrace(rec.element, current, rec)
+                results[rec.element] = CascadeTrace(current, rec)
         return
     target = current.collection.sets[chain[pos]]
-    for rec, variant in _expand_records(add_set(seq, current)):
+    for rec in add_set(seq, current):
         if rec.element not in target:
             continue
-        try:
-            nxt = transition(seq, current, rec, variant)
-        except PreconditionError:
-            continue  # singleton donor; no continuation through it
-        _walk(seq, chain, good, forbidden, results, seen_states, nodes, nxt, pos + 1)
+        for variant in rec.variants or (None,):
+            try:
+                nxt = transition(seq, current, rec, variant)
+            except PreconditionError:
+                continue  # singleton donor; no continuation through it
+            _walk(seq, chain, good, forbidden, results, seen_states, nodes, nxt, pos + 1)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .model import (
     colours_of,
     underline,
     unused,
-    validate_ris,
 )
 
 
@@ -85,13 +84,12 @@ def swap_set(seq: BaseSequence, root: Root) -> dict:
 class AddRecord:
     """One addable element with how it can be added.
 
-    Direct additions need no witness.  Indirect ones carry every valid
-    (removed, witness) pair in ``variants``, canonical choice first, ordered
-    by witness then removed element.
+    A direct addition needs no witness and has no ``variants``.  An indirect
+    one carries every valid (removed, witness) pair in ``variants``,
+    canonical choice first, ordered by witness then removed element.
     """
 
     element: CElem
-    mode: str  # "direct" or "indirect"
     variants: tuple = ()
 
 
@@ -115,7 +113,7 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
         xpc = holder.get(c)
         if xpc is None:
             if x not in raw and state.independent((), (x,)):
-                records.append(AddRecord(xc, "direct"))
+                records.append(AddRecord(xc))
             continue
         xp = xpc[0]
         if x != xp and x in raw:
@@ -126,13 +124,13 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
             and state.independent((xp,), (x, yb[0]))
         ]
         if variants:
-            records.append(AddRecord(xc, "indirect", tuple(variants)))
+            records.append(AddRecord(xc, tuple(variants)))
     return tuple(records)
 
 
 def apply_add(S: frozenset, record: AddRecord, variant=None) -> frozenset:
     """The set the root's RIS becomes after adding the record's element."""
-    if record.mode == "direct":
+    if not record.variants:
         return S | {record.element}
     removed, witness = variant if variant is not None else record.variants[0]
     return (S | {record.element, witness}) - {removed}
@@ -143,12 +141,14 @@ def transition(
 ) -> Root:
     """Move an addable element out of its current set into the root's set.
 
-    The element must live in a set other than the root's, and an indirect
-    variant's witness in no other set; :class:`PreconditionError` otherwise.
-    Returns the new root (same collection size, set identities kept
-    positional).  The root's collection must be valid, and then so is the
-    result: the new root set is checked as an RIS, the donor only loses an
-    element, and the witness is the one element that could land in two sets.
+    ``record`` must come from :func:`add_set` at this root, which makes the
+    new root set an RIS.  The element must live
+    in a set other than the root's, and an indirect variant's witness in no
+    other set; :class:`PreconditionError` otherwise.  Returns the new root
+    (same collection size, set identities kept positional).  The root's
+    collection must be valid, and then so is the result: the donor only
+    loses an element, and the witness is the one element that could land in
+    two sets.
     """
     xc = record.element
     donor = root.collection.index_of_element(xc)
@@ -160,16 +160,12 @@ def transition(
         # the donor would become empty, which no collection may contain;
         # such degenerate roots carry no useful continuation
         raise PreconditionError(f"removing {xc} would empty its set")
-    if record.mode == "indirect":
+    if record.variants:
         witness = (variant if variant is not None else record.variants[0])[1]
         holder = root.collection.index_of_element(witness)
         if holder not in (None, root.index):
             raise PreconditionError(f"witness {witness} is held by set {holder}")
-    T = apply_add(root.ris, record, variant)
-    ok, why = validate_ris(seq, T)
-    if not ok:
-        raise PreconditionError(f"add record invalid against the collection: {why}")
-    coll = root.collection.replace(root.index, T)
+    coll = root.collection.replace(root.index, apply_add(root.ris, record, variant))
     coll = coll.replace(donor, coll.sets[donor] - {xc})
     return Root(coll, donor, xc[1])
 

@@ -147,6 +147,9 @@ def load_instance(text: str) -> tuple:
         bases.append(tuple(sorted(base)))
 
     declared = _optional_mapping(data, "declared")
+    extra = sorted(map(str, declared.keys() - {"beta", "kappa"}))
+    if extra:
+        raise InputError(f"declared: unknown field {', '.join(extra)}; expected beta or kappa")
     beta = declared.get("beta")
     kappa = declared.get("kappa")
     for name, value in (("beta", beta), ("kappa", kappa)):

@@ -619,6 +619,9 @@ def build_matroid(family: str, params: dict) -> Matroid:
         cls, fields = _FAMILIES[family]
     except KeyError:
         raise ValidationError(f"unknown matroid family {family!r}") from None
+    extra = sorted(map(str, params.keys() - fields.keys()))
+    if extra:
+        raise ValidationError(f"family {family!r} takes no parameter {', '.join(extra)}")
     for name, kind in fields.items():
         if name not in params:
             raise ValidationError(f"family {family!r} missing parameter {name!r}")

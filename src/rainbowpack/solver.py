@@ -208,9 +208,9 @@ def _attempt_exchange(seq, coll, probe):
         final = list(aroot.collection.sets)
         final[j] = target - removed | added
         final[d] = source - added
-        # the transitions are checked and the exchange argument makes the
-        # landing set an RIS (apply_move checks every changed set), so the
-        # signature is the one test left for pack_rainbow_bases
+        # add_set proved each transition's set an RIS and the exchange
+        # argument makes the landing set one (apply_move checks every changed
+        # set), so the signature is the one test left for pack_rainbow_bases
         sizes = (len(S) for S in final if S)
         if lex_compare(signature_of_sizes(sizes, seq.n), coll.signature) <= 0:
             continue
@@ -246,7 +246,8 @@ def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) ->
         move["signature"] = list(coll.signature)
         moves.append(move)
     else:
-        stopped = "budget"
+        # the budget is spent only when a move is still left to make
+        stopped = "fixed_point" if _find_move(seq, coll, eta, params, free) is None else "budget"
     return SolveResult(coll, moves, stopped)
 
 

@@ -111,8 +111,7 @@ def brute_cascadable(seq, root, chain):
         for rec in add_set(seq, current):
             if rec.element not in target:
                 continue
-            variants = [None] if rec.mode == "direct" else list(rec.variants)
-            for variant in variants:
+            for variant in rec.variants or (None,):
                 try:
                     nxt = transition(seq, current, rec, variant)
                 except PreconditionError:
@@ -156,7 +155,7 @@ def test_cascade_trace_replays(bad_root_u36):
     results = cascade_search(seq, root, (1,))
     assert results  # the worked instance has cascadable elements via set 1
     for elem, trace in results.items():
-        assert trace.element == elem == trace.record.element
+        assert trace.record.element == elem
         ok, why = validate_collection(seq, trace.final_root.collection)
         assert ok, why
         holder = trace.final_root.collection.index_of_element(elem)
@@ -180,7 +179,7 @@ def test_concentration_probe(bad_root_u36):
     for probe in probes:
         assert probe.traces
         for elem, trace in probe.traces.items():
-            assert trace.element == elem
+            assert trace.record.element == elem
             assert elem in coll.sets[probe.landing_index]
             ok, why = validate_collection(seq, trace.final_root.collection)
             assert ok, why

@@ -499,6 +499,9 @@ MALFORMED_INSTANCES = (
     "version: 99\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [2, 3]]\n",
     "version: 1\nbases: [[0, 1], [2, 3]]\n",  # no matroid
     "version: 1\nmatroid: {family: nosuch, params: {}}\nbases: [[0, 1], [2, 3]]\n",
+    # a parameter the family does not take
+    "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4, circuit_hyperplanes: [[0, 1]]}}\n"
+    "bases: [[0, 1], [2, 3]]\n",
     "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0], [2, 3]]\n",
     "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\nbases: [[0, 1], [0, 1]]\n"
     "declared: {kappa: 1}\n",  # overlap above the declared kappa
@@ -517,6 +520,7 @@ MALFORMED_INSTANCES = (
             "provenance: []\n",
             "provenance: 0\n",
             "declared: {beta: -1}\n",  # a negative beta
+            "declared: {kapa: 1}\n",  # a field declared does not have
             # YAML scalars with no Python value
             f"provenance: {{seed: {'9' * 5000}}}\n",  # over Python's int digit limit
             "provenance: {made: 2001-02-30}\n",  # an impossible date

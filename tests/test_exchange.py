@@ -112,9 +112,8 @@ def test_add_set_matches_definition():
                                 if is_ris(seq, (S | {xc, yb}) - {xpc}):
                                     variants.add((xpc, yb))
                     if direct:
-                        assert got[xc].mode == "direct"
+                        assert got[xc].variants == ()
                     elif variants:
-                        assert got[xc].mode == "indirect"
                         assert set(got[xc].variants) == variants
                     else:
                         assert xc not in got
@@ -128,7 +127,7 @@ def _add_set_by_definition(seq, root):
     for xc in sorted(seq.universe - S):
         x, c = xc
         if is_ris(seq, S | {xc}):
-            records.append(AddRecord(xc, "direct"))
+            records.append(AddRecord(xc))
             continue
         variants = []
         removable = sorted(xpc for xpc in S if xpc[1] == c)
@@ -138,7 +137,7 @@ def _add_set_by_definition(seq, root):
                     variants.append((xpc, yb))
         if variants:
             variants.sort(key=lambda v: (v[1], v[0]))
-            records.append(AddRecord(xc, "indirect", tuple(variants)))
+            records.append(AddRecord(xc, tuple(variants)))
     return tuple(records)
 
 
@@ -156,23 +155,40 @@ def _swap_set_by_definition(seq, root):
 
 def test_add_and_swap_sets_match_definition_on_solver_collections():
     """Every root of every collection a solve passes through, the final one
-    included, on generated instances of every family and mode, n = 3..6."""
-    roots = 0
+    included, on generated instances of every family and mode, n = 3..6.
+
+    Each record and variant of ``add_set`` also goes through ``transition``,
+    which trusts the record: it either refuses the move (a foreign or
+    singleton donor, or a held witness) or makes a valid collection whose
+    root set is the one ``apply_add`` describes."""
+    roots = moved = 0
     for name, seq in generated_seqs():
         coll, free = Collection(seq.n), sorted(seq.universe)
         for move in pack_rainbow_bases(seq).moves:
             coll = apply_move(seq, coll, move, free)
             for root in iter_roots(seq, coll):
                 roots += 1
-                assert add_set(seq, root) == _add_set_by_definition(seq, root), name
+                records = add_set(seq, root)
+                assert records == _add_set_by_definition(seq, root), name
                 assert swap_set(seq, root) == _swap_set_by_definition(seq, root), name
-    assert roots > 1000
+                for rec in records:
+                    for variant in rec.variants or (None,):
+                        try:
+                            new_root = transition(seq, root, rec, variant)
+                        except PreconditionError:
+                            continue
+                        moved += 1
+                        new_coll = new_root.collection
+                        ok, why = validate_collection(seq, new_coll)
+                        assert ok, (name, why)
+                        T = apply_add(root.ris, rec, variant)
+                        assert new_coll.sets[root.index] == T, name
+    assert roots > 1000 and moved > 10000
 
 
 def test_add_record_canonical_variant():
     rec = AddRecord(
         (5, 1),
-        "indirect",
         (((0, 1), (2, 2)), ((1, 1), (2, 2)), ((0, 1), (3, 2))),
     )
     # variants are consumed in the given order; the first is canonical
@@ -182,8 +198,8 @@ def test_add_record_canonical_variant():
 
 def test_apply_add():
     S = frozenset({(0, 1), (2, 2)})
-    assert apply_add(S, AddRecord((3, 3), "direct")) == S | {(3, 3)}
-    rec = AddRecord((4, 1), "indirect", (((0, 1), (5, 3)),))
+    assert apply_add(S, AddRecord((3, 3))) == S | {(3, 3)}
+    rec = AddRecord((4, 1), (((0, 1), (5, 3)),))
     out = apply_add(S, rec)
     assert out == {(4, 1), (5, 3), (2, 2)}
     alt = apply_add(S, rec, variant=((0, 1), (5, 3)))
@@ -212,10 +228,10 @@ def test_transition_rejects_foreign_and_singleton(u24_disjoint):
     seq = u24_disjoint
     coll = Collection(2, (frozenset({(0, 1)}), frozenset({(2, 2)})))
     root = Root(coll, 0, 2)
-    free = AddRecord((3, 2), "direct")
+    free = AddRecord((3, 2))
     with pytest.raises(PreconditionError):
         transition(seq, root, free)  # element not held by another set
-    held = AddRecord((2, 2), "direct")
+    held = AddRecord((2, 2))
     with pytest.raises(PreconditionError):
         transition(seq, root, held)  # donor would become empty
 
@@ -234,7 +250,7 @@ def test_transition_rejects_witness_held_by_another_set(others):
     seq = uniform_seq(3, [{0, 1, 3}, {2, 3, 4}, {3, 4, 5}])
     coll = Collection(3, (frozenset({(0, 1)}), *map(frozenset, others)))
     root = Root(coll, 0, 2)
-    rec = AddRecord((1, 1), "indirect", (((0, 1), (2, 2)),))
+    rec = AddRecord((1, 1), (((0, 1), (2, 2)),))
     assert is_ris(seq, apply_add(root.ris, rec))
     with pytest.raises(PreconditionError, match="witness"):
         transition(seq, root, rec)

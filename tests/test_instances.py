@@ -164,9 +164,17 @@ def test_parse_rejects_malformed():
         "{family: uniform, params: {k: 2, m: 4.5}}",
         "{family: linear, params: {p: 2, matrix: 5}}",
         "{family: sparse_paving, params: {k: 2, m: 4, circuit_hyperplanes: 5}}",
+        # a parameter the family does not take
+        "{family: uniform, params: {k: 2, m: 4, circuit_hyperplanes: [[0, 1]]}}",
     ):
         with pytest.raises(ValidationError):
             parse_instance(f"version: 1\nmatroid: {matroid}\nbases: [[0, 1], [2, 3]]\n")
+    # a declared field other than beta and kappa, such as a misspelt kappa
+    with pytest.raises(InputError, match="kapa"):
+        parse_instance(
+            "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\n"
+            "bases: [[0, 1], [2, 3]]\ndeclared: {kapa: 1}\n"
+        )
 
 
 _UNIFORM = "matroid: {family: uniform, params: {k: 2, m: 4}}\n"

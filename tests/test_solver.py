@@ -495,6 +495,19 @@ def test_iteration_budget_respected():
     assert result.stopped == "fixed_point" and result.rb_count == 3
 
 
+@pytest.mark.parametrize("spare, stopped", [(-1, "budget"), (0, "fixed_point")])
+def test_budget_equal_to_the_moves_needed_is_a_fixed_point(spare, stopped):
+    """A budget that runs out on the last move a solve needs still reports
+    the fixed point it reached; one move fewer is a budget stop."""
+    seq = generate_instance("uniform", 4, "disjoint", seed=0).base_sequence()
+    full = pack_rainbow_bases(seq)
+    assert full.stopped == "fixed_point" and len(full.moves) == 16
+    budget = len(full.moves) + spare
+    result = pack_rainbow_bases(seq, SolverParams(iteration_budget=budget))
+    assert result.stopped == stopped
+    assert result.moves == full.moves[:budget]
+
+
 def test_eta_caps_collection_size():
     seq = uniform_seq(3, [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}])
     params = SolverParams(bound=BoundParams(alpha=1))
