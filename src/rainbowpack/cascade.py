@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
-from .errors import (
-    InputError,
-    LevelBoundViolatedError,
-    PreconditionError,
-)
+from .errors import LevelBoundViolatedError, PreconditionError
 from .exchange import (
     AddRecord,
     Root,
@@ -148,14 +144,12 @@ def cascade_search(
 ) -> dict:
     """All cascadable elements for a fixed chain of donor sets.
 
-    ``chain`` lists the positions of the intermediate sets (excluding the
-    root's own).  The search walks every transition choice, witness choices
-    included, so it realizes the definition exactly, up to
-    ``SEARCH_NODE_BUDGET`` nodes.  Returns one :class:`CascadeTrace` per
+    ``chain`` lists the positions of the intermediate sets, distinct and
+    other than the root's own; the caller keeps that contract.  The search
+    walks every transition choice, witness choices included, so it realizes
+    the definition exactly, up to ``SEARCH_NODE_BUDGET`` nodes.  Returns one :class:`CascadeTrace` per
     element, the first found in deterministic order.
     """
-    if len(set(chain) | {root.index}) != len(chain) + 1:
-        raise InputError("chain sets must be distinct and differ from the root's")
     forbidden = frozenset().union(
         root.ris, *(root.collection.sets[i] for i in chain)
     )
@@ -232,9 +226,8 @@ def concentration_probe(
     set, holding at least c cascadable elements, and it stops at the first
     chain that reaches k.  Returns those results most concentrated first,
     each once; ``None`` means none found within budget, not that none exists.
+    ``k`` must be positive; the caller keeps that contract.
     """
-    if k < 1:
-        raise InputError("k must be positive")
     try:
         top = istar(coll)
     except PreconditionError:

@@ -141,30 +141,23 @@ def transition(
 ) -> Root:
     """Move an addable element out of its current set into the root's set.
 
-    ``record`` must come from :func:`add_set` at this root, which makes the
-    new root set an RIS.  The element must live
-    in a set other than the root's, and an indirect variant's witness in no
-    other set; :class:`PreconditionError` otherwise.  Returns the new root
-    (same collection size, set identities kept positional).  The root's
-    collection must be valid, and then so is the result: the donor only
-    loses an element, and the witness is the one element that could land in
-    two sets.
+    The caller keeps the contract: the root's collection is valid and
+    ``record`` comes from :func:`add_set` at this root, which makes the new
+    root set an RIS, draws an indirect variant's witness from the root's
+    unused pool and the element from outside the root's set.  The result's
+    collection is then valid too: the donor only loses an element, and the
+    witness lands in no second set.  :class:`PreconditionError` when no set
+    holds the element, or when it is its set's only one.  Returns the new
+    root (same collection size, set identities kept positional).
     """
     xc = record.element
     donor = root.collection.index_of_element(xc)
-    if donor is None or donor == root.index:
-        raise PreconditionError(
-            f"{xc} is not held by another set of the collection"
-        )
+    if donor is None:
+        raise PreconditionError(f"{xc} is held by no set of the collection")
     if len(root.collection.sets[donor]) == 1:
         # the donor would become empty, which no collection may contain;
         # such degenerate roots carry no useful continuation
         raise PreconditionError(f"removing {xc} would empty its set")
-    if record.variants:
-        witness = (variant if variant is not None else record.variants[0])[1]
-        holder = root.collection.index_of_element(witness)
-        if holder not in (None, root.index):
-            raise PreconditionError(f"witness {witness} is held by set {holder}")
     coll = root.collection.replace(root.index, apply_add(root.ris, record, variant))
     coll = coll.replace(donor, coll.sets[donor] - {xc})
     return Root(coll, donor, xc[1])
@@ -224,39 +217,30 @@ def cyclic_exchange(
 ) -> frozenset:
     """Nonempty index set realizing a valid multi-element swap into S_prime.
 
-    ``pairs`` lists ((x_i, c_i) in S, (x'_i, c_i) in S_prime) with distinct
-    colours.  Pair i relates to pair j when :func:`arrow` holds for x_i and
-    x'_j, asked once per (i, j).  Returns the 0-based indices I of a
-    shortest cycle of that relation, the least by sorted indices among them
-    (a self-swap is a cycle of length one), so that removing the right
+    The caller keeps the contract: ``pairs`` is a nonempty list of
+    ((x_i, c_i) in S, (x'_i, c_i) in S_prime), each pair of one colour and
+    no colour twice.  Pair i relates to pair j when :func:`arrow` holds for
+    x_i and x'_j, asked once per (i, j).  Returns the 0-based indices I of
+    a shortest cycle of that relation, the least by sorted indices among
+    them (a self-swap is a cycle of length one), so that removing the right
     elements of I and adding the left ones keeps S_prime an RIS.  The
     exchange argument alone gives that, so the set is not re-checked here:
     callers check the exchanged set (the solver's
     :func:`~rainbowpack.solver.apply_move` checks every move it makes).  A
     pair with no partner reaches no cycle, nor does a pair whose arrows all
     lead to such pairs, so they need no pruning.  Raises
-    :class:`PreconditionError` when no cycle exists and some pair has no
+    :class:`PreconditionError` when some x_i other than x'_i already lies in
+    underline(S_prime), and when no cycle exists and some pair has no
     partner; when every pair has one, a cycle exists.
     """
     M = seq.matroid
     k = len(pairs)
-    if k == 0:
-        raise PreconditionError("need at least one pair")
-    cols = [ci for (_, ci), _ in pairs]
-    if len(set(cols)) != k:
-        raise PreconditionError("pair colours must be distinct")
     raw_prime = underline(S_prime)
-    for (xi, ci), (xpi, cpi) in pairs:
-        if ci != cpi:
-            raise PreconditionError("each pair must share one colour")
-        if (xi, ci) not in S or (xpi, cpi) not in S_prime:
-            raise PreconditionError("pair elements must lie in their sets")
+    for (xi, _), (xpi, _) in pairs:
         # the exchange argument needs incoming raw elements fresh to S_prime
         # (except for the trivial self-swap) for every index set to stay RIS
         if xi in raw_prime and xi != xpi:
-            raise PreconditionError(
-                f"raw element {xi} already present in the target set"
-            )
+            raise PreconditionError(f"raw element {xi} already present in the target set")
 
     succ = [
         [j for j in range(k) if arrow(M, S_prime, pairs[i][0], pairs[j][1])]

@@ -115,7 +115,7 @@ def _enumerate(seq: BaseSequence, size: int, budget) -> list:
 
 def _extend_rainbow(seq, meter, size: int, colour: int, chosen: list, state, out: list):
     """``state`` is the independence state of the raw elements chosen.  Each
-    child is asked about once: the state grows by ``_extend``, unchecked,
+    child is asked about once: the state grows by ``extend``, unchecked,
     after its own independence answer.  A colour is left out only while the
     later colours can still reach ``size``, so every set that reaches the
     last colour has at least ``size`` elements."""
@@ -128,7 +128,7 @@ def _extend_rainbow(seq, meter, size: int, colour: int, chosen: list, state, out
             continue
         chosen.append((x, colour))
         # the last colour's state would answer no further query
-        child = state._extend(x) if colour < seq.n else None
+        child = state.extend(x) if colour < seq.n else None
         _extend_rainbow(seq, meter, size, colour + 1, chosen, child, out)
         chosen.pop()
     if len(chosen) + seq.n - colour >= size:

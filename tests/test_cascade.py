@@ -12,11 +12,7 @@ from rainbowpack.cascade import (
     good_transform,
     is_good,
 )
-from rainbowpack.errors import (
-    InputError,
-    LevelBoundViolatedError,
-    PreconditionError,
-)
+from rainbowpack.errors import LevelBoundViolatedError, PreconditionError
 from rainbowpack.exchange import Root, add_set, transition
 from rainbowpack.instances import generate_instance
 from rainbowpack.model import Collection, underline, validate_collection
@@ -144,12 +140,6 @@ def test_cascade_search_matches_brute():
     assert checked > 30
 
 
-def test_cascade_search_validates_chain(bad_root_u36):
-    seq, root = bad_root_u36
-    with pytest.raises(InputError):
-        cascade_search(seq, root, (0,))  # chain may not contain the root's set
-
-
 def test_cascade_trace_replays(bad_root_u36):
     seq, root = bad_root_u36
     results = cascade_search(seq, root, (1,))
@@ -187,8 +177,6 @@ def test_concentration_probe(bad_root_u36):
     sizes = [len(probe.traces) for probe in probes]
     assert sizes == sorted(sizes, reverse=True)
     assert len(set(probes)) == len(probes)
-    with pytest.raises(InputError):
-        concentration_probe(seq, coll, 0)
 
 
 def test_good_cascade_on_sampled_bad_roots():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from rainbowpack import cascade, solver
 from rainbowpack.errors import (
     InputError,
     PreconditionError,
@@ -25,7 +26,7 @@ from rainbowpack.exchange import (
     transition,
 )
 from rainbowpack.instances import generate_instance
-from rainbowpack.matroids import LinearMatroid, UniformMatroid
+from rainbowpack.matroids import LinearMatroid
 from rainbowpack.model import (
     BaseSequence,
     Collection,
@@ -159,7 +160,7 @@ def test_add_and_swap_sets_match_definition_on_solver_collections():
 
     Each record and variant of ``add_set`` also goes through ``transition``,
     which trusts the record: it either refuses the move (a foreign or
-    singleton donor, or a held witness) or makes a valid collection whose
+    singleton donor) or makes a valid collection whose
     root set is the one ``apply_add`` describes."""
     roots = moved = 0
     for name, seq in generated_seqs():
@@ -234,26 +235,6 @@ def test_transition_rejects_foreign_and_singleton(u24_disjoint):
     held = AddRecord((2, 2))
     with pytest.raises(PreconditionError):
         transition(seq, root, held)  # donor would become empty
-
-
-@pytest.mark.parametrize(
-    "others",
-    [
-        ({(1, 1), (2, 2)},),  # the donor holds the witness
-        ({(1, 1), (5, 3)}, {(2, 2)}),  # a third set holds it
-    ],
-    ids=["donor", "third_set"],
-)
-def test_transition_rejects_witness_held_by_another_set(others):
-    # (1,1) replaces (0,1) with witness (2,2): an RIS, but (2,2) would then
-    # lie in two sets, so the transition must refuse it.
-    seq = uniform_seq(3, [{0, 1, 3}, {2, 3, 4}, {3, 4, 5}])
-    coll = Collection(3, (frozenset({(0, 1)}), *map(frozenset, others)))
-    root = Root(coll, 0, 2)
-    rec = AddRecord((1, 1), (((0, 1), (2, 2)),))
-    assert is_ris(seq, apply_add(root.ris, rec))
-    with pytest.raises(PreconditionError, match="witness"):
-        transition(seq, root, rec)
 
 
 def test_exchange_injection_properties():
@@ -402,21 +383,37 @@ def test_cyclic_exchange_exhaustive_cross_check():
                 I = cyclic_exchange(seq, S, S_prime, pairs)
                 assert I and is_ris(seq, exchanged_set(S_prime, pairs, I))
                 checked += 1
-        assert checked >= 0
+        assert checked > 0
+
+
+def test_solver_keeps_the_exchange_contracts(monkeypatch):
+    # transition and cyclic_exchange trust their callers; check at every
+    # call a solve makes what they no longer check themselves
+    calls = {"cyclic_exchange": 0, "transition": 0}
+
+    def checked_cyclic_exchange(seq, S, S_prime, pairs):
+        calls["cyclic_exchange"] += 1
+        assert pairs and len({c for (_, c), _ in pairs}) == len(pairs)
+        for left, right in pairs:
+            assert left[1] == right[1] and left in S and right in S_prime
+        return cyclic_exchange(seq, S, S_prime, pairs)
+
+    def checked_transition(seq, root, record, variant=None):
+        calls["transition"] += 1
+        assert record.element not in root.ris
+        for _, witness in record.variants:
+            assert root.collection.index_of_element(witness) is None
+        return transition(seq, root, record, variant)
+
+    monkeypatch.setattr(solver, "cyclic_exchange", checked_cyclic_exchange)
+    monkeypatch.setattr(solver, "transition", checked_transition)
+    monkeypatch.setattr(cascade, "transition", checked_transition)
+    for _, seq in generated_seqs():
+        pack_rainbow_bases(seq)
+    assert calls["cyclic_exchange"] > 0 and calls["transition"] > 0, calls
 
 
 def test_cyclic_exchange_preconditions(u24_overlapping):
-    seq = uniform_seq(2, [{0, 1}, {2, 3}])
-    S = frozenset({(0, 1), (2, 2)})
-    T = frozenset({(1, 1), (3, 2)})
-    with pytest.raises(PreconditionError):
-        cyclic_exchange(seq, S, T, [])
-    with pytest.raises(PreconditionError):
-        cyclic_exchange(seq, S, T, [((0, 1), (3, 2))])  # mismatched colours
-    with pytest.raises(PreconditionError):
-        cyclic_exchange(
-            seq, S, T, [((0, 1), (1, 1)), ((0, 1), (3, 2))]
-        )  # duplicate pair colour
     # raw collision between an incoming element and the target set
     with pytest.raises(PreconditionError, match="already present in the target"):
         cyclic_exchange(
