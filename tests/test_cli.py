@@ -526,6 +526,13 @@ MALFORMED_INSTANCES = (
             "provenance: {made: 2001-02-30}\n",  # an impossible date
         )
     ),
+    # a linear modulus that is a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and one beyond the primality test's range
+    *(
+        f"version: 1\nmatroid: {{family: linear, params: {{p: {p}, matrix: [[1, 1]]}}}}\n"
+        "bases: [[0]]\n"
+        for p in (3215031751, 10**25 + 13)
+    ),
     # an integer over the digit limit inside a list of integers
     f"version: 1\nmatroid: {{family: uniform, params: {{k: 2, m: 4}}}}\n"
     f"bases: [[0, 1], [2, {'9' * 5000}]]\n",

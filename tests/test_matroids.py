@@ -479,6 +479,17 @@ def test_linear_modulus_primality():
         LinearMatroid(10**25 + 13, [[1]])
 
 
+def test_linear_modulus_primality_matches_trial_division():
+    # the witnesses themselves and their multiples take the short path
+    for p in range(-2, 5000):
+        prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        if prime:
+            assert LinearMatroid(p, [[1]]).rank == 1, p
+        else:
+            with pytest.raises(ValidationError, match="not prime"):
+                LinearMatroid(p, [[1]])
+
+
 def _rref_rank(columns, p):
     """Rank by full reduction of the row-major matrix: every pivot column is
     cleared above and below its pivot."""
