@@ -6,7 +6,6 @@ import csv
 import io
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import click

@@ -4,10 +4,12 @@ Every accepted move strictly increases the collection signature under the
 last-coordinate-first order, so termination needs no budget; the budget is a
 safety net.  The replayable move log holds one JSON object per move:
 ``{"kind", "changes", "signature"}``.  ``kind`` names the finder that made
-the move (``augment``: a shortest augmenting path, :func:`augmenting_path`;
+the move (``augment``: a fill that adds to one set every unused element it
+can take directly, or a shortest augmenting path, :func:`augmenting_path`;
 ``cascade``: the paper's root cascade and cyclic exchange) and does not
-change how it applies.  ``changes`` lists ``{"set", "removed", "added"}``
-with coloured elements as ``[element, colour]`` pairs; ``set`` is a position
+change how it applies, so a log with one element per fill still replays.
+``changes`` lists ``{"set", "removed", "added"}`` with coloured elements as
+``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
 a set left empty is dropped once every change is applied.  ``signature`` is
 the signature the move produces.  Solve and replay share one checked step,
@@ -140,11 +142,15 @@ def _augment(i, removed, added) -> dict:
 
 
 def _augment_move(seq, coll, eta, free):
-    """Direct additions to the non-full sets, smallest set first; then longer
-    augmenting paths, set by set; then a new set.
+    """A fill of the first non-full set, smallest set first, that takes an
+    element directly; else a longer augmenting path, set by set; else a new
+    set.
 
-    ``free`` is the solve's pool, kept across moves: the sorted coloured
-    elements no set of ``coll`` holds.
+    The fill walks ``free`` once and adds every element whose colour the set
+    lacks and that keeps it an RIS, so no element left in the pool could
+    still be added on its own: an element refused once stays refused as the
+    set grows.  ``free`` is the solve's pool, kept across moves: the sorted
+    coloured elements no set of ``coll`` holds.
     """
     order = sorted(
         (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
@@ -152,10 +158,15 @@ def _augment_move(seq, coll, eta, free):
     )
     for i in order:
         S = coll.sets[i]
-        present = colours_of(S)
+        present = set(colours_of(S))
+        added = []
         for y in free:
             if y[1] not in present and is_ris(seq, S | {y}):
-                return _augment(i, (), (y,))
+                S |= {y}
+                present.add(y[1])
+                added.append(y)
+        if added:
+            return _augment(i, (), added)
     for i in order:
         path = augmenting_path(seq, coll.sets[i], free)
         if path is not None:

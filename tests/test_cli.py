@@ -18,7 +18,7 @@ from rainbowpack.cli import (
 )
 from rainbowpack.model import Collection
 from rainbowpack.oracle import run_lemma_harness
-from rainbowpack.solver import SolveResult
+from rainbowpack.solver import SolveResult, SolverParams
 
 
 def gen_instance_file(tmp_path, name="inst.yaml", family="uniform", n=3, extra=()):
@@ -396,21 +396,23 @@ def test_bench_fails_a_row_below_the_bound(tmp_path, monkeypatch):
     assert row["solver_rbs"] == "0" and row["status"] == "below_bound"
 
 
-def test_bench_reports_a_budget_stop(tmp_path):
-    # n = 72 needs 72 * 72 = 5184 moves, more than the default 5000.
+def test_bench_reports_a_budget_stop(tmp_path, monkeypatch):
+    # A fill move completes a set, so uniform n = 72 needs about 2n moves
+    # and no instance spends the default budget; a budget of one move does.
+    monkeypatch.setattr(cli, "SolverParams", lambda: SolverParams(iteration_budget=1))
     out = tmp_path / "bench.csv"
     assert run_command(
         [
             "bench",
             "--family", "uniform",
-            "--n", "72",
+            "--n", "5",
             "--seeds", "1",
             "--no-brute",
             "--out", str(out),
         ]
     ) == EXIT_BUDGET
     [row] = csv.DictReader(io.StringIO(out.read_text()))
-    assert row["moves"] == "5000" and row["status"] == "budget"
+    assert row["moves"] == "1" and row["status"] == "budget"
 
 
 def test_bench_reports_a_brute_force_budget_stop(tmp_path):

@@ -156,14 +156,14 @@ def _swap_set_by_definition(seq, root):
 
 def test_add_and_swap_sets_match_definition_on_solver_collections():
     """Every root of every collection a solve passes through, the final one
-    included, on generated instances of every family and mode, n = 3..6.
+    included, on generated instances of every family and mode, n = 3..8.
 
     Each record and variant of ``add_set`` also goes through ``transition``,
     which trusts the record: it either refuses the move (a foreign or
     singleton donor) or makes a valid collection whose
     root set is the one ``apply_add`` describes."""
     roots = moved = 0
-    for name, seq in generated_seqs():
+    for name, seq in generated_seqs(range(3, 9)):
         coll, free = Collection(seq.n), sorted(seq.universe)
         for move in pack_rainbow_bases(seq).moves:
             coll = apply_move(seq, coll, move, free)

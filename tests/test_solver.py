@@ -20,6 +20,7 @@ from rainbowpack.model import (
     BaseSequence,
     BoundParams,
     Collection,
+    colours_of,
     is_ris,
     lex_compare,
     signature_of_sizes,
@@ -35,7 +36,7 @@ from rainbowpack.solver import (
     pack_rainbow_bases,
     replay_moves,
 )
-from conftest import uniform_seq
+from conftest import generated_seqs, uniform_seq
 
 
 def test_solver_params_validation():
@@ -66,6 +67,29 @@ def test_augmenting_path_matches_oracle(family, mode):
                     removed, added = path
                     T = S - frozenset(removed) | frozenset(added)
                     assert len(T) == len(S) + 1 and is_ris(seq, T)
+
+
+def test_a_fill_leaves_nothing_the_set_could_take():
+    # An augment move that only adds to a set the collection holds is a fill:
+    # it takes every pool element whose colour the set lacks and that keeps
+    # the set an RIS, so none is left for a one-element move to add.
+    fills = 0
+    for name, seq in generated_seqs(range(3, 13)):
+        coll, free = Collection(seq.n), sorted(seq.universe)
+        for move in pack_rainbow_bases(seq).moves:
+            before = len(coll.sets)
+            coll = apply_move(seq, coll, move, free)
+            changes = move["changes"]
+            i = changes[0]["set"]
+            adds_only = len(changes) == 1 and not changes[0]["removed"]
+            if move["kind"] != "augment" or not adds_only or i == before:
+                continue
+            fills += 1
+            S = coll.sets[i]
+            present = colours_of(S)
+            left = [y for y in free if y[1] not in present and is_ris(seq, S | {y})]
+            assert not left, (name, move, left)
+    assert fills > 100
 
 
 def test_pack_disjoint_uniform_full():
@@ -106,6 +130,36 @@ def test_replay_reproduces_final_collection():
         result = pack_rainbow_bases(seq)
         replayed = replay_moves(seq, result.moves)
         assert replayed.sets == result.collection.sets  # bit-exact
+
+
+def test_one_element_logs_still_replay():
+    # Logs written before a fill could add several elements hold one augment
+    # move per element, each with its own signature; they must still replay.
+    split = 0
+    for name, seq in generated_seqs():
+        result = pack_rainbow_bases(seq)
+        sets, log = [], []
+        for move in result.moves:
+            changes = move["changes"]
+            i = changes[0]["set"]
+            if len(changes) == 1 and not changes[0]["removed"] and i < len(sets):
+                for y in changes[0]["added"]:
+                    sets[i] |= {y}
+                    log.append({
+                        "kind": "augment",
+                        "changes": [{"set": i, "removed": [], "added": [y]}],
+                        "signature": list(signature_of_sizes(map(len, sets), seq.n)),
+                    })
+                split += len(changes[0]["added"]) > 1
+                continue
+            sets.append(frozenset())
+            for ch in changes:
+                sets[ch["set"]] = sets[ch["set"]] - set(ch["removed"]) | set(ch["added"])
+            sets = [S for S in sets if S]
+            log.append(move)
+        replayed = replay_moves(seq, load_move_log(dump_move_log(log)))
+        assert replayed.sets == result.collection.sets, name
+    assert split > 10
 
 
 def test_move_log_roundtrip():
@@ -156,9 +210,9 @@ def test_replay_rejects_tampered_log():
             replay_moves(seq, broken)
     for edit in (
         # opens set 1 with an element set 0 still holds
-        lambda m: m[3]["changes"][0].update(added=held),
+        lambda m: m[2]["changes"][0].update(added=held),
         # sets 1 and 2 both gain (2, 1)
-        lambda m: m[6]["changes"].insert(
+        lambda m: m[4]["changes"].insert(
             0, {"set": 1, "removed": [[1, 1]], "added": [[2, 1]]}
         ),
     ):
@@ -501,7 +555,7 @@ def test_budget_equal_to_the_moves_needed_is_a_fixed_point(spare, stopped):
     the fixed point it reached; one move fewer is a budget stop."""
     seq = generate_instance("uniform", 4, "disjoint", seed=0).base_sequence()
     full = pack_rainbow_bases(seq)
-    assert full.stopped == "fixed_point" and len(full.moves) == 16
+    assert full.stopped == "fixed_point" and len(full.moves) == 8
     budget = len(full.moves) + spare
     result = pack_rainbow_bases(seq, SolverParams(iteration_budget=budget))
     assert result.stopped == stopped
@@ -515,22 +569,47 @@ def test_eta_caps_collection_size():
     assert len(result.collection.sets) <= 2  # eta = n - alpha = 2
 
 
-# The generated suite at n = 3..5 (kappa 2, seeds 0-19, families and modes
-# in this order): the sha256 over every solve's move log, and the rainbow
+# The two generated suites at kappa 2, every family and both modes: n = 3..5
+# with seeds 0-19, and n = 6, 8, 10, 12 with seeds 0-7.
+SUITES = {"n<=5": ((3, 4, 5), range(20)), "n=6..12": ((6, 8, 10, 12), range(8))}
+
+
+def _solve_suite(suite):
+    """(family, solve result) of every instance of a suite, in the order of
+    its move-log digest: family, n, mode, seed."""
+    ns, seeds = SUITES[suite]
+    for family in GENERATOR_FAMILIES:
+        for n in ns:
+            for mode in ("disjoint", "overlapping"):
+                for seed in seeds:
+                    inst = generate_instance(family, n, mode, kappa=2, seed=seed)
+                    yield family, pack_rainbow_bases(inst.base_sequence())
+
+
+# The n <= 5 suite: the sha256 over every solve's move log, and the rainbow
 # bases found.  A simplification that keeps behaviour keeps both.
-SUITE_MOVELOG_SHA256 = "a576f089286e16111f18a30e16ba0e817e132649620f993f23f62519a0db60cb"
+SUITE_MOVELOG_SHA256 = "f43becf07691cd7e1a50fe061602be303e67e506875fc6a4937573efc425fd2d"
 SUITE_RB_TOTAL = 1721
 
 
 def test_generated_suite_move_logs_are_pinned():
     digest = hashlib.sha256()
     total = 0
-    for family in ("uniform", "sparse_paving", "graphic", "linear"):
-        for n in (3, 4, 5):
-            for mode in ("disjoint", "overlapping"):
-                for seed in range(20):
-                    inst = generate_instance(family, n, mode, kappa=2, seed=seed)
-                    result = pack_rainbow_bases(inst.base_sequence())
-                    digest.update(dump_move_log(result.moves).encode())
-                    total += result.rb_count
+    for _, result in _solve_suite("n<=5"):
+        digest.update(dump_move_log(result.moves).encode())
+        total += result.rb_count
     assert (digest.hexdigest(), total) == (SUITE_MOVELOG_SHA256, SUITE_RB_TOTAL)
+
+
+# Rainbow bases found on each suite, in GENERATOR_FAMILIES order.  A
+# change of behaviour on purpose may change the logs, but not these totals
+# without saying why.
+SUITE_FAMILY_TOTALS = {"n<=5": [442, 442, 407, 430], "n=6..12": [548, 554, 499, 540]}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_generated_suites_keep_their_per_family_totals(suite):
+    totals = dict.fromkeys(GENERATOR_FAMILIES, 0)
+    for family, result in _solve_suite(suite):
+        totals[family] += result.rb_count
+    assert [totals[f] for f in GENERATOR_FAMILIES] == SUITE_FAMILY_TOTALS[suite]
