@@ -32,6 +32,7 @@ from .oracle import (
     run_lemma_harness,
 )
 from .solver import (
+    MOVE_KINDS,
     SolverParams,
     dump_move_log,
     load_move_log,
@@ -167,6 +168,9 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
         "rainbow_bases": result.rb_count,
         "sets": [sorted(map(list, S)) for S in result.collection.sets],
         "moves": len(result.moves),
+        "moves_by_kind": {
+            kind: sum(m["kind"] == kind for m in result.moves) for kind in MOVE_KINDS
+        },
         "elapsed_ms": elapsed_ms,
         "move_log": log_path,
         "stopped": result.stopped,

@@ -212,15 +212,14 @@ def arrow(M: Matroid, S_to, xc: CElem, xpc: CElem) -> bool:
     return M.state(underline(S_to)).independent((xpc[0],), (xc[0],))
 
 
-def cyclic_exchange(
-    seq: BaseSequence, S, S_prime, pairs: Sequence
-) -> frozenset:
+def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
     """Nonempty index set realizing a valid multi-element swap into S_prime.
 
     The caller keeps the contract: ``pairs`` is a nonempty list of
-    ((x_i, c_i) in S, (x'_i, c_i) in S_prime), each pair of one colour and
-    no colour twice.  Pair i relates to pair j when :func:`arrow` holds for
-    x_i and x'_j, asked once per (i, j).  Returns the 0-based indices I of
+    ((x_i, c_i) in S, (x'_i, c_i) in S_prime) for one other set S of the
+    collection, each pair of one colour and no colour twice.  Pair i
+    relates to pair j when :func:`arrow` holds for x_i and x'_j, asked once
+    per (i, j).  Returns the 0-based indices I of
     a shortest cycle of that relation, the least by sorted indices among
     them (a self-swap is a cycle of length one), so that removing the right
     elements of I and adding the left ones keeps S_prime an RIS.  The

@@ -493,7 +493,7 @@ def _harness_exchange(seq, rng):
                 continue
             where = dict(S=sorted(S), S_prime=sorted(S_prime))
             try:
-                I = cyclic_exchange(seq, S, S_prime, pairs)
+                I = cyclic_exchange(seq, S_prime, pairs)
             except Exception as exc:
                 yield [dict(where, reason=f"cyclic_exchange failed: {exc}")]
                 continue

@@ -6,8 +6,11 @@ safety net.  The replayable move log holds one JSON object per move:
 ``{"kind", "changes", "signature"}``.  ``kind`` names the finder that made
 the move (``augment``: a fill that adds to one set every unused element it
 can take directly, or a shortest augmenting path, :func:`augmenting_path`;
-``cascade``: the paper's root cascade and cyclic exchange) and does not
-change how it applies, so a log with one element per fill still replays.
+``steal``: a short set takes another set's element by an augmenting path,
+and the other set repairs by one; ``cascade``: the paper's root cascade and
+cyclic exchange) and does not change how it applies, so a log with one
+element per fill still replays.  The finders are tried in that order, and
+the first move found is taken.
 ``changes`` lists ``{"set", "removed", "added"}`` with coloured elements as
 ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
@@ -71,7 +74,7 @@ class SolveResult:
         return self.collection.signature[-1]
 
 
-MOVE_KINDS = ("augment", "cascade")
+MOVE_KINDS = ("augment", "steal", "cascade")
 
 
 def _change(i, removed, added) -> dict:
@@ -137,6 +140,14 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
     return None
 
 
+def _short_sets(seq, coll) -> list:
+    """Positions of the sets short of n, smallest set first, then by index."""
+    return sorted(
+        (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
+        key=lambda i: (len(coll.sets[i]), i),
+    )
+
+
 def _augment(i, removed, added) -> dict:
     return {"kind": "augment", "changes": [_change(i, removed, added)]}
 
@@ -152,10 +163,7 @@ def _augment_move(seq, coll, eta, free):
     set grows.  ``free`` is the solve's pool, kept across moves: the sorted
     coloured elements no set of ``coll`` holds.
     """
-    order = sorted(
-        (i for i, S in enumerate(coll.sets) if len(S) < seq.n),
-        key=lambda i: (len(coll.sets[i]), i),
-    )
+    order = _short_sets(seq, coll)
     for i in order:
         S = coll.sets[i]
         present = set(colours_of(S))
@@ -175,6 +183,41 @@ def _augment_move(seq, coll, eta, free):
         path = augmenting_path(seq, frozenset(), free)
         if path is not None:
             return _augment(len(coll.sets), *path)
+    return None
+
+
+def _steal_move(seq, coll, free):
+    """A short set takes an element of another set, which then repairs.
+
+    For each short set a (smallest first), each other set b and each y in
+    S_b, in order: an augmenting path of S_a into ``free`` plus y that adds
+    y grows a by one and leaves b short of y; an augmenting path of
+    S_b - y into what is then unused (``free``, plus what a's path removed,
+    less what it added) brings b back to its size.  The first pair of paths
+    found is one ``steal`` move with a change to each set, and the
+    signature rises since a grows and b keeps its size.
+    """
+    for a in _short_sets(seq, coll):
+        for b, S_b in enumerate(coll.sets):
+            if b == a:
+                continue
+            for y in sorted(S_b):
+                pool = free.copy()
+                insort(pool, y)
+                path = augmenting_path(seq, coll.sets[a], pool)
+                if path is None or y not in path[1]:
+                    continue
+                removed, added = path
+                rest = sorted(set(pool).difference(added).union(removed))
+                repair = augmenting_path(seq, S_b - {y}, rest)
+                if repair is not None:
+                    return {
+                        "kind": "steal",
+                        "changes": [
+                            _change(a, removed, added),
+                            _change(b, sorted({y, *repair[0]}), repair[1]),
+                        ],
+                    }
     return None
 
 
@@ -204,7 +247,7 @@ def _attempt_exchange(seq, coll, probe):
         if not pairs:
             continue
         try:
-            I = cyclic_exchange(seq, source, target, pairs)
+            I = cyclic_exchange(seq, target, pairs)
         except PreconditionError:
             continue
         # every right element landed, so it has a trace; one more transition
@@ -235,7 +278,11 @@ def _attempt_exchange(seq, coll, probe):
 
 
 def _find_move(seq, coll, eta, params, free):
-    return _augment_move(seq, coll, eta, free) or _cascade_move(seq, coll, params)
+    return (
+        _augment_move(seq, coll, eta, free)
+        or _steal_move(seq, coll, free)
+        or _cascade_move(seq, coll, params)
+    )
 
 
 def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) -> SolveResult:

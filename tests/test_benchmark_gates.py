@@ -23,8 +23,8 @@ RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # leave the move logs byte-identical; a change of behaviour on purpose
 # updates these digests and says why.
 SEED0_MOVELOG_SHA256 = {
-    "exact-small": "fed6023f9f2a8c5961b75d58a53b102eff7ac8dbb5e66d49f59677f1a8149add",
-    "dense-oracle": "253093f4f9f38968c3d22f537cf0eaffd47a2a9ebeeaabd51c955168c16e147e",
+    "exact-small": "37efab731c1915162b605d83d0df76da8208b8d48ff05853137a3f71ebe01018",
+    "dense-oracle": "694ab6f9c496a5b63126979a2383b59f7ea4c90adf01154f820a7bb224d60134",
     "closed-form-large": "786ffaa7a9257b8544dea15bb0d9087553f52a5ffa995de6b0e6c051244c6441",
 }
 
@@ -33,10 +33,10 @@ SEED0_MOVELOG_SHA256 = {
 # then the replay of its log on a fresh base sequence.  A change to how the
 # linear and graphic matroids keep their state shows here first.
 SEED0_DENSE_ORACLE_ANSWERS = {
-    ("solve", "graphic"): [941, 2223, 79],
-    ("solve", "linear"): [36, 664, 0],
-    ("replay", "graphic"): [109, 1, 164],
-    ("replay", "linear"): [36, 0, 72],
+    ("solve", "graphic"): [968, 2219, 138],
+    ("solve", "linear"): [36, 664, 2],
+    ("replay", "graphic"): [109, 2, 194],
+    ("replay", "linear"): [36, 0, 74],
 }
 
 

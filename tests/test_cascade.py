@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rainbowpack import solver
 from rainbowpack.cascade import (
     build_good_graph,
     cascade_search,
@@ -190,9 +191,11 @@ def test_good_cascade_on_sampled_bad_roots():
         assert ok, why
 
 
-def test_concentration_probe_leaves_no_garbage_cycles():
+def test_concentration_probe_leaves_no_garbage_cycles(monkeypatch):
     # A search's states and traces must be freed when it returns, not held
-    # in a reference cycle until the next full garbage collection.
+    # in a reference cycle until the next full garbage collection.  Without
+    # the steal move the solve reaches a collection a cascade moves from.
+    monkeypatch.setattr(solver, "_steal_move", lambda seq, coll, free: None)
     seq = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1).base_sequence()
     moves = pack_rainbow_bases(seq).moves
     at = [m["kind"] for m in moves].index("cascade")

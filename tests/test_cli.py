@@ -18,7 +18,7 @@ from rainbowpack.cli import (
 )
 from rainbowpack.model import Collection
 from rainbowpack.oracle import run_lemma_harness
-from rainbowpack.solver import SolveResult, SolverParams
+from rainbowpack.solver import MOVE_KINDS, SolveResult, SolverParams
 
 
 def gen_instance_file(tmp_path, name="inst.yaml", family="uniform", n=3, extra=()):
@@ -123,6 +123,22 @@ def test_solve_reports_independence_answers(tmp_path):
             assert answers["incremental"] > answers["scratch"]
         else:
             assert answers["incremental"] == 0 and answers["scratch"] > 0
+
+
+def test_solve_reports_moves_by_kind(tmp_path):
+    # one count per move kind, zeros included; the CSV row keeps its fields
+    inst = gen_instance_file(tmp_path, extra=("--mode", "overlapping"))
+    report = tmp_path / "report.yaml"
+    assert run_command(["solve", "--instance", str(inst), "--out", str(report)]) == EXIT_OK
+    data = yaml.safe_load(report.read_text())
+    by_kind = data["moves_by_kind"]
+    assert list(by_kind) == sorted(MOVE_KINDS)
+    assert by_kind["steal"] == 1 and by_kind["cascade"] == 0
+    assert sum(by_kind.values()) == data["moves"]
+    assert run_command(
+        ["solve", "--instance", str(inst), "--format", "csv", "--out", str(report)]
+    ) == EXIT_OK
+    assert report.read_text().splitlines()[0].split(",") == CSV_FIELDS
 
 
 def test_solve_rejects_a_boolean_version(tmp_path):

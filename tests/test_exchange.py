@@ -276,10 +276,9 @@ def test_arrow(u24_disjoint):
 
 def test_cyclic_exchange_self_swap():
     seq = uniform_seq(2, [{0, 1}, {2, 3}])
-    S = frozenset({(0, 1), (2, 2)})
     S_prime = frozenset({(1, 1), (3, 2)})
     pairs = [((0, 1), (1, 1)), ((2, 2), (3, 2))]
-    I = cyclic_exchange(seq, S, S_prime, pairs)
+    I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {0}  # uniform matroids allow every single swap; the least wins
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -295,7 +294,6 @@ def test_cyclic_exchange_prefers_the_least_self_swap():
         [0, 0, 0, 1, 0, 0, 0, 1],
     ])
     seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {0, 2, 3, 7}])
-    S = frozenset({(4, 1), (5, 2), (6, 3), (7, 4)})
     S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     pairs = [((4, 1), (0, 1)), ((5, 2), (1, 2)), ((6, 3), (2, 3)), ((7, 4), (3, 4))]
     relation = {
@@ -304,7 +302,7 @@ def test_cyclic_exchange_prefers_the_least_self_swap():
         if arrow(M, S_prime, pairs[i][0], pairs[j][1])
     }
     assert relation == {(0, 1), (1, 0), (2, 0), (2, 2), (3, 1), (3, 3)}
-    I = cyclic_exchange(seq, S, S_prime, pairs)
+    I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -314,12 +312,11 @@ def test_cyclic_exchange_true_cycle():
     # because column 2 is parallel to 1 and column 3 is parallel to 0.
     M = LinearMatroid(3, [[1, 0, 0, 2], [0, 1, 2, 0]])
     seq = BaseSequence(M, [{0, 2}, {1, 3}])
-    S = frozenset({(2, 1), (3, 2)})
     S_prime = frozenset({(0, 1), (1, 2)})
     pairs = [((2, 1), (0, 1)), ((3, 2), (1, 2))]
     assert not arrow(M, S_prime, (2, 1), (0, 1))
     assert not arrow(M, S_prime, (3, 2), (1, 2))
-    I = cyclic_exchange(seq, S, S_prime, pairs)
+    I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {0, 1}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -335,25 +332,24 @@ def _partnerless_system():
         [0, 0, 0, 1, 0, 0, 2],
     ])
     seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {0, 1, 2, 6}, {0, 1, 2, 3}])
-    S = frozenset({(4, 1), (5, 2), (6, 3)})
     S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     pairs = [((6, 3), (2, 3)), ((4, 1), (0, 1)), ((5, 2), (1, 2))]
-    return seq, S, S_prime, pairs
+    return seq, S_prime, pairs
 
 
 def test_cyclic_exchange_skips_a_pair_with_no_partner():
-    seq, S, S_prime, pairs = _partnerless_system()
+    seq, S_prime, pairs = _partnerless_system()
     assert not any(arrow(seq.matroid, S_prime, pairs[0][0], q[1]) for q in pairs)
-    I = cyclic_exchange(seq, S, S_prime, pairs)
+    I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {1, 2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
 
 def test_cyclic_exchange_without_a_cycle_needs_a_pair_with_no_partner():
-    seq, S, S_prime, pairs = _partnerless_system()
+    seq, S_prime, pairs = _partnerless_system()
     # pair 1 relates only to pair 2, which is left out
     with pytest.raises(PreconditionError, match="no partner"):
-        cyclic_exchange(seq, S, S_prime, pairs[:2])
+        cyclic_exchange(seq, S_prime, pairs[:2])
 
 
 def test_cyclic_exchange_exhaustive_cross_check():
@@ -380,7 +376,7 @@ def test_cyclic_exchange_exhaustive_cross_check():
                     for p in pairs
                 ):
                     continue
-                I = cyclic_exchange(seq, S, S_prime, pairs)
+                I = cyclic_exchange(seq, S_prime, pairs)
                 assert I and is_ris(seq, exchanged_set(S_prime, pairs, I))
                 checked += 1
         assert checked > 0
@@ -390,13 +386,22 @@ def test_solver_keeps_the_exchange_contracts(monkeypatch):
     # transition and cyclic_exchange trust their callers; check at every
     # call a solve makes what they no longer check themselves
     calls = {"cyclic_exchange": 0, "transition": 0}
+    attempt, colls = solver._attempt_exchange, []
 
-    def checked_cyclic_exchange(seq, S, S_prime, pairs):
+    def recording_attempt(seq, coll, probe):
+        colls.append(coll)
+        return attempt(seq, coll, probe)
+
+    def checked_cyclic_exchange(seq, S_prime, pairs):
         calls["cyclic_exchange"] += 1
         assert pairs and len({c for (_, c), _ in pairs}) == len(pairs)
+        # every left element comes from one other set of the collection
+        donors = {colls[-1].index_of_element(left) for left, _ in pairs}
+        assert len(donors) == 1 and None not in donors
+        assert colls[-1].sets[donors.pop()] != S_prime
         for left, right in pairs:
-            assert left[1] == right[1] and left in S and right in S_prime
-        return cyclic_exchange(seq, S, S_prime, pairs)
+            assert left[1] == right[1] and right in S_prime
+        return cyclic_exchange(seq, S_prime, pairs)
 
     def checked_transition(seq, root, record, variant=None):
         calls["transition"] += 1
@@ -405,6 +410,7 @@ def test_solver_keeps_the_exchange_contracts(monkeypatch):
             assert root.collection.index_of_element(witness) is None
         return transition(seq, root, record, variant)
 
+    monkeypatch.setattr(solver, "_attempt_exchange", recording_attempt)
     monkeypatch.setattr(solver, "cyclic_exchange", checked_cyclic_exchange)
     monkeypatch.setattr(solver, "transition", checked_transition)
     monkeypatch.setattr(cascade, "transition", checked_transition)
@@ -418,7 +424,6 @@ def test_cyclic_exchange_preconditions(u24_overlapping):
     with pytest.raises(PreconditionError, match="already present in the target"):
         cyclic_exchange(
             u24_overlapping,
-            frozenset({(1, 1), (0, 2)}),
             frozenset({(1, 2), (0, 1)}),
             [((1, 1), (0, 1)), ((0, 2), (1, 2))],
         )

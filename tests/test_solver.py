@@ -9,12 +9,13 @@ from itertools import islice
 import pytest
 
 from rainbowpack import cascade, solver
+from rainbowpack.cli import EXIT_OK, run_command
 from rainbowpack.errors import (
     CorruptedTraceError,
     InternalInvariantError,
     PreconditionError,
 )
-from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance
+from rainbowpack.instances import GENERATOR_FAMILIES, emit_instance, generate_instance
 from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
     BaseSequence,
@@ -302,7 +303,70 @@ def test_apply_move_accepts_exactly_valid_rising_moves(family, mode):
     assert accepted >= 10 and rejected >= 10, (accepted, rejected)
 
 
-def test_replay_of_a_cascade_move():
+def _steal_case():
+    """uniform n = 3 overlapping, seed 0: one steal move, whose repair takes
+    back the element the thief's path removed."""
+    inst = generate_instance("uniform", 3, "overlapping", kappa=2, seed=0)
+    result = pack_rainbow_bases(inst.base_sequence())
+    at = [m["kind"] for m in result.moves].index("steal")
+    return inst, result, at
+
+
+def test_a_steal_move_replays(tmp_path, capsys):
+    inst, result, at = _steal_case()
+    seq = inst.base_sequence()
+    steal = result.moves[at]
+    (thief, a_removed, a_added), (victim, b_removed, b_added) = (
+        (ch["set"], ch["removed"], ch["added"]) for ch in steal["changes"]
+    )
+    assert thief != victim and len(a_added) == len(a_removed) + 1
+    assert len(b_added) == len(b_removed)
+    assert set(a_added) & set(b_removed) and set(a_removed) & set(b_added)
+    log = load_move_log(dump_move_log(result.moves))
+    assert replay_moves(seq, log).sets == result.collection.sets
+    path, log_path, report = tmp_path / "inst.yaml", tmp_path / "moves.jsonl", tmp_path / "r"
+    path.write_text(emit_instance(inst))
+    assert run_command(
+        ["solve", "--instance", str(path), "--log", str(log_path), "--out", str(report)]
+    ) == EXIT_OK
+    assert load_move_log(log_path.read_text()) == log
+    assert run_command(
+        ["verify", "--instance", str(path), "--log", str(log_path), "--report", str(report)]
+    ) == EXIT_OK
+    assert "3 rainbow bases" in capsys.readouterr().out
+
+
+def test_a_tampered_steal_move_is_rejected():
+    inst, result, at = _steal_case()
+    seq = inst.base_sequence()
+    before = replay_moves(seq, result.moves[:at])
+    # without the victim's change, the thief takes an element the victim holds
+    broken = copy.deepcopy(result.moves[at])
+    del broken["changes"][1]
+    with pytest.raises(CorruptedTraceError, match="share"):
+        apply_move(seq, before, broken, sorted(seq.universe - before.used()))
+    broken = copy.deepcopy(result.moves)
+    broken[at]["signature"][-1] += 1
+    with pytest.raises(CorruptedTraceError, match=f"move {at}: .*differs from the record"):
+        replay_moves(seq, broken)
+
+
+def test_steal_reaches_the_oracle_where_augment_stopped_short():
+    # augment and cascade alone stop at 3 rainbow bases here
+    seq = generate_instance("graphic", 4, "disjoint", seed=13).base_sequence()
+    result = pack_rainbow_bases(seq)
+    assert result.rb_count == brute_force_t(seq) == 4
+    assert "steal" in {m["kind"] for m in result.moves}
+
+
+def _without_steal(monkeypatch):
+    """Finders in the order augment, cascade: the steal move would solve the
+    instances these tests take a cascade move from."""
+    monkeypatch.setattr(solver, "_steal_move", lambda seq, coll, free: None)
+
+
+def test_replay_of_a_cascade_move(monkeypatch):
+    _without_steal(monkeypatch)
     inst = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1)
     seq = inst.base_sequence()
     result = pack_rainbow_bases(seq)
@@ -324,7 +388,7 @@ def test_replay_of_a_cascade_move():
 def test_cascade_exchange_invariant_errors_propagate(monkeypatch):
     # A failed donor raises PreconditionError and is skipped; an
     # InternalInvariantError is a bug, so the solve must not swallow it.
-    def broken(seq, S, S_prime, pairs):
+    def broken(seq, S_prime, pairs):
         raise InternalInvariantError("every pair has a partner, yet no cycle")
 
     monkeypatch.setattr(solver, "cyclic_exchange", broken)
@@ -344,6 +408,7 @@ def test_cascade_attempts_each_distinct_probe_once(monkeypatch):
         return attempt(seq, coll, probe)
 
     monkeypatch.setattr(solver, "_attempt_exchange", recording)
+    _without_steal(monkeypatch)
     seq = generate_instance("graphic", 4, "disjoint", seed=4).base_sequence()
     pack_rainbow_bases(seq)
     assert attempted
@@ -405,26 +470,34 @@ def test_free_pool_tracks_unused_elements(monkeypatch):
     assert with_removals > 0
 
 
-def test_solved_sets_hold_the_universes_objects():
-    # Set operations against seq.universe stay identity checks only when the
-    # collection holds the universe's own (element, colour) tuples, not copies.
-    kinds = set()
+def _every_kind_instances():
+    """(name, base sequence) of small generated instances whose solves make
+    every move kind between them: the cascade still moves on graphic
+    overlapping n = 8, seed 5."""
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
             for n in (3, 4, 5):
                 for seed in (0, 1):
                     inst = generate_instance(family, n, mode, kappa=2, seed=seed)
-                    seq = inst.base_sequence()
-                    own = {ce: ce for ce in seq.universe}
-                    result = pack_rainbow_bases(seq)
-                    logged = [
-                        ch[k] for m in result.moves for ch in m["changes"]
-                        for k in ("removed", "added")
-                    ]
-                    for S in (*result.collection.sets, *logged):
-                        assert all(own[ce] is ce for ce in S), (family, mode, n, seed)
-                    kinds.update(m["kind"] for m in result.moves)
-    assert kinds == set(solver.MOVE_KINDS)
+                    yield (family, mode, n, seed), inst.base_sequence()
+    inst = generate_instance("graphic", 8, "overlapping", kappa=2, seed=5)
+    yield ("graphic", "overlapping", 8, 5), inst.base_sequence()
+
+
+def test_solved_sets_hold_the_universes_objects():
+    # Set operations against seq.universe stay identity checks only when the
+    # collection holds the universe's own (element, colour) tuples, not copies.
+    kinds = set()
+    for name, seq in _every_kind_instances():
+        own = {ce: ce for ce in seq.universe}
+        result = pack_rainbow_bases(seq)
+        logged = [
+            ch[k] for m in result.moves for ch in m["changes"] for k in ("removed", "added")
+        ]
+        for S in (*result.collection.sets, *logged):
+            assert all(own[ce] is ce for ce in S), name
+        kinds.update(m["kind"] for m in result.moves)
+    assert kinds == set(solver.MOVE_KINDS) == {"augment", "steal", "cascade"}
 
 
 def test_replayed_sets_hold_the_universes_objects():
@@ -455,15 +528,11 @@ def test_moves_keep_the_cached_signature(monkeypatch):
 
     monkeypatch.setattr(solver, "apply_move", recording)
     kinds = set()
-    for family in GENERATOR_FAMILIES:
-        for mode in ("disjoint", "overlapping"):
-            for n in (3, 4, 5):
-                for seed in (0, 1):
-                    seq = generate_instance(family, n, mode, kappa=2, seed=seed).base_sequence()
-                    moves = pack_rainbow_bases(seq).moves
-                    replay_moves(seq, moves)
-                    kinds |= {m["kind"] for m in moves}
-    assert kinds == {"augment", "cascade"}
+    for _, seq in _every_kind_instances():
+        moves = pack_rainbow_bases(seq).moves
+        replay_moves(seq, moves)
+        kinds |= {m["kind"] for m in moves}
+    assert kinds == {"augment", "steal", "cascade"}
     for coll in built:
         assert coll.signature == signature_of_sizes(map(len, coll.sets), coll.n)
 
@@ -586,10 +655,28 @@ def _solve_suite(suite):
                     yield family, pack_rainbow_bases(inst.base_sequence())
 
 
+def test_uniform_instances_reach_n():
+    # A rainbow base of a uniform matroid of rank n is n distinct elements,
+    # one per colour: a matching of the colour-element bipartite graph that
+    # covers every colour.  Each colour has degree n and each element lies in
+    # at most n bases, so König's edge-colouring theorem splits the edges
+    # into n such matchings: t = n on every uniform instance.
+    cases = [
+        (n, mode, seed)
+        for ns, seeds in SUITES.values()
+        for n in ns
+        for mode in ("disjoint", "overlapping")
+        for seed in seeds
+    ] + [(32, "overlapping", 0), (40, "overlapping", 0)]
+    for n, mode, seed in cases:
+        seq = generate_instance("uniform", n, mode, kappa=2, seed=seed).base_sequence()
+        assert pack_rainbow_bases(seq).rb_count == n, (n, mode, seed)
+
+
 # The n <= 5 suite: the sha256 over every solve's move log, and the rainbow
 # bases found.  A simplification that keeps behaviour keeps both.
-SUITE_MOVELOG_SHA256 = "f43becf07691cd7e1a50fe061602be303e67e506875fc6a4937573efc425fd2d"
-SUITE_RB_TOTAL = 1721
+SUITE_MOVELOG_SHA256 = "fe4c966429ef558600f2ebe62a2af79b7b2ce1eea4b20f0631bf549a1e209701"
+SUITE_RB_TOTAL = 1905
 
 
 def test_generated_suite_move_logs_are_pinned():
@@ -604,7 +691,7 @@ def test_generated_suite_move_logs_are_pinned():
 # Rainbow bases found on each suite, in GENERATOR_FAMILIES order.  A
 # change of behaviour on purpose may change the logs, but not these totals
 # without saying why.
-SUITE_FAMILY_TOTALS = {"n<=5": [442, 442, 407, 430], "n=6..12": [548, 554, 499, 540]}
+SUITE_FAMILY_TOTALS = {"n<=5": [480, 480, 465, 480], "n=6..12": [576, 576, 548, 576]}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
