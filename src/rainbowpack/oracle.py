@@ -92,19 +92,65 @@ def _admit(seq: BaseSequence, budget) -> _Meter:
 def enumerate_rainbow_bases(
     seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple:
-    """All size-n RIS's, one element per colour, by colour-wise backtracking."""
+    """All size-n RIS's, one element per colour, by colour-wise backtracking.
+
+    Each rainbow base is an int mask whose bit i marks
+    ``sorted(seq.universe)[i]`` (see :func:`_masks`), in the order the
+    search finds them: colour 1's choices in sorted order first.
+    """
     return tuple(_enumerate(seq, seq.n, budget))
 
 
 def enumerate_ris(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> tuple:
     """All nonempty RIS's, in canonical order (by their sorted elements)."""
-    return tuple(sorted(_enumerate(seq, 1, budget), key=sorted))
+    universe = sorted(seq.universe)
+    masks = sorted(map(_set_bits, _enumerate(seq, 1, budget)))
+    return tuple(frozenset([universe[i] for i in bits]) for bits in masks)
+
+
+def _set_bits(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first.
+
+    A mask's set bits, lowest first, name its set's elements in sorted
+    order, so sorting masks by this key puts their sets in canonical order.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bits(seq: BaseSequence) -> dict:
+    """Each coloured element's bit: ``1 << i`` for ``sorted(seq.universe)[i]``."""
+    return {ce: 1 << i for i, ce in enumerate(sorted(seq.universe))}
+
+
+def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:
+    """Each set of coloured elements as its int mask (see :func:`_bits`)."""
+    bit = _bits(seq)
+    return [sum(bit[ce] for ce in S) for S in sets]
 
 
 def _enumerate(seq: BaseSequence, size: int, budget) -> list:
-    """Every RIS of at least ``size`` elements, colour by colour."""
+    """Every RIS of at least ``size`` elements as a mask, colour by colour.
+
+    The search plan is built once: each colour's ``(x, bit)`` pairs in
+    sorted base order, and the girth the family's closed form gives.  A set
+    smaller than the girth holds no circuit, so the search asks no
+    independence question below it; without a closed form (0 here) it asks
+    about every extension.  :func:`matroids.girth` is not called: its
+    exhaustive search costs more than it saves at these sizes.
+    """
+    bit = _bits(seq)
+    choices = [()] + [
+        [(x, bit[x, c]) for x in sorted(seq.base(c))] for c in range(1, seq.n + 1)
+    ]
+    girth = seq.matroid._girth_closed_form()
     out: list = []
-    _extend_rainbow(seq, _admit(seq, budget), size, 1, [], seq.matroid.state(()), out)
+    plan = (_admit(seq, budget), seq.matroid, seq.n, size, girth or 0, choices, out)
+    _extend_rainbow(plan, 1, [], 0, None)
     return out
 
 
@@ -113,32 +159,38 @@ def _enumerate(seq: BaseSequence, size: int, budget) -> list:
 # until the next full garbage collection.
 
 
-def _extend_rainbow(seq, meter, size: int, colour: int, chosen: list, state, out: list):
-    """``state`` is the independence state of the raw elements chosen.  Each
-    child is asked about once: the state grows by ``extend``, unchecked,
+def _extend_rainbow(plan: tuple, colour: int, raw: list, mask: int, state):
+    """Extend the RIS ``mask``, whose raw elements are ``raw``, from ``colour`` on.
+
+    ``plan`` is :func:`_enumerate`'s ``(meter, matroid, n, size, girth,
+    choices, out)``; each set found is appended to ``out``.  An extension
+    that stays below the girth needs only a distinct raw element.  From the
+    first set that one more element could bring to the girth, ``state`` is
+    the independence state of ``raw`` (built there, None before): each
+    child is asked about once, and the state grows by ``extend``, unchecked,
     after its own independence answer.  A colour is left out only while the
     later colours can still reach ``size``, so every set that reaches the
-    last colour has at least ``size`` elements."""
+    last colour has at least ``size`` elements.
+    """
+    meter, M, n, size, girth, choices, out = plan
     meter.tick()
-    if colour > seq.n:
-        out.append(frozenset(chosen))
+    if colour > n:
+        out.append(mask)
         return
-    for x in sorted(seq.base(colour)):
-        if x in state.T or not state.independent((), (x,)):
+    ask = len(raw) + 1 >= girth
+    if ask and state is None:
+        state = M.state(raw)
+    for x, b in choices[colour]:
+        # x outside T = raw, as the state's own query requires
+        if x in raw or ask and not state._query((), (x,)):
             continue
-        chosen.append((x, colour))
+        raw.append(x)
         # the last colour's state would answer no further query
-        child = state.extend(x) if colour < seq.n else None
-        _extend_rainbow(seq, meter, size, colour + 1, chosen, child, out)
-        chosen.pop()
-    if len(chosen) + seq.n - colour >= size:
-        _extend_rainbow(seq, meter, size, colour + 1, chosen, state, out)
-
-
-def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:
-    """Each set as an int whose bit i marks ``sorted(seq.universe)[i]``."""
-    bit = {ce: 1 << i for i, ce in enumerate(sorted(seq.universe))}
-    return [sum(bit[ce] for ce in S) for S in sets]
+        child = state.extend(x) if ask and colour < n else None
+        _extend_rainbow(plan, colour + 1, raw, mask | b, child)
+        raw.pop()
+    if len(raw) + n - colour >= size:
+        _extend_rainbow(plan, colour + 1, raw, mask, state)
 
 
 def brute_force_t(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -147,13 +199,13 @@ def brute_force_t(seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET) -> i
     t = n exactly when n rainbow bases cover the n^2 coloured elements, so the
     search is an exact-cover search first (see :func:`_max_disjoint`) and
     finds such a cover directly; its skip branch keeps it exact when none
-    exists.  Each rainbow base is one int bitmask over the sorted universe,
-    and the search keeps no structure per pair of rainbow bases: memory is
-    the list of masks and the filtered candidate lists along one path.
+    exists.  The search takes the int masks of
+    :func:`enumerate_rainbow_bases` as they are, and keeps no structure per
+    pair of rainbow bases: memory is the list of masks and the filtered
+    candidate lists along one path.
     """
     meter = _admit(seq, budget)
-    masks = _masks(seq, enumerate_rainbow_bases(seq, meter))
-    return _max_disjoint(masks, seq.n, meter)
+    return _max_disjoint(enumerate_rainbow_bases(seq, meter), seq.n, meter)
 
 
 def _max_disjoint(masks: Sequence[int], n: int, meter: _Meter) -> int:
@@ -178,10 +230,7 @@ def _cover(cands: list, count: int, best: int, n: int, meter: _Meter) -> int:
     # every candidate covers n live bits, so at most live/n more fit
     if best == n or count + live.bit_count() // n <= best:
         return best
-    e = min(
-        (1 << i for i in range(live.bit_length()) if live >> i & 1),
-        key=lambda bit: sum(1 for m in cands if m & bit),
-    )
+    e = _rarest(cands, live)
     for m in cands:
         if m & e:
             best = _cover([o for o in cands if not o & m], count + 1, best, n, meter)
@@ -190,16 +239,40 @@ def _cover(cands: list, count: int, best: int, n: int, meter: _Meter) -> int:
     return _cover([o for o in cands if not o & e], count, best, n, meter)
 
 
+def _rarest(cands: list, live: int) -> int:
+    """The lowest live bit that the fewest candidates hold.
+
+    Counts are kept bit-sliced: ``planes[k]`` holds bit k of every
+    position's count, and each candidate is added with a ripple carry.  The
+    planes are then read from the highest, keeping the positions whose
+    count has a 0 there whenever one does, which leaves those of least count.
+    """
+    planes: list = []
+    for m in cands:
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ m
+            m &= plane
+            if not m:
+                break
+        else:
+            planes.append(m)
+    rarest = live
+    for plane in reversed(planes):
+        if rarest & ~plane:
+            rarest &= ~plane
+    return rarest & -rarest
+
+
 def brute_force_t_naive(
     seq: BaseSequence, budget: OracleBudget = DEFAULT_BUDGET
 ) -> int:
     """Independent cross-check: plain include/exclude recursion, no ordering."""
     meter = _admit(seq, budget)
-    rbs = list(enumerate_rainbow_bases(seq, meter))
-    return _include_exclude(rbs, 0, frozenset(), meter)
+    rbs = enumerate_rainbow_bases(seq, meter)
+    return _include_exclude(rbs, 0, 0, meter)
 
 
-def _include_exclude(rbs: list, idx: int, used: frozenset, meter: _Meter) -> int:
+def _include_exclude(rbs, idx: int, used: int, meter: _Meter) -> int:
     meter.tick()
     if idx == len(rbs):
         return 0
@@ -216,20 +289,21 @@ def brute_force_tau_eta(
 
     Branch and bound choosing sets in non-increasing size: the optimum's next
     set always has the largest feasible size, since a single such set already
-    lex-dominates any continuation without one.  Sets are searched as int
-    bitmasks over the sorted universe (see :func:`_masks`).
+    lex-dominates any continuation without one.  Sets are searched as the
+    int masks of the enumeration, in the canonical order of
+    :func:`enumerate_ris`, and only the sets picked are decoded.
     """
     if eta < 1:
         raise InputError("eta must be positive")
     meter = _admit(seq, budget)
-    all_ris = enumerate_ris(seq, meter)
+    masks = sorted(_enumerate(seq, 1, meter), key=_set_bits)
     n = seq.n
-    masks = _masks(seq, all_ris)
     sig, picked = _tau_dfs(
         masks, min(eta, len(masks)), [], [], (tuple([0] * n), ()), n, meter
     )
-    as_set = dict(zip(masks, all_ris))
-    return sig, Collection(n, tuple(as_set[R] for R in picked))
+    universe = sorted(seq.universe)
+    sets = (frozenset([universe[i] for i in _set_bits(R)]) for R in picked)
+    return sig, Collection(n, tuple(sets))
 
 
 def _tau_dfs(feasible: list, slots: int, sizes: list, picked: list, best, n, meter):

@@ -186,6 +186,57 @@ def _augment_move(seq, coll, eta, free):
     return None
 
 
+def _takes(seq, S: frozenset, free: list):
+    """A test that fails each y outside S and ``free`` that no augmenting
+    path of S into ``free`` plus y can add.
+
+    In :func:`augmenting_path`'s exchange graph, y changes only the edges
+    at y.  So a path through y runs from the sources over ``free`` to y (y
+    is a source, or an inside element that the sources reach over ``free``
+    has an edge to y), and from y to a sink (y's colour is missing from S,
+    or its holder in S reaches a sink over ``free``).  Both reaches are
+    searched once here, each asking about an edge at most once; the test
+    then asks at most one question per reached element about y.
+    """
+    raw = underline(S)
+    state = seq.matroid.state(raw)
+    holder = {xc[1]: xc for xc in S}
+
+    def source(y):
+        return y[0] not in raw and state.independent((), (y[0],))
+
+    def edge(x, y):
+        return (y[0] not in raw or y[0] == x[0]) and state.independent((x[0],), (y[0],))
+
+    reached: set = set()
+    frontier = [holder[y[1]] for y in free if y[1] in holder and source(y)]
+    while frontier:
+        x = frontier.pop()
+        if x not in reached:
+            reached.add(x)
+            frontier += [
+                holder[y[1]]
+                for y in free
+                if y[1] in holder and holder[y[1]] not in reached and edge(x, y)
+            ]
+    # Backward from the sinks: x reaches a sink once it has an edge to a
+    # sink, or to a free element whose colour's holder reaches one.
+    by_colour: dict = {}
+    for y in free:
+        by_colour.setdefault(y[1], []).append(y)
+    ends: set = set()
+    targets = [y for y in free if y[1] not in holder]
+    while targets:
+        y = targets.pop()
+        for x in S:
+            if x not in ends and edge(x, y):
+                ends.add(x)
+                targets += by_colour.get(x[1], ())
+    return lambda y: (y[1] not in holder or holder[y[1]] in ends) and (
+        source(y) or any(edge(x, y) for x in reached)
+    )
+
+
 def _steal_move(seq, coll, free):
     """A short set takes an element of another set, which then repairs.
 
@@ -195,13 +246,20 @@ def _steal_move(seq, coll, free):
     S_b - y into what is then unused (``free``, plus what a's path removed,
     less what it added) brings b back to its size.  The first pair of paths
     found is one ``steal`` move with a change to each set, and the
-    signature rises since a grows and b keeps its size.
+    signature rises since a grows and b keeps its size.  A y that
+    :func:`_takes` rules out is skipped without a path search: no path
+    through it exists, so the search would not add it.
     """
+    if len(coll.sets) < 2:
+        return None
     for a in _short_sets(seq, coll):
+        takes = _takes(seq, coll.sets[a], free)
         for b, S_b in enumerate(coll.sets):
             if b == a:
                 continue
             for y in sorted(S_b):
+                if not takes(y):
+                    continue
                 pool = free.copy()
                 insort(pool, y)
                 path = augmenting_path(seq, coll.sets[a], pool)

@@ -11,7 +11,12 @@ from rainbowpack.cli import EXIT_FAIL, run_command
 from rainbowpack.errors import BudgetExceededError, InputError
 from rainbowpack.exchange import Root
 from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance, load_instance
-from rainbowpack.matroids import SparsePavingMatroid, UniformMatroid
+from rainbowpack.matroids import (
+    GraphicMatroid,
+    LinearMatroid,
+    SparsePavingMatroid,
+    UniformMatroid,
+)
 from rainbowpack.model import (
     BaseSequence,
     Collection,
@@ -23,9 +28,11 @@ from rainbowpack.oracle import (
     HARNESS_IDS,
     OracleBudget,
     _check_maxsubmax_case,
+    _masks,
     _max_disjoint,
     _Meter,
     _qbound_side_condition,
+    _rarest,
     _statuses,
     brute_force_t,
     brute_force_t_naive,
@@ -82,15 +89,64 @@ def test_enumerate_rainbow_bases_matches_from_scratch_search(monkeypatch):
     cases = [*generated_seqs(range(3, 6)), *generated_seqs((6,), ("graphic",))]
     for name, seq in cases:
         got = enumerate_rainbow_bases(seq)
-        assert got == _rainbow_bases_from_scratch(seq), name
+        assert list(got) == _masks(seq, _rainbow_bases_from_scratch(seq)), name
         if seq.n <= 5:
             assert enumerate_ris(seq) == _ris_from_scratch(seq), name
+
+
+def _decode(seq, mask):
+    """The set of coloured elements whose bits ``mask`` holds."""
+    universe = sorted(seq.universe)
+    return frozenset(ce for i, ce in enumerate(universe) if mask >> i & 1)
+
+
+# Instances where a wrong girth would let a dependent set through: the
+# closed-form girth, then the dependent rainbow transversal.
+GIRTH_CASES = {
+    # the circuit-hyperplane {0, 3, 6} is a rainbow transversal
+    "sparse-paving-rainbow-circuit": (
+        BaseSequence(
+            SparsePavingMatroid(3, 9, [{0, 3, 6}]), [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}]
+        ),
+        3,
+        {(0, 1), (3, 2), (6, 3)},
+    ),
+    # column 3 is zero (a loop, girth 1); columns 0 and 2 are parallel
+    "linear-zero-column": (
+        BaseSequence(LinearMatroid(3, [[1, 0, 1, 0], [0, 1, 0, 0]]), [{0, 1}, {1, 2}]),
+        1,
+        {(0, 1), (2, 2)},
+    ),
+    # edges 0 and 3 are parallel (girth 2); edges 0, 4 and 7 form a triangle
+    "graphic-parallel-edges": (
+        BaseSequence(
+            GraphicMatroid(
+                4, [(0, 1), (1, 2), (2, 3), (0, 1), (0, 2), (1, 3), (0, 3), (1, 2)]
+            ),
+            [{0, 1, 2}, {3, 4, 5}, {6, 7, 4}],
+        ),
+        2,
+        {(0, 1), (4, 2), (7, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIRTH_CASES))
+def test_enumeration_below_the_girth_matches_from_scratch_search(case):
+    seq, girth, dependent = GIRTH_CASES[case]
+    assert seq.matroid._girth_closed_form() == girth
+    assert not seq.matroid.is_independent(x for x, _ in dependent)
+    got = enumerate_rainbow_bases(seq)
+    assert list(got) == _masks(seq, _rainbow_bases_from_scratch(seq))
+    assert _masks(seq, [dependent])[0] not in got
+    assert enumerate_ris(seq) == _ris_from_scratch(seq)
 
 
 def test_enumerate_rainbow_bases_u24(u24_disjoint):
     rbs = enumerate_rainbow_bases(u24_disjoint)
     assert len(rbs) == 4  # 2 choices for colour 1 x 2 for colour 2
     for rb in rbs:
+        rb = _decode(u24_disjoint, rb)
         assert len(rb) == 2 and is_ris(u24_disjoint, rb)
 
 
@@ -167,6 +223,25 @@ def test_max_disjoint_matches_exhaustive_search():
         assert _max_disjoint(masks, n, _Meter(OracleBudget())) == expected, masks
         short += expected < n
     assert short > 300
+
+
+def test_rarest_is_the_lowest_least_held_bit():
+    # _max_disjoint's branching element, against a count per live bit
+    rng = random.Random(1)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        cands = [
+            sum(1 << b for b in rng.sample(range(n * n), n))
+            for _ in range(rng.randint(1, 200))
+        ]
+        live = 0
+        for m in cands:
+            live |= m
+        expected = min(
+            (1 << i for i in range(live.bit_length()) if live >> i & 1),
+            key=lambda bit: sum(1 for m in cands if m & bit),
+        )
+        assert _rarest(cands, live) == expected, cands
 
 
 def test_max_disjoint_obeys_node_budget(monkeypatch):

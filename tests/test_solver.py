@@ -30,6 +30,7 @@ from rainbowpack.model import (
 from rainbowpack.oracle import brute_force_t, enumerate_ris, iter_collections
 from rainbowpack.solver import (
     SolverParams,
+    _takes,
     apply_move,
     augmenting_path,
     dump_move_log,
@@ -68,6 +69,29 @@ def test_augmenting_path_matches_oracle(family, mode):
                     removed, added = path
                     T = S - frozenset(removed) | frozenset(added)
                     assert len(T) == len(S) + 1 and is_ris(seq, T)
+
+
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+@pytest.mark.parametrize("mode", ("disjoint", "overlapping"))
+def test_steal_rules_out_only_elements_no_path_adds(family, mode):
+    # _takes may rule out y only where the path search into the pool plus y
+    # finds no path or one that leaves y out.
+    ruled_out = kept = 0
+    for n in (2, 3, 4):
+        seq = generate_instance(family, n, mode, kappa=2, seed=n).base_sequence()
+        for coll in islice(iter_collections(seq, 3, rng=random.Random(n)), 200):
+            free = sorted(seq.universe - coll.used())
+            for S in coll.sets:
+                if len(S) == seq.n:
+                    continue
+                takes = _takes(seq, S, free)
+                for y in sorted(coll.used() - S):
+                    path = augmenting_path(seq, S, sorted(free + [y]))
+                    if path is not None and y in path[1]:
+                        assert takes(y), (sorted(S), y)
+                    ruled_out += not takes(y)
+                    kept += takes(y)
+    assert ruled_out and kept
 
 
 def test_a_fill_leaves_nothing_the_set_could_take():
