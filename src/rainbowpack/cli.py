@@ -150,6 +150,9 @@ def gen(family, n, mode, kappa, seed, out):
 def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     """Pack disjoint rainbow bases and report the result."""
     inst, seq = _read_instance(instance_path)
+    if alpha >= seq.n:
+        # eta = n - alpha would open no set at all
+        raise click.BadParameter(f"must be below n = {seq.n}", param_hint="--alpha")
     out_fh, log_fh = _open_out(out), _open_out(log_path)
     params = SolverParams(
         bound=BoundParams(alpha=alpha), depth_limit=depth, iteration_budget=budget_ms
@@ -323,6 +326,7 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
         seq = inst.base_sequence()
         started = time.monotonic()
         result = pack_rainbow_bases(seq, SolverParams())
+        elapsed_ms = int((time.monotonic() - started) * 1000)  # the solve alone
         brute_t = ""
         status = None  # keep the solve's own status
         if not no_brute:
@@ -333,7 +337,6 @@ def bench(family, n, mode, kappa, seeds, budget_ms, no_brute, out):
             else:
                 if result.rb_count > brute_t:
                     status = "solver_above_oracle"
-        elapsed_ms = int((time.monotonic() - started) * 1000)
         row = _solve_csv_row(inst, seq, result, elapsed_ms, brute=brute_t)
         below = row["bound_applicable"] and result.rb_count < row["bound_thm"]
         if status is not None:

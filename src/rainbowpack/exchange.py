@@ -1,4 +1,5 @@
-"""Roots, swappable/addable elements, transitions and exchange lemma moves."""
+"""Roots, the exchange graph of an RIS, swappable/addable elements,
+transitions and exchange lemma moves."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .matroids import Matroid
 from .model import (
     BaseSequence,
     CElem,
@@ -57,24 +57,44 @@ def iter_roots(seq: BaseSequence, coll: Collection, size: int | None = None):
                 yield Root(coll, i, b)
 
 
+class ExchangeGraph:
+    """Edmonds' exchange graph of the RIS ``S``.
+
+    An RIS is a common independent set of the lifted matroid (coloured
+    copies of an element are parallel) and the colour partition matroid.
+    Outside S, y is a source when S + y is independent in the lifted matroid,
+    and an inside x has an edge to y when S - x + y is.  The graph holds
+    raw(S), S's element of each colour (``holder``) and one state of raw(S),
+    its own.
+    """
+
+    def __init__(self, seq: BaseSequence, S: frozenset):
+        self.raw = underline(S)
+        self.holder = {xc[1]: xc for xc in S}
+        self.state = seq.matroid.state(self.raw)
+
+    def source(self, y: CElem) -> bool:
+        return y[0] not in self.raw and self.state.independent((), (y[0],))
+
+    def edge(self, x: CElem, y: CElem) -> bool:
+        return (y[0] not in self.raw or y[0] == x[0]) and self.state.independent(
+            (x[0],), (y[0],)
+        )
+
+
 def swap_set(seq: BaseSequence, root: Root) -> dict:
     """Swappable elements of the root's set, each with its sorted witness list.
 
     ``yb`` witnesses ``xc`` when ``S - xc + yb`` is an RIS.  S is an RIS
-    lacking colour b, so that holds iff y is not another raw element of S
-    and ``raw(S) - x + y`` is independent.
+    lacking colour b, so that holds iff the exchange graph of S has an edge
+    from xc to yb.
     """
     S = root.ris
-    raw = underline(S)
-    state = seq.matroid.state(raw)
+    graph = ExchangeGraph(seq, S)
     pool = sorted(unused(seq, root.collection, root.b))
     out: dict = {}
     for xc in sorted(S):
-        x = xc[0]
-        witnesses = [
-            yb for yb in pool
-            if (yb[0] == x or yb[0] not in raw) and state.independent((x,), (yb[0],))
-        ]
+        witnesses = [yb for yb in pool if graph.edge(xc, yb)]
         if witnesses:
             out[xc] = tuple(witnesses)
     return out
@@ -99,20 +119,20 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
     ``xc`` is directly addable when ``S + xc`` is an RIS, and indirectly, by
     ``(xpc, yb)``, when ``S - xpc + xc + yb`` is one, xpc being S's element
     of colour c and yb an unused element of the root's colour b.  S is an
-    RIS lacking colour b, so only raw distinctness and independence of the
-    raw elements need checking, and those against one state of raw(S).
+    RIS lacking colour b, so a direct addition is a source of S's exchange
+    graph whose colour S lacks, and an indirect one needs raw distinctness
+    and one two-element query of the graph's state.
     """
     S = root.ris
-    raw = underline(S)
-    state = seq.matroid.state(raw)
-    holder = {xc[1]: xc for xc in S}
+    graph = ExchangeGraph(seq, S)
+    raw, state = graph.raw, graph.state
     pool = sorted(unused(seq, root.collection, root.b))
     records = []
     for xc in sorted(seq.universe - S):
         x, c = xc
-        xpc = holder.get(c)
+        xpc = graph.holder.get(c)
         if xpc is None:
-            if x not in raw and state.independent((), (x,)):
+            if graph.source(xc):
                 records.append(AddRecord(xc))
             continue
         xp = xpc[0]
@@ -204,12 +224,13 @@ def _assign(raw: list, edges: list, i: int, used: set, acc: dict) -> Optional[di
     return None
 
 
-def arrow(M: Matroid, S_to, xc: CElem, xpc: CElem) -> bool:
+def arrow(state, xc: CElem, xpc: CElem) -> bool:
     """True when the target set stays independent after the raw swap.
 
-    ``S_to`` must be an RIS holding ``xpc``.
+    ``state`` is the independence state of the target set's raw elements,
+    and the target set, an RIS, holds ``xpc``.
     """
-    return M.state(underline(S_to)).independent((xpc[0],), (xc[0],))
+    return state.independent((xpc[0],), (xc[0],))
 
 
 def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
@@ -219,12 +240,12 @@ def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
     ((x_i, c_i) in S, (x'_i, c_i) in S_prime) for one other set S of the
     collection, each pair of one colour and no colour twice.  Pair i
     relates to pair j when :func:`arrow` holds for x_i and x'_j, asked once
-    per (i, j).  Returns the 0-based indices I of
-    a shortest cycle of that relation, the least by sorted indices among
-    them (a self-swap is a cycle of length one), so that removing the right
-    elements of I and adding the left ones keeps S_prime an RIS.  The
-    exchange argument alone gives that, so the set is not re-checked here:
-    callers check the exchanged set (the solver's
+    per (i, j) of one state of underline(S_prime).  Returns the 0-based
+    indices I of a shortest cycle of that relation, the least by sorted
+    indices among them (a self-swap is a cycle of length one), so that
+    removing the right elements of I and adding the left ones keeps S_prime
+    an RIS.  The exchange argument alone gives that, so the set is not
+    re-checked here: callers check the exchanged set (the solver's
     :func:`~rainbowpack.solver.apply_move` checks every move it makes).  A
     pair with no partner reaches no cycle, nor does a pair whose arrows all
     lead to such pairs, so they need no pruning.  Raises
@@ -232,7 +253,6 @@ def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
     underline(S_prime), and when no cycle exists and some pair has no
     partner; when every pair has one, a cycle exists.
     """
-    M = seq.matroid
     k = len(pairs)
     raw_prime = underline(S_prime)
     for (xi, _), (xpi, _) in pairs:
@@ -241,8 +261,9 @@ def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
         if xi in raw_prime and xi != xpi:
             raise PreconditionError(f"raw element {xi} already present in the target set")
 
+    state = seq.matroid.state(raw_prime)
     succ = [
-        [j for j in range(k) if arrow(M, S_prime, pairs[i][0], pairs[j][1])]
+        [j for j in range(k) if arrow(state, pairs[i][0], pairs[j][1])]
         for i in range(k)
     ]
 

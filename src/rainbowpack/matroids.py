@@ -11,22 +11,24 @@ A loop that asks many questions about one fixed independent set ``T``
 :meth:`Matroid.state`: an :class:`IndependenceState` answers
 ``T - removed | added`` for one removed and two added elements without
 re-checking T, and :meth:`IndependenceState.extend` gives the state of
-``T + y``.  Linear states keep row operations that bring T to unit vectors,
-graphic states the component labels of the forest T; uniform and
-sparse-paving states ask the family's closed form directly.
+``T + y``.  Every call builds a new state, through the family's
+``_build``, and the state belongs to its caller.  Linear states keep row
+operations that bring T to unit vectors, graphic states the component
+labels of the forest T; uniform and sparse-paving states ask the family's
+closed form directly.
 
-Linear and graphic matroids keep one state that follows a set as it grows:
-when :meth:`Matroid.is_independent` or :meth:`Matroid.state` asks about the
-kept set plus one element, one state query answers, and an independent
-answer moves the kept state to the larger set.  Any other set is checked
-from scratch, and that check is the state build itself: the pivot steps of
-its columns, or the component labels of its edges, stopping at the first
-dependent element.  Every independent set's state becomes the kept one, a
-base's included.  Each family has this one elimination for its rank, its
-from-scratch answers and its states.  Each matroid counts its independence
-answers (:attr:`Matroid.answers`).  Closure, circuits and the girth search
-are derived from the oracle alone, so they are valid for any family that
-satisfies the matroid axioms.
+Linear and graphic matroids also keep one state of their own, which answers
+:meth:`Matroid.is_independent` alone and follows a set as it grows: asked
+about the kept set plus one element, one state query answers, and an
+independent answer moves the kept state to the larger set.  Any other set
+is checked from scratch, and that check is the state build itself: the
+pivot steps of its columns, or the component labels of its edges, stopping
+at the first dependent element.  Every independent set's state becomes the
+kept one, a base's included.  Each family has this one elimination for its
+rank, its from-scratch answers and its states.  Each matroid counts its
+independence answers (:attr:`Matroid.answers`).  Closure, circuits and the
+girth search are derived from the oracle alone, so they are valid for any
+family that satisfies the matroid axioms.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ class Matroid:
     """Independence oracle over the ground set ``0..size-1``.
 
     Its answers never change, but it is not immutable: it caches every
-    answer, and linear and graphic matroids also keep one state (see
-    :class:`_KeptStateMatroid`).  Each family sets ``rank``, the size of
-    its bases.  ``answers`` counts the answers :meth:`is_independent` has
-    given: ``cached`` (a set asked before), ``incremental`` (one state
-    query) and ``scratch`` (a check of the whole set).
+    answer, and linear and graphic matroids also keep one state for
+    :meth:`is_independent` (see :class:`_KeptStateMatroid`).  Each family
+    sets ``rank``, the size of its bases.  ``answers`` counts the answers
+    :meth:`is_independent` has given: ``cached`` (a set asked before),
+    ``incremental`` (one state query) and ``scratch`` (a check of the whole
+    set).
     """
 
     family = "abstract"
@@ -94,17 +97,23 @@ class Matroid:
         raise NotImplementedError
 
     def state(self, T: Iterable[int]) -> "IndependenceState":
-        """The independence state of the independent set ``T``.
+        """A new independence state of the independent set ``T``, the
+        caller's own: built by the family's :meth:`_build`, it neither reads
+        nor moves a kept state, nor counts as an answer.
 
-        Raises :class:`PreconditionError` when T is dependent.  This state
-        asks the family's closed form about each changed set, which costs
-        no more than building it; linear and graphic matroids keep one state
-        instead (see :meth:`_KeptStateMatroid.state`).
+        Raises :class:`PreconditionError` when T is dependent.
         """
         T = _as_element_set(self.size, T)
-        if not self._independent(T):
+        state = self._build(T)
+        if state is None:
             raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
-        return _ClosedFormState(self, T)
+        return state
+
+    def _build(self, T: frozenset):
+        """The state of T, or None when T is dependent.  This one asks the
+        family's closed form about each changed set, which costs no more
+        than building it; linear and graphic matroids build their own."""
+        return _ClosedFormState(self, T) if self._independent(T) else None
 
     def params(self) -> dict:
         """Family parameters, round-trippable through the instance format."""
@@ -119,72 +128,39 @@ class Matroid:
 
 
 class _KeptStateMatroid(Matroid):
-    """A family whose from-scratch check, ``_build``, builds a state.
+    """A family that builds its own states (``_build``) and keeps one for
+    :meth:`is_independent`.
 
-    It keeps one state: that of the last independent set it answered about
-    by a state query or a from-scratch check, or returned from
-    :meth:`state`.  A cached answer and a dependent set leave it where it
-    was.  A kept state must hold no reference to its matroid: the two would
-    form a reference cycle, and a dropped matroid, independence cache and
-    all, would wait for the cycle collector.
+    The kept state is that of the last independent set a new answer was
+    about.  A cached answer and a dependent set leave it where it was, and
+    :meth:`state` never reads or moves it.  A kept state must hold no
+    reference to its matroid: the two would form a reference cycle, and a
+    dropped matroid, independence cache and all, would wait for the cycle
+    collector.
     """
 
     def __init__(self, size: int):
         super().__init__(size)
         self._state = None  # the kept state
 
-    def state(self, T):
-        """:meth:`Matroid.state`, from the one kept state where it can be.
-
-        Asked about its own set, the kept state is returned as it is; asked
-        about its set plus one element, one state query answers
-        (:meth:`_grow`).  Any other set is built from scratch
-        (:meth:`_check`).  Either way an independent set's state becomes
-        the kept one, as it does when :meth:`is_independent` answers.
-        """
-        T = frozenset(T)
-        state = self._state
-        if state is not None and state.T == T:
-            return state
-        T = _as_element_set(self.size, T)
-        grown = self._grow(T)
-        if grown is None:
-            grown = self._check(T)
-        if not grown:
-            raise PreconditionError(f"independence state of the dependent set {sorted(T)}")
-        return self._state
-
     def _answer(self, A):
-        grown = self._grow(A)
-        if grown is not None:
-            self.answers["incremental"] += 1
-            return grown
-        self.answers["scratch"] += 1
-        return self._check(A)
-
-    def _grow(self, A: frozenset):
-        """A's independence when A is the kept set plus one element, None
-        otherwise; an independent A moves the kept state to A."""
+        """One state query when A is the kept set plus one element, else a
+        check from scratch, which is A's state build; an independent A's
+        state becomes the kept one."""
         state = self._state
-        if state is None or len(state.T) != len(A) - 1 or not state.T < A:
-            return None
-        (y,) = A - state.T
-        if not state._query((), (y,)):
-            return False
-        self._state = state.extend(y)
-        return True
-
-    def _check(self, A: frozenset) -> bool:
-        """A's independence from scratch; an independent A's state is kept."""
-        state = self._build(A)
-        if state is None:
-            return False
+        if state is not None and len(A) == len(state.T) + 1 and state.T < A:
+            self.answers["incremental"] += 1
+            (y,) = A - state.T
+            if not state._query((), (y,)):
+                return False
+            state = state.extend(y)
+        else:
+            self.answers["scratch"] += 1
+            state = self._build(A)
+            if state is None:
+                return False
         self._state = state
         return True
-
-    def _build(self, T: frozenset):
-        """The state of T, or None at T's first dependent element."""
-        raise NotImplementedError
 
 
 class IndependenceState:

@@ -558,8 +558,9 @@ def _harness_exchange(seq, rng):
             left = {c: next(e for e in sorted(S) if e[1] == c) for c in shared}
             right = {c: next(e for e in sorted(S_prime) if e[1] == c) for c in shared}
             pairs = [(left[c], right[c]) for c in shared]
+            state = seq.matroid.state(underline(S_prime))
             hyp = all(
-                any(arrow(seq.matroid, S_prime, l, r2) for _, r2 in pairs)
+                any(arrow(state, l, r2) for _, r2 in pairs)
                 for l, _ in pairs
             )
             if not hyp:

@@ -10,7 +10,10 @@ can take directly, or a shortest augmenting path, :func:`augmenting_path`;
 and the other set repairs by one; ``cascade``: the paper's root cascade and
 cyclic exchange) and does not change how it applies, so a log with one
 element per fill still replays.  The finders are tried in that order, and
-the first move found is taken.
+the first move found is taken.  Every path search asks the exchange graph
+of its set (:class:`~rainbowpack.exchange.ExchangeGraph`), built for that
+search and holding its own independence state; a steal builds the short
+set's graph once, for its reach test and for every path search from it.
 ``changes`` lists ``{"set", "removed", "added"}`` with coloured elements as
 ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
@@ -34,7 +37,7 @@ from typing import Optional
 
 from .cascade import concentration_probe
 from .errors import CorruptedTraceError, InternalInvariantError, PreconditionError
-from .exchange import cyclic_exchange, transition
+from .exchange import ExchangeGraph, cyclic_exchange, transition
 from .model import (
     BaseSequence,
     BoundParams,
@@ -43,7 +46,6 @@ from .model import (
     is_ris,
     lex_compare,
     signature_of_sizes,
-    underline,
     validate_collection,
     validate_ris,
 )
@@ -86,22 +88,18 @@ def _change(i, removed, added) -> dict:
     return {"set": i, "removed": list(removed), "added": list(added)}
 
 
-def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
-    """Shortest augmenting path from the RIS ``S`` into the unused ``pool``.
+def augmenting_path(graph: ExchangeGraph, pool) -> Optional[tuple]:
+    """Shortest augmenting path from the RIS S of ``graph``, its exchange
+    graph, into the unused ``pool``.
 
-    An RIS is a common independent set of the lifted matroid (coloured copies
-    of an element are parallel) and the colour partition matroid.  In their
-    exchange graph (Edmonds) an outside y leads to the element of S with y's
-    colour, and an inside x to every outside y with S - x + y independent in
-    the lifted matroid; paths run from the outside elements the lifted
-    matroid lets S take to those of a colour S lacks.  Returns the path's
-    sorted ``(removed, added)`` elements, with ``S - removed | added`` an RIS
-    one larger than S, or None exactly when no RIS on S | pool is larger.
-    Ties break by the order of ``pool``.
+    In the exchange graph (Edmonds) an outside y leads to the element of S
+    with y's colour, and an inside x to every outside y it has an edge to;
+    paths run from the sources in ``pool`` to those of a colour S lacks.
+    Returns the path's sorted ``(removed, added)`` elements, with
+    ``S - removed | added`` an RIS one larger than S, or None exactly when
+    no RIS on S | pool is larger.  Ties break by the order of ``pool``.
     """
-    raw = underline(S)
-    state = seq.matroid.state(raw)
-    holder = {xc[1]: xc for xc in S}
+    holder = graph.holder
     parent: dict = {}
 
     def path_to(y):
@@ -115,7 +113,7 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
 
     frontier = []
     for y in pool:
-        if y[0] not in raw and state.independent((), (y[0],)):
+        if graph.source(y):
             parent[y] = None
             if y[1] not in holder:
                 return path_to(y)
@@ -128,9 +126,7 @@ def augmenting_path(seq: BaseSequence, S: frozenset, pool) -> Optional[tuple]:
                 continue
             parent[x] = y
             for z in pool:
-                if z in parent or (z[0] in raw and z[0] != x[0]):
-                    continue
-                if not state.independent((x[0],), (z[0],)):
+                if z in parent or not graph.edge(x, z):
                     continue
                 parent[z] = x
                 if z[1] not in holder:
@@ -176,38 +172,29 @@ def _augment_move(seq, coll, eta, free):
         if added:
             return _augment(i, (), added)
     for i in order:
-        path = augmenting_path(seq, coll.sets[i], free)
+        path = augmenting_path(ExchangeGraph(seq, coll.sets[i]), free)
         if path is not None:
             return _augment(i, *path)
     if len(coll.sets) < eta:
-        path = augmenting_path(seq, frozenset(), free)
+        path = augmenting_path(ExchangeGraph(seq, frozenset()), free)
         if path is not None:
             return _augment(len(coll.sets), *path)
     return None
 
 
-def _takes(seq, S: frozenset, free: list):
-    """A test that fails each y outside S and ``free`` that no augmenting
-    path of S into ``free`` plus y can add.
+def _takes(graph: ExchangeGraph, free: list):
+    """A test that fails each y outside the RIS S of ``graph`` and outside
+    ``free`` that no augmenting path of S into ``free`` plus y can add.
 
-    In :func:`augmenting_path`'s exchange graph, y changes only the edges
-    at y.  So a path through y runs from the sources over ``free`` to y (y
-    is a source, or an inside element that the sources reach over ``free``
-    has an edge to y), and from y to a sink (y's colour is missing from S,
-    or its holder in S reaches a sink over ``free``).  Both reaches are
-    searched once here, each asking about an edge at most once; the test
-    then asks at most one question per reached element about y.
+    In S's exchange graph, y changes only the edges at y.  So a path through
+    y runs from the sources over ``free`` to y (y is a source, or an inside
+    element that the sources reach over ``free`` has an edge to y), and from
+    y to a sink (y's colour is missing from S, or its holder in S reaches a
+    sink over ``free``).  Both reaches are searched once here, each asking
+    about an edge at most once; the test then asks at most one question per
+    reached element about y.
     """
-    raw = underline(S)
-    state = seq.matroid.state(raw)
-    holder = {xc[1]: xc for xc in S}
-
-    def source(y):
-        return y[0] not in raw and state.independent((), (y[0],))
-
-    def edge(x, y):
-        return (y[0] not in raw or y[0] == x[0]) and state.independent((x[0],), (y[0],))
-
+    holder, source, edge = graph.holder, graph.source, graph.edge
     reached: set = set()
     frontier = [holder[y[1]] for y in free if y[1] in holder and source(y)]
     while frontier:
@@ -228,7 +215,7 @@ def _takes(seq, S: frozenset, free: list):
     targets = [y for y in free if y[1] not in holder]
     while targets:
         y = targets.pop()
-        for x in S:
+        for x in holder.values():
             if x not in ends and edge(x, y):
                 ends.add(x)
                 targets += by_colour.get(x[1], ())
@@ -248,12 +235,14 @@ def _steal_move(seq, coll, free):
     found is one ``steal`` move with a change to each set, and the
     signature rises since a grows and b keeps its size.  A y that
     :func:`_takes` rules out is skipped without a path search: no path
-    through it exists, so the search would not add it.
+    through it exists, so the search would not add it.  Set a's exchange
+    graph is built once, for that test and for every y's path search.
     """
     if len(coll.sets) < 2:
         return None
     for a in _short_sets(seq, coll):
-        takes = _takes(seq, coll.sets[a], free)
+        graph = ExchangeGraph(seq, coll.sets[a])
+        takes = _takes(graph, free)
         for b, S_b in enumerate(coll.sets):
             if b == a:
                 continue
@@ -262,12 +251,12 @@ def _steal_move(seq, coll, free):
                     continue
                 pool = free.copy()
                 insort(pool, y)
-                path = augmenting_path(seq, coll.sets[a], pool)
+                path = augmenting_path(graph, pool)
                 if path is None or y not in path[1]:
                     continue
                 removed, added = path
                 rest = sorted(set(pool).difference(added).union(removed))
-                repair = augmenting_path(seq, S_b - {y}, rest)
+                repair = augmenting_path(ExchangeGraph(seq, S_b - {y}), rest)
                 if repair is not None:
                     return {
                         "kind": "steal",

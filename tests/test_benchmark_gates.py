@@ -17,6 +17,8 @@ import sys
 
 import pytest
 
+from rainbowpack.matroids import GraphicMatroid
+
 RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "run.py")
 
 # The benchmark's movelog_sha256 of one round at seed 0.  A speed-up must
@@ -31,10 +33,13 @@ SEED0_MOVELOG_SHA256 = {
 # The independence answers (cached, incremental, scratch) of the seed-0
 # dense-oracle instances by step and family, base checks left out: the solve,
 # then the replay of its log on a fresh base sequence.  A change to how the
-# linear and graphic matroids keep their state shows here first.
+# linear and graphic matroids keep their state shows here first.  The kept
+# state follows is_independent alone (a state built for a caller leaves it
+# where it was), so a fill's first question about a set the solver has just
+# searched is a check from scratch.
 SEED0_DENSE_ORACLE_ANSWERS = {
-    ("solve", "graphic"): [968, 2219, 138],
-    ("solve", "linear"): [36, 664, 2],
+    ("solve", "graphic"): [968, 2178, 179],
+    ("solve", "linear"): [36, 628, 38],
     ("replay", "graphic"): [109, 2, 194],
     ("replay", "linear"): [36, 0, 74],
 }
@@ -87,3 +92,48 @@ def test_seed0_dense_oracle_answer_routing():
             for i, kind in enumerate(("cached", "incremental", "scratch")):
                 counts[i] += seq.matroid.answers[kind] - before[kind]
     assert totals == SEED0_DENSE_ORACLE_ANSWERS
+
+
+def test_steal_builds_one_state_per_short_set_and_repair(monkeypatch):
+    # One _steal_move call builds short set a's exchange graph once, for its
+    # reach test and for every y's path search, and one more graph per
+    # repair, so a failed repair leaves a's graph as it was.  Counted on the
+    # seed-0 dense-oracle graphic instances; inside a steal, every state
+    # built is a graph's.
+    run = _benchmark_module()
+    solver = run.solver
+    build, takes, path, steal = (
+        GraphicMatroid._build, solver._takes, solver.augmenting_path, solver._steal_move
+    )
+    seen: dict = {"builds": 0, "short": [], "repairs": 0}
+    calls = []  # (states built, short sets searched, repairs) per call
+
+    def counting_build(self, T):
+        seen["builds"] += 1
+        return build(self, T)
+
+    def counting_takes(graph, free):
+        seen["short"].append(graph)
+        return takes(graph, free)
+
+    def counting_path(graph, pool):
+        # a repair searches from another set than the short ones
+        seen["repairs"] += all(graph.holder != g.holder for g in seen["short"])
+        return path(graph, pool)
+
+    def counting_steal(seq, coll, free):
+        seen.update(builds=0, short=[], repairs=0)
+        move = steal(seq, coll, free)
+        calls.append((seen["builds"], len(seen["short"]), seen["repairs"]))
+        return move
+
+    monkeypatch.setattr(GraphicMatroid, "_build", counting_build)
+    monkeypatch.setattr(solver, "_takes", counting_takes)
+    monkeypatch.setattr(solver, "augmenting_path", counting_path)
+    monkeypatch.setattr(solver, "_steal_move", counting_steal)
+    for text in run.instance_texts(run.WORKLOADS["dense-oracle"], 0):
+        inst = run.instances.parse_instance(text)
+        if inst.family == "graphic":
+            solver.pack_rainbow_bases(inst.base_sequence(), run._solver_params(inst))
+    assert all(built <= short + repairs for built, short, repairs in calls), calls
+    assert sum(repairs for *_, repairs in calls) > 0

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import time
 
 import pytest
 import yaml
@@ -439,6 +440,41 @@ def test_bench_reports_a_brute_force_budget_stop(tmp_path):
     ) == EXIT_BUDGET
     [row] = csv.DictReader(io.StringIO(out.read_text()))
     assert row["brute_t"] == "" and row["status"] == "budget"
+
+
+def test_bench_elapsed_ms_times_the_solve_alone(tmp_path, monkeypatch):
+    # elapsed_ms is the solve's time in bench as in solve --format csv, so a
+    # brute force that takes 0.3 s does not show in it.
+    exact = cli.brute_force_t
+
+    def slow(seq, budget):
+        time.sleep(0.3)
+        return exact(seq, budget)
+
+    monkeypatch.setattr(cli, "brute_force_t", slow)
+    out = tmp_path / "bench.csv"
+    assert run_command(
+        ["bench", "--family", "uniform", "--n", "3", "--seeds", "1", "--out", str(out)]
+    ) == EXIT_OK
+    [row] = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["brute_t"] == "3" and int(row["elapsed_ms"]) < 300
+
+
+def test_solve_alpha_of_at_least_n_is_a_usage_error(tmp_path, capsys):
+    # eta = n - alpha <= 0 would open no set, and the solve would report no
+    # rainbow bases at a fixed point.  The check comes before any output.
+    inst = str(gen_instance_file(tmp_path, n=4))
+    report, log = tmp_path / "report.yaml", tmp_path / "moves.jsonl"
+    capsys.readouterr()
+    for alpha in ("4", "10"):
+        argv = ["solve", "--instance", inst, "--alpha", alpha]
+        assert run_command(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert run_command([*argv, "--out", str(report), "--log", str(log)]) == EXIT_USAGE
+        assert not report.exists() and not log.exists()
+    argv = ["solve", "--instance", inst, "--alpha", "3", "--out", str(report)]
+    assert run_command(argv) == EXIT_OK
+    assert yaml.safe_load(report.read_text())["rainbow_bases"] >= 1
 
 
 def test_usage_errors(tmp_path):

@@ -271,7 +271,7 @@ def test_exchange_injection_leaves_no_garbage_cycles():
 def test_arrow(u24_disjoint):
     seq = u24_disjoint
     T = frozenset({(1, 1), (2, 2)})
-    assert arrow(seq.matroid, T, (0, 1), (1, 1))
+    assert arrow(seq.matroid.state(underline(T)), (0, 1), (1, 1))
 
 
 def test_cyclic_exchange_self_swap():
@@ -296,10 +296,11 @@ def test_cyclic_exchange_prefers_the_least_self_swap():
     seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {0, 2, 3, 7}])
     S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     pairs = [((4, 1), (0, 1)), ((5, 2), (1, 2)), ((6, 3), (2, 3)), ((7, 4), (3, 4))]
+    state = M.state(underline(S_prime))
     relation = {
         (i, j)
         for i, j in itertools.product(range(4), repeat=2)
-        if arrow(M, S_prime, pairs[i][0], pairs[j][1])
+        if arrow(state, pairs[i][0], pairs[j][1])
     }
     assert relation == {(0, 1), (1, 0), (2, 0), (2, 2), (3, 1), (3, 3)}
     I = cyclic_exchange(seq, S_prime, pairs)
@@ -314,8 +315,9 @@ def test_cyclic_exchange_true_cycle():
     seq = BaseSequence(M, [{0, 2}, {1, 3}])
     S_prime = frozenset({(0, 1), (1, 2)})
     pairs = [((2, 1), (0, 1)), ((3, 2), (1, 2))]
-    assert not arrow(M, S_prime, (2, 1), (0, 1))
-    assert not arrow(M, S_prime, (3, 2), (1, 2))
+    state = M.state(underline(S_prime))
+    assert not arrow(state, (2, 1), (0, 1))
+    assert not arrow(state, (3, 2), (1, 2))
     I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {0, 1}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
@@ -339,7 +341,8 @@ def _partnerless_system():
 
 def test_cyclic_exchange_skips_a_pair_with_no_partner():
     seq, S_prime, pairs = _partnerless_system()
-    assert not any(arrow(seq.matroid, S_prime, pairs[0][0], q[1]) for q in pairs)
+    state = seq.matroid.state(underline(S_prime))
+    assert not any(arrow(state, pairs[0][0], q[1]) for q in pairs)
     I = cyclic_exchange(seq, S_prime, pairs)
     assert I == {1, 2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
@@ -371,8 +374,9 @@ def test_cyclic_exchange_exhaustive_cross_check():
                 left = {c: (x, c) for x, c in S}
                 right = {c: (x, c) for x, c in S_prime}
                 pairs = [(left[c], right[c]) for c in shared]
+                state = seq.matroid.state(underline(S_prime))
                 if not all(
-                    any(arrow(seq.matroid, S_prime, p[0], q[1]) for q in pairs)
+                    any(arrow(state, p[0], q[1]) for q in pairs)
                     for p in pairs
                 ):
                     continue

@@ -369,6 +369,39 @@ def test_state_rejects_dependent_sets(data, M):
             M.state(A)
 
 
+# One small matroid of each family; {0, 2}, {1} and {1, 2} are independent
+# in all four.
+SMALL_MATROIDS = {
+    "linear": lambda: LinearMatroid(3, [[1, 0, 1, 2], [0, 1, 1, 1]]),
+    "graphic": lambda: GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "uniform": lambda: UniformMatroid(2, 4),
+    "sparse_paving": lambda: SparsePavingMatroid(2, 4, [[0, 1]]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SMALL_MATROIDS))
+def test_state_belongs_to_its_caller(family):
+    # Every state() call builds a new state and gives no answer, so the
+    # answer counts stay as they were; and it leaves the kept state where it
+    # was, so {1, 2}, asked after {1}, is routed the same way whether or not
+    # states of {0, 2} and {1} were built in between.
+    routes = []
+    for between in (False, True):
+        M = SMALL_MATROIDS[family]()
+        assert M.is_independent({1})
+        if between:
+            before = dict(M.answers)
+            for T in ({0, 2}, {1}):
+                first, second = M.state(T), M.state(T)
+                assert first is not second and first.T == second.T == T
+            assert M.answers == before
+        before = dict(M.answers)
+        assert M.is_independent({1, 2})
+        routes.append({k: M.answers[k] - before[k] for k in before})
+    kind = "incremental" if family in ("linear", "graphic") else "scratch"
+    assert routes == [{k: int(k == kind) for k in routes[0]}] * 2
+
+
 def _one_more(T, A):
     return len(A) == len(T) + 1 and T < A
 
@@ -382,7 +415,7 @@ def test_kept_state_follows_growth(data, M):
     # set one element larger than the kept set takes one state query, any
     # other set not asked before a check from scratch.  An independent set
     # becomes the kept set; a dependent one leaves it where it was, and so
-    # does a cached answer.
+    # do a cached answer and a state, which belongs to its caller.
     sets = st.frozensets(st.integers(0, M.size - 1))
     asked = {frozenset()}
     kept = None
@@ -397,7 +430,6 @@ def test_kept_state_follows_growth(data, M):
         if op == "state":
             if want:
                 assert M.state(A).T == A
-                kept = A
             else:
                 with pytest.raises(PreconditionError):
                     M.state(A)

@@ -15,6 +15,7 @@ from rainbowpack.errors import (
     InternalInvariantError,
     PreconditionError,
 )
+from rainbowpack.exchange import ExchangeGraph
 from rainbowpack.instances import GENERATOR_FAMILIES, emit_instance, generate_instance
 from rainbowpack.matroids import GraphicMatroid
 from rainbowpack.model import (
@@ -63,7 +64,7 @@ def test_augmenting_path_matches_oracle(family, mode):
                 if len(S) == seq.n:
                     continue
                 larger = any(len(R) > len(S) and R <= S | free for R in all_ris)
-                path = augmenting_path(seq, S, sorted(free))
+                path = augmenting_path(ExchangeGraph(seq, S), sorted(free))
                 assert (path is not None) == larger
                 if path is not None:
                     removed, added = path
@@ -84,9 +85,10 @@ def test_steal_rules_out_only_elements_no_path_adds(family, mode):
             for S in coll.sets:
                 if len(S) == seq.n:
                     continue
-                takes = _takes(seq, S, free)
+                graph = ExchangeGraph(seq, S)
+                takes = _takes(graph, free)
                 for y in sorted(coll.used() - S):
-                    path = augmenting_path(seq, S, sorted(free + [y]))
+                    path = augmenting_path(graph, sorted(free + [y]))
                     if path is not None and y in path[1]:
                         assert takes(y), (sorted(S), y)
                     ruled_out += not takes(y)
