@@ -12,7 +12,7 @@ import click
 import yaml
 
 from .bounds import theorem_bounds
-from .errors import BudgetExceededError, RainbowError
+from .errors import BudgetExceededError, InputError, RainbowError
 from .instances import (
     GENERATOR_FAMILIES,
     Instance,
@@ -92,10 +92,12 @@ def _write(fh, text: str):
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise click.UsageError(f"cannot read {what}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} is not UTF-8 text: {exc}") from exc
 
 
 def _read_instance(path: str) -> tuple:

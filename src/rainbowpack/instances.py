@@ -2,12 +2,11 @@
 bases by construction, so they succeed at every n.
 
 Documents load through PyYAML's safe loader (libyaml's where PyYAML has
-it) with one fast path: a plain scalar of ASCII digits with no leading
-zero, or ``0``, is an int without the resolver's regexes, and a sequence of
-only such scalars is built by ``int`` alone.  Those are nearly all the
-scalars of an instance.  Every other scalar takes the safe loader's own
-path (``017`` is still 15, ``019`` a string), so a document loads to the
-same values as ``yaml.safe_load``.
+it) with two fast paths for the plain decimal ints (ASCII digits with no
+leading zero, or ``0``) that make up nearly all of an instance; see
+:func:`load_yaml`.  Every other scalar takes the safe loader's own path
+(``017`` is still 15, ``019`` a string), so a document loads to the same
+values as ``yaml.safe_load``.
 """
 
 from __future__ import annotations
@@ -68,6 +67,61 @@ class _DecimalIntLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 _YAML_LOADER = _DecimalIntLoader
 
+# A flow sequence of one or more plain decimals standing after "- " or ": ",
+# wrapped over lines as the dumper wraps long rows.
+_FLOW_DECIMALS = re.compile(
+    r"(?<=[-:] )\[([ \n]*(?:{0})[ \n]*(?:,[ \n]*(?:{0})[ \n]*)*)\]".format(_DECIMAL.pattern)
+)
+_INTS_TAG = "!rainbowpack/ints"
+
+
+class _SplicedLoader(_YAML_LOADER):
+    """The loader for a text whose flow sequences of plain decimals were cut
+    out: each one is a scalar ``!rainbowpack/ints k`` whose items' text
+    waits in ``unclaimed`` under the key ``"k"``."""
+
+    def __init__(self, text, unclaimed):
+        super().__init__(text)
+        self.unclaimed = unclaimed
+
+
+def _claim_ints(loader, node):
+    # A scalar that is not exactly "k" for an unclaimed k (plain text that
+    # ran on after the tag, say) claims nothing, and the caller sees it.
+    items = loader.unclaimed.pop(node.value, None)
+    return None if items is None else list(map(int, items.split(",")))
+
+
+_SplicedLoader.add_constructor(_INTS_TAG, _claim_ints)
+
+
+def _load_spliced(text: str):
+    """``(True, value)`` of the text loaded with its flow sequences of plain
+    decimals spliced out, or ``(False, None)`` where the splice cannot be
+    trusted to mean what the text means."""
+    if "!" in text:  # a tag of the text's own could be the splice's
+        return False, None
+    pieces, unclaimed, end = [], {}, 0
+    for match in _FLOW_DECIMALS.finditer(text):
+        key = str(len(unclaimed))
+        unclaimed[key] = match[1]
+        pieces += (text[end:match.start()], _INTS_TAG, " ", key)
+        end = match.end()
+    if not unclaimed:
+        return False, None
+    pieces.append(text[end:])
+    loader = _SplicedLoader("".join(pieces), unclaimed)
+    try:
+        value = loader.get_single_data()
+    except (yaml.YAMLError, ValueError):  # the original text's error, or none
+        return False, None
+    finally:
+        loader.dispose()
+    # every span was a flow sequence only if each stand-in was built, once,
+    # from its own text; one in a comment, a quoted, block or multi-line
+    # scalar is built as part of that text or not at all
+    return not unclaimed, value
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -112,8 +166,25 @@ def _optional_mapping(data: dict, key: str) -> dict:
 def load_yaml(text: str):
     """One YAML document under the safe schema; raises ``yaml.YAMLError``,
     also for a scalar that has no Python value (an integer over Python's
-    digit limit, an impossible date)."""
+    digit limit, an impossible date).
+
+    Two fast paths read plain decimals (ASCII digits with no leading zero,
+    or ``0``).  First, each flow sequence of them after ``- `` or ``: ``,
+    one line or wrapped, is read with one ``split`` and ``int``, and PyYAML
+    composes only the rest of the document, with a tagged stand-in scalar
+    for each sequence.  Its result stands only if the text has no ``!`` (so
+    holds no tag, the stand-ins' among them) and every stand-in was built
+    exactly once from its own text.  Otherwise (a span inside a comment or
+    a quoted, block or multi-line scalar, an int over the digit limit, or a
+    spliced text PyYAML rejects) the whole original text is loaded again.
+    Second, on that load and the skeleton's, a plain decimal is an int
+    without the resolver's regexes, and a sequence of only such scalars (a
+    block sequence, say) is built by ``int`` alone.
+    """
     try:
+        spliced, value = _load_spliced(text)
+        if spliced:
+            return value
         return yaml.load(text, Loader=_YAML_LOADER)
     except ValueError as exc:
         raise yaml.YAMLError(str(exc)) from exc

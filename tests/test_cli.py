@@ -203,6 +203,23 @@ def test_verify_rejects_report_that_is_not_yaml(tmp_path):
         ) == EXIT_FAIL
 
 
+@pytest.mark.parametrize("kind", ("instance", "move log", "report"))
+def test_an_input_that_is_not_utf8_is_a_failure(tmp_path, capsys, kind):
+    inst = gen_instance_file(tmp_path)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    paths = {"instance": inst, "move log": log, "report": report}
+    paths[kind].write_bytes(b"version: 1\n\xff\xfe bad\n")
+    capsys.readouterr()
+    assert run_command(
+        ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+    ) == EXIT_FAIL
+    assert f"error: {kind} is not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("signature", (5, None))
 def test_verify_rejects_malformed_report_signature(tmp_path, signature):
     inst = gen_instance_file(tmp_path)

@@ -1,10 +1,12 @@
 """Instance file format: round trips, validation and seeded generators."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from rainbowpack import instances
 from rainbowpack.errors import InputError, ValidationError
@@ -302,6 +304,124 @@ def test_plain_decimals_skip_the_generic_resolver_and_constructor(monkeypatch):
     monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", counting_construct)
     assert load_yaml("[3, 10, 0, 42]\n") == [3, 10, 0, 42]
     assert calls == {"resolve": [yaml.SequenceNode], "construct": 1}  # the sequence alone
+
+
+# The safe loader load_yaml builds on: yaml.safe_load's schema on libyaml's
+# parser where PyYAML has it.  The two parsers differ on a few texts (libyaml
+# takes a tab inside a flow sequence, the pure-Python one refuses it), and
+# the splice must keep the one load_yaml has.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _loads_like_safe_load(text):
+    """load_yaml gives the safe loader's value, or raises where it raises,
+    with the same message (its marks point into the text as given)."""
+    try:
+        reference = yaml.load(text, Loader=_SAFE_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        with pytest.raises(yaml.YAMLError) as raised:
+            load_yaml(text)
+        assert str(raised.value) == str(exc)
+        return
+    ours = load_yaml(text)
+    assert ours == reference
+    assert repr(ours) == repr(reference)
+
+
+# Flow sequences of plain decimals where the splice must not change what the
+# text means: spans that are not flow sequences, items that are not plain
+# decimals, and texts whose tags or line ends the splice must respect.
+_SPLICE_CORPUS = (
+    'a: "x: [1, 2]"\nb: [3]\n',  # double-quoted scalar
+    "a: 'x: [1, 2]'\nb: [3]\n",  # single-quoted scalar
+    "a: |\n  x: [1, 2]\n  - [3]\nb: [4]\n",  # block scalar
+    "a: [1] # b: [2, 3]\n",  # comment
+    "# see: [1,\n2]\n",  # a comment opens a span the next line closes
+    "a: b - [1]\n",  # plain scalar
+    "a: b\n  - [1]\n",  # multi-line plain scalar
+    "- [1, 2]: x\n",  # mapping key
+    "a: [1] 0\n",
+    "a: [1,\n  2]\nb: c: d\n",  # an error whose mark lies past a wrapped span
+    "a: [1, 2, ]\n",
+    "a: [1 2]\n",
+    "a: [01]\n",
+    "a: [1_000]\n",
+    "a: [+1]\n",
+    "a: [-1]\n",
+    "a: []\n",
+    "a: [[0, 1], [2, 3]]\n",
+    "- [0, 1]\n- [2,\n  3]\n- {a: [4]}\n",
+    "a: &x [1]\nb: *x\n",
+    f"a: [1, {'9' * 5000}]\n",  # over Python's digit limit
+    f"a: 'b: [1, {'9' * 5000}]'\n",  # the same in a quoted scalar
+    "a: !rainbowpack/ints 0\nb: [1, 2]\n",  # the splice's own tag
+    "a: '!rainbowpack/ints 0'\nb: [1, 2]\n",
+    "%TAG !r! !rainbowpack/\n---\na: !r!ints 0\nb: [1, 2]\n",
+    "a: [1, 2]\r\nb:\r\n- [3,\r\n  4]\r\n",  # CRLF line ends
+    "a: [1,\t2]\n",  # a tab
+)
+
+
+@pytest.mark.parametrize("text", _SPLICE_CORPUS)
+def test_a_spliced_text_loads_like_safe_load(text):
+    _loads_like_safe_load(text)
+
+
+# Values for the lines of an assembled document: flow sequences the splice
+# takes, and the contexts and items it must leave to PyYAML.
+_PLAIN_VALUES = ("[1, 2]", "[3,\n  40]", "[0]", "[]", "x", "{c: [11]}", "'x: [5]'")
+_TRICKY_VALUES = (
+    "[01]", "[1, 2, ]", "[[0, 1], [2]]", '"x: [6]"', "|\n  x: [7]\n  - [8]",
+    "b - [9]", "x\n  - [10]", "[1,\t2]", "&x [12]", "*x", "[1] 0",
+    f"[1, {'9' * 5000}]", "'!rainbowpack/ints 0'", "[1,", "2]",
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(("a: ", "- ")),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_PLAIN_VALUES) | st.sampled_from(_TRICKY_VALUES),
+            st.sampled_from(("\n", "\r\n", " # e: [13]\n", ": f\n")),
+        ),
+        max_size=6,
+    ),
+)
+def test_load_yaml_matches_safe_load_on_assembled_texts(lead, lines):
+    _loads_like_safe_load("".join(lead + value + end for value, end in lines))
+
+
+def _perfbench_gen():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_flow_style_instance_composes_only_its_skeleton(monkeypatch):
+    texts = (
+        emit_instance(generate_instance("linear", 20, "disjoint", seed=0)),
+        _perfbench_gen().instance_text("linear", 20, "disjoint", 0, 0),
+    )
+    composed = []
+    init = yaml.nodes.ScalarNode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        composed.append(1)
+        init(self, *args, **kwargs)
+
+    for text in texts:
+        reference = yaml.load(text, Loader=_SAFE_LOADER)
+        composed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(yaml.nodes.ScalarNode, "__init__", counting_init)
+            loaded = load_yaml(text)
+        assert loaded == reference
+        # one per key, short value and flow sequence (40 rows and bases), not
+        # one per integer (8,400 of them)
+        assert len(composed) <= 80, len(composed)
 
 
 # Scalars that parse but have no Python value: an integer over Python's
