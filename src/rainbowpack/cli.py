@@ -16,6 +16,7 @@ from .errors import BudgetExceededError, InputError, RainbowError
 from .instances import (
     GENERATOR_FAMILIES,
     Instance,
+    dump_yaml,
     emit_instance,
     generate_instance,
     instance_digest,
@@ -48,6 +49,22 @@ EXIT_BUDGET = 3
 # Option types: a value out of range is a usage error (exit 2).
 POSITIVE = click.IntRange(min=1)
 NON_NEGATIVE = click.IntRange(min=0)
+
+# The instance options of gen and bench, in help order.
+_GENERATOR_OPTIONS = (
+    click.option("--family", type=click.Choice(GENERATOR_FAMILIES), required=True),
+    click.option("--n", type=POSITIVE, required=True),
+    click.option("--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"),
+    # 2 is the generator's least overlap; disjoint mode ignores the value
+    click.option("--kappa", type=click.IntRange(min=2), default=2, show_default=True),
+)
+
+
+def _generator_options(command):
+    for option in reversed(_GENERATOR_OPTIONS):  # decorators apply bottom up
+        command = option(command)
+    return command
+
 
 CSV_FIELDS = [
     "instance_digest",
@@ -119,13 +136,7 @@ def main():
 
 
 @main.command()
-@click.option("--family", type=click.Choice(GENERATOR_FAMILIES), required=True)
-@click.option("--n", type=POSITIVE, required=True)
-@click.option(
-    "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
-)
-# 2 is the generator's least overlap; disjoint mode ignores the value
-@click.option("--kappa", type=click.IntRange(min=2), default=2, show_default=True)
+@_generator_options
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None, help="output path (default stdout)")
 def gen(family, n, mode, kappa, seed, out):
@@ -171,11 +182,9 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
         "family": inst.family,
         "signature": list(result.collection.signature),
         "rainbow_bases": result.rb_count,
-        "sets": [sorted(map(list, S)) for S in result.collection.sets],
+        "sets": _set_lists(result.collection),
         "moves": len(result.moves),
-        "moves_by_kind": {
-            kind: sum(m["kind"] == kind for m in result.moves) for kind in MOVE_KINDS
-        },
+        "moves_by_kind": _moves_by_kind(result.moves),
         "elapsed_ms": elapsed_ms,
         "move_log": log_path,
         "stopped": result.stopped,
@@ -184,9 +193,19 @@ def solve(instance_path, alpha, depth, budget_ms, out, log_path, fmt):
     if fmt == "csv":
         _write(out_fh, _csv_text([_solve_csv_row(inst, seq, result, elapsed_ms)]))
     else:
-        _write(out_fh, yaml.safe_dump(report, sort_keys=True))
+        _write(out_fh, dump_yaml(report))
     if result.stopped == "budget":
         sys.exit(EXIT_BUDGET)
+
+
+def _set_lists(coll) -> list:
+    """The collection's sets as a report holds them: sorted
+    ``[element, colour]`` lists."""
+    return [sorted(map(list, S)) for S in coll.sets]
+
+
+def _moves_by_kind(moves) -> dict:
+    return {kind: sum(m["kind"] == kind for m in moves) for kind in MOVE_KINDS}
 
 
 def _solve_csv_row(inst, seq, result, elapsed_ms, brute=None):
@@ -263,6 +282,12 @@ def verify(instance_path, log_path, report_path):
             raise RainbowError("replayed signature differs from the report")
         if report.get("rainbow_bases") != coll.signature[-1]:
             raise RainbowError("replayed RB count differs from the report")
+        if report.get("sets") != _set_lists(coll):
+            raise RainbowError("replayed sets differ from the report")
+        if report.get("moves") != len(moves):
+            raise RainbowError("replayed move count differs from the report")
+        if report.get("moves_by_kind") != _moves_by_kind(moves):
+            raise RainbowError("replayed moves by kind differ from the report")
     click.echo(
         f"verified: {len(moves)} moves, signature {list(coll.signature)}, "
         f"{coll.signature[-1]} rainbow bases"
@@ -308,13 +333,7 @@ def bounds(n, beta, kappa, disjoint):
 
 
 @main.command()
-@click.option("--family", type=click.Choice(GENERATOR_FAMILIES), required=True)
-@click.option("--n", type=POSITIVE, required=True)
-@click.option(
-    "--mode", type=click.Choice(["disjoint", "overlapping"]), default="disjoint"
-)
-# 2 is the generator's least overlap; disjoint mode ignores the value
-@click.option("--kappa", type=click.IntRange(min=2), default=2, show_default=True)
+@_generator_options
 @click.option("--seeds", type=POSITIVE, default=10, show_default=True)
 @click.option("--budget-ms", type=POSITIVE, default=60000, show_default=True)
 @click.option("--no-brute", is_flag=True, help="skip the exact oracle column")

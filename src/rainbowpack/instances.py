@@ -1,12 +1,16 @@
 """Instance file format (YAML), validation and generators that build their
 bases by construction, so they succeed at every n.
 
-Documents load through PyYAML's safe loader (libyaml's where PyYAML has
-it) with two fast paths for the plain decimal ints (ASCII digits with no
-leading zero, or ``0``) that make up nearly all of an instance; see
-:func:`load_yaml`.  Every other scalar takes the safe loader's own path
-(``017`` is still 15, ``019`` a string), so a document loads to the same
-values as ``yaml.safe_load``.
+Documents load through PyYAML's safe loader (libyaml's ``CSafeLoader``
+where PyYAML has it) with one fast path: the flow sequences of plain decimal
+ints that make up nearly all of an instance are spliced out of the text and
+read with ``split`` and ``int``; see :func:`load_yaml`.  Everything else
+takes the safe loader's own path (``017`` is still 15, ``019`` a string), so
+a document loads to the same values as the safe loader it builds on.  That
+is not always ``yaml.safe_load``: its pure-Python parser refuses a tab
+inside a flow sequence (``a: [1,<tab>2]``), which libyaml reads as
+``[1, 2]``.  Every text the package writes goes through :func:`dump_yaml`,
+whose flow-style leaves are what the splice reads.
 """
 
 from __future__ import annotations
@@ -27,50 +31,16 @@ FORMAT_VERSION = 1
 
 GENERATOR_FAMILIES = ("uniform", "sparse_paving", "graphic", "linear")
 
-# libyaml's safe dumper where PyYAML was built with it: the same text as the
-# pure-Python SafeDumper, several times faster.
+# libyaml's safe dumper and loader where PyYAML was built with it: the same
+# text as the pure-Python SafeDumper, several times faster.
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_INT_TAG = "tag:yaml.org,2002:int"
-# ASCII digits with no leading zero, or 0: always a YAML 1.1 decimal int.
-_DECIMAL = re.compile("0|[1-9][0-9]*")
-
-
-class _DecimalIntLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader with the module's fast path for plain decimal ints."""
-
-    def resolve(self, kind, value, implicit):
-        # the _DECIMAL test in string methods, which are quicker than a regex
-        # call once per scalar
-        if (
-            kind is yaml.ScalarNode
-            and implicit[0]
-            and value.isdigit()
-            and value.isascii()
-            and (value[0] != "0" or value == "0")
-        ):
-            return _INT_TAG
-        return super().resolve(kind, value, implicit)
-
-    def construct_sequence(self, node, deep=False):
-        if isinstance(node, yaml.SequenceNode):
-            items = node.value
-            values = [
-                item.value
-                for item in items
-                if item.tag == _INT_TAG and type(item) is yaml.ScalarNode
-            ]
-            if len(values) == len(items) and all(map(_DECIMAL.fullmatch, values)):
-                return list(map(int, values))
-        return super().construct_sequence(node, deep)
-
-
-_YAML_LOADER = _DecimalIntLoader
-
-# A flow sequence of one or more plain decimals standing after "- " or ": ",
+# A flow sequence of one or more plain decimals (ASCII digits with no leading
+# zero, or 0: always YAML 1.1 decimal ints) standing after "- " or ": ",
 # wrapped over lines as the dumper wraps long rows.
 _FLOW_DECIMALS = re.compile(
-    r"(?<=[-:] )\[([ \n]*(?:{0})[ \n]*(?:,[ \n]*(?:{0})[ \n]*)*)\]".format(_DECIMAL.pattern)
+    r"(?<=[-:] )\[([ \n]*(?:{0})[ \n]*(?:,[ \n]*(?:{0})[ \n]*)*)\]".format("0|[1-9][0-9]*")
 )
 _INTS_TAG = "!rainbowpack/ints"
 
@@ -168,18 +138,16 @@ def load_yaml(text: str):
     also for a scalar that has no Python value (an integer over Python's
     digit limit, an impossible date).
 
-    Two fast paths read plain decimals (ASCII digits with no leading zero,
-    or ``0``).  First, each flow sequence of them after ``- `` or ``: ``,
-    one line or wrapped, is read with one ``split`` and ``int``, and PyYAML
-    composes only the rest of the document, with a tagged stand-in scalar
-    for each sequence.  Its result stands only if the text has no ``!`` (so
-    holds no tag, the stand-ins' among them) and every stand-in was built
-    exactly once from its own text.  Otherwise (a span inside a comment or
+    Each flow sequence of plain decimals (ASCII digits with no leading
+    zero, or ``0``) after ``- `` or ``: ``, one line or wrapped, is read
+    with one ``split`` and ``int``, and the safe loader composes only the
+    rest of the document, with a tagged stand-in scalar for each sequence.
+    Its result stands only if the text has no ``!`` (so holds no tag, the
+    stand-ins' among them) and every stand-in was built exactly once from
+    its own text.  Otherwise (no such sequence, a span inside a comment or
     a quoted, block or multi-line scalar, an int over the digit limit, or a
-    spliced text PyYAML rejects) the whole original text is loaded again.
-    Second, on that load and the skeleton's, a plain decimal is an int
-    without the resolver's regexes, and a sequence of only such scalars (a
-    block sequence, say) is built by ``int`` alone.
+    spliced text the loader rejects) the safe loader reads the whole
+    original text, so the value, or the error, is the safe loader's.
     """
     try:
         spliced, value = _load_spliced(text)
@@ -302,11 +270,16 @@ def canonical_dict(inst: Instance) -> dict:
     return data
 
 
+def dump_yaml(data) -> str:
+    """``data`` as YAML text in sorted key order, with every sequence or
+    mapping of scalars in flow style, the form :func:`load_yaml`'s splice
+    reads."""
+    return yaml.dump(data, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=None)
+
+
 def emit_instance(inst: Instance) -> str:
     """Canonical text form: stable key order, bit-exact across runs."""
-    return yaml.dump(
-        canonical_dict(inst), Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=None
-    )
+    return dump_yaml(canonical_dict(inst))
 
 
 def instance_digest(inst: Instance) -> str:

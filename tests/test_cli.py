@@ -252,6 +252,57 @@ def test_verify_rejects_a_wrong_rainbow_base_count(tmp_path, capsys):
     assert "RB count differs" in capsys.readouterr().err
 
 
+def _swap_first_elements(data):
+    first, second = data["sets"][:2]
+    first[0], second[0] = second[0], first[0]
+
+
+def _miscount_a_kind(data):
+    data["moves_by_kind"]["augment"] += 1
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    (
+        (_swap_first_elements, "replayed sets differ"),
+        (lambda data: data.update(moves=999), "replayed move count differs"),
+        (_miscount_a_kind, "replayed moves by kind differ"),
+    ),
+    ids=("sets", "moves", "moves_by_kind"),
+)
+def test_verify_rejects_a_report_the_replay_does_not_match(tmp_path, capsys, tamper, message):
+    inst = gen_instance_file(tmp_path, n=4)
+    report = tmp_path / "report.yaml"
+    log = tmp_path / "moves.jsonl"
+    run_command(
+        ["solve", "--instance", str(inst), "--out", str(report), "--log", str(log)]
+    )
+    verify = ["verify", "--instance", str(inst), "--log", str(log), "--report", str(report)]
+    assert run_command(verify) == EXIT_OK
+    data = yaml.safe_load(report.read_text())
+    tamper(data)
+    report.write_text(instances.dump_yaml(data))
+    capsys.readouterr()
+    assert run_command(verify) == EXIT_FAIL
+    assert message in capsys.readouterr().err
+
+
+def test_every_text_the_program_writes_takes_the_splice(tmp_path):
+    texts = [
+        instances.emit_instance(instances.generate_instance(family, 8, mode, seed=0))
+        for family in instances.GENERATOR_FAMILIES
+        for mode in ("disjoint", "overlapping")
+    ]
+    inst = gen_instance_file(tmp_path, family="graphic", n=8, extra=("--mode", "overlapping"))
+    report = tmp_path / "report.yaml"
+    assert run_command(["solve", "--instance", str(inst), "--out", str(report)]) == EXIT_OK
+    texts.append(report.read_text())
+    for text in texts:
+        spliced, value = instances._load_spliced(text)
+        assert spliced
+        assert value == yaml.load(text, Loader=instances._YAML_LOADER)
+
+
 def test_verify_rejects_wrong_instance(tmp_path):
     inst = gen_instance_file(tmp_path)
     other = gen_instance_file(tmp_path, name="other.yaml", extra=("--seed", "3"))

@@ -287,25 +287,6 @@ def test_load_yaml_matches_the_pure_python_loader():
             load_yaml(text)
 
 
-def test_plain_decimals_skip_the_generic_resolver_and_constructor(monkeypatch):
-    calls = {"resolve": [], "construct": 0}
-    resolve = yaml.resolver.BaseResolver.resolve
-    construct = yaml.constructor.BaseConstructor.construct_object
-
-    def counting_resolve(self, kind, value, implicit):
-        calls["resolve"].append(kind)
-        return resolve(self, kind, value, implicit)
-
-    def counting_construct(self, node, deep=False):
-        calls["construct"] += 1
-        return construct(self, node, deep)
-
-    monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", counting_resolve)
-    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", counting_construct)
-    assert load_yaml("[3, 10, 0, 42]\n") == [3, 10, 0, 42]
-    assert calls == {"resolve": [yaml.SequenceNode], "construct": 1}  # the sequence alone
-
-
 # The safe loader load_yaml builds on: yaml.safe_load's schema on libyaml's
 # parser where PyYAML has it.  The two parsers differ on a few texts (libyaml
 # takes a tab inside a flow sequence, the pure-Python one refuses it), and
