@@ -17,18 +17,20 @@ operations that bring T to unit vectors, graphic states the component
 labels of the forest T; uniform and sparse-paving states ask the family's
 closed form directly.
 
-Linear and graphic matroids also keep one state of their own, which answers
-:meth:`Matroid.is_independent` alone and follows a set as it grows: asked
-about the kept set plus one element, one state query answers, and an
-independent answer moves the kept state to the larger set.  Any other set
-is checked from scratch, and that check is the state build itself: the
-pivot steps of its columns, or the component labels of its edges, stopping
-at the first dependent element.  Every independent set's state becomes the
-kept one, a base's included.  Each family has this one elimination for its
-rank, its from-scratch answers and its states.  Each matroid counts its
-independence answers (:attr:`Matroid.answers`).  Closure, circuits and the
-girth search are derived from the oracle alone, so they are valid for any
-family that satisfies the matroid axioms.
+Uniform and sparse-paving matroids answer :meth:`Matroid.is_independent`
+in closed form and remember nothing.  Linear and graphic matroids, whose
+check from scratch is an elimination, remember every answer and keep one
+state of their own, which follows a set as it grows: asked about the kept
+set plus one element, one state query answers, and an independent answer
+moves the kept state to the larger set.  Any other new set is checked from
+scratch, and that check is the state build itself: the pivot steps of its
+columns, or the component labels of its edges, stopping at the first
+dependent element.  Every independent set's state becomes the kept one, a
+base's included.  Each family has this one elimination for its rank, its
+from-scratch answers and its states.  Each matroid counts its independence
+answers (:attr:`Matroid.answers`).  Closure, circuits and the girth search
+are derived from the oracle alone, so they are valid for any family that
+satisfies the matroid axioms.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ def _as_element_set(m: int, elements: Iterable[int]) -> frozenset:
 class Matroid:
     """Independence oracle over the ground set ``0..size-1``.
 
-    Its answers never change, but it is not immutable: it caches every
-    answer, and linear and graphic matroids also keep one state for
-    :meth:`is_independent` (see :class:`_KeptStateMatroid`).  Each family
-    sets ``rank``, the size of its bases.  ``answers`` counts the answers
-    :meth:`is_independent` has given: ``cached`` (a set asked before),
+    Its answers never change, but it is not immutable: it counts them, and
+    linear and graphic matroids also remember them and keep one state (see
+    :class:`_KeptStateMatroid`).  Each family sets ``rank``, the size of its
+    bases.  ``answers`` counts the answers :meth:`is_independent` has given:
+    ``cached`` (a set asked before; linear and graphic only),
     ``incremental`` (one state query) and ``scratch`` (a check of the whole
     set).
     """
@@ -76,20 +78,13 @@ class Matroid:
         if size < 1:
             raise ValidationError("ground set size must be at least 1")
         self.size = size
-        self._indep_cache: dict = {frozenset(): True}
         self.answers = {"cached": 0, "incremental": 0, "scratch": 0}
 
     def is_independent(self, elements: Iterable[int]) -> bool:
-        A = _as_element_set(self.size, elements)
-        cached = self._indep_cache.get(A)
-        if cached is None:
-            cached = self._indep_cache[A] = self._answer(A)
-        else:
-            self.answers["cached"] += 1
-        return cached
+        return self._answer(_as_element_set(self.size, elements))
 
     def _answer(self, A: frozenset) -> bool:
-        """Independence of a set not asked about before, counted."""
+        """Independence of A by the closed form, counted; nothing is remembered."""
         self.answers["scratch"] += 1
         return self._independent(A)
 
@@ -128,39 +123,42 @@ class Matroid:
 
 
 class _KeptStateMatroid(Matroid):
-    """A family that builds its own states (``_build``) and keeps one for
-    :meth:`is_independent`.
+    """A family whose check from scratch is a state build (``_build``): it
+    remembers the answers of :meth:`is_independent` and keeps one state.
 
-    The kept state is that of the last independent set a new answer was
-    about.  A cached answer and a dependent set leave it where it was, and
-    :meth:`state` never reads or moves it.  A kept state must hold no
+    A set asked again, as replay's final check asks each set the moves
+    built, costs one lookup.  The kept state is that of the last independent
+    set a new answer was about; a remembered answer, a dependent set and
+    :meth:`state` leave it where it was.  A kept state must hold no
     reference to its matroid: the two would form a reference cycle, and a
-    dropped matroid, independence cache and all, would wait for the cycle
-    collector.
+    dropped matroid would wait for the cycle collector.
     """
 
     def __init__(self, size: int):
         super().__init__(size)
+        self._known: dict = {frozenset(): True}  # set -> its answer
         self._state = None  # the kept state
 
     def _answer(self, A):
-        """One state query when A is the kept set plus one element, else a
-        check from scratch, which is A's state build; an independent A's
-        state becomes the kept one."""
+        """A remembered answer, else one state query when A is the kept set
+        plus one element, else a check from scratch, which is A's state
+        build; an independent A's state becomes the kept one."""
+        known = self._known.get(A)
+        if known is not None:
+            self.answers["cached"] += 1
+            return known
         state = self._state
         if state is not None and len(A) == len(state.T) + 1 and state.T < A:
             self.answers["incremental"] += 1
             (y,) = A - state.T
-            if not state._query((), (y,)):
-                return False
-            state = state.extend(y)
+            state = state.extend(y) if state._query((), (y,)) else None
         else:
             self.answers["scratch"] += 1
             state = self._build(A)
-            if state is None:
-                return False
-        self._state = state
-        return True
+        independent = self._known[A] = state is not None
+        if independent:
+            self._state = state
+        return independent
 
 
 class IndependenceState:

@@ -56,6 +56,8 @@ class BaseSequence:
 
     def __init__(self, matroid: Matroid, bases: Sequence[Iterable[int]]):
         n = matroid.rank
+        if n < 1:
+            raise ValidationError(f"matroid has rank {n}; a base sequence needs rank >= 1")
         if len(bases) != n:
             raise ValidationError(
                 f"need exactly rank={n} bases, got {len(bases)}"

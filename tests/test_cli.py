@@ -124,6 +124,7 @@ def test_solve_reports_independence_answers(tmp_path):
             assert answers["incremental"] > answers["scratch"]
         else:
             assert answers["incremental"] == 0 and answers["scratch"] > 0
+            assert answers["cached"] == 0  # a closed form remembers nothing
 
 
 def test_solve_reports_moves_by_kind(tmp_path):
@@ -374,6 +375,29 @@ def test_brute_command(tmp_path, capsys):
     inst = gen_instance_file(tmp_path, n=3)
     assert run_command(["brute", "--instance", str(inst)]) == EXIT_OK
     assert "t = 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    (
+        "{family: uniform, params: {k: 0, m: 3}}",
+        "{family: graphic, params: {vertices: 2, edges: [[0, 0], [1, 1]]}}",
+    ),
+    ids=("uniform", "graphic-loops"),
+)
+def test_a_rank_0_instance_fails_every_command(tmp_path, capsys, matroid):
+    # No base sequence has rank 0: each command that loads the instance
+    # exits 1 with one message and no traceback.
+    inst = tmp_path / "inst.yaml"
+    inst.write_text(f"version: 1\nmatroid: {matroid}\nbases: []\n")
+    log = tmp_path / "moves.jsonl"
+    log.write_text("")
+    for command in (["solve"], ["verify", "--log", str(log)], ["brute"]):
+        capsys.readouterr()
+        assert run_command([*command, "--instance", str(inst)]) == EXIT_FAIL, command
+        captured = capsys.readouterr()
+        assert captured.err == "error: matroid has rank 0; a base sequence needs rank >= 1\n"
+        assert captured.out == ""
 
 
 def test_brute_above_the_oracle_limit_is_a_budget_stop(tmp_path, capsys):

@@ -402,6 +402,23 @@ def test_state_belongs_to_its_caller(family):
     assert routes == [{k: int(k == kind) for k in routes[0]}] * 2
 
 
+@pytest.mark.parametrize("family", sorted(SMALL_MATROIDS))
+def test_only_linear_and_graphic_remember_answers(family):
+    # A closed form answers {1, 2} from scratch each time it is asked; a
+    # linear or graphic matroid, whose check is an elimination, remembers it.
+    M = SMALL_MATROIDS[family]()
+    counts = []
+    for _ in range(2):
+        before = dict(M.answers)
+        assert M.is_independent({1, 2})
+        counts.append({k: M.answers[k] - before[k] for k in before})
+    again = "cached" if family in ("linear", "graphic") else "scratch"
+    assert counts == [
+        {k: int(k == "scratch") for k in counts[0]},
+        {k: int(k == again) for k in counts[0]},
+    ]
+
+
 def _one_more(T, A):
     return len(A) == len(T) + 1 and T < A
 
