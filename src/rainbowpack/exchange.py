@@ -74,12 +74,12 @@ class ExchangeGraph:
         self.state = seq.matroid.state(self.raw)
 
     def source(self, y: CElem) -> bool:
-        return y[0] not in self.raw and self.state.independent((), (y[0],))
+        return y[0] not in self.raw and self.state._query((), (y[0],))
 
     def edge(self, x: CElem, y: CElem) -> bool:
-        return (y[0] not in self.raw or y[0] == x[0]) and self.state.independent(
-            (x[0],), (y[0],)
-        )
+        if y[0] in self.raw:
+            return y[0] == x[0]  # S - x + y has the raw elements of S
+        return self.state._query((x[0],), (y[0],))
 
 
 def swap_set(seq: BaseSequence, root: Root) -> dict:
@@ -120,8 +120,11 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
     ``(xpc, yb)``, when ``S - xpc + xc + yb`` is one, xpc being S's element
     of colour c and yb an unused element of the root's colour b.  S is an
     RIS lacking colour b, so a direct addition is a source of S's exchange
-    graph whose colour S lacks, and an indirect one needs raw distinctness
-    and one two-element query of the graph's state.
+    graph whose colour S lacks.  An indirect one needs an edge from xpc to
+    xc first, which is one single-element query: without it S - xpc + xc
+    is not an RIS, and neither is any set that adds a witness to it.  Only
+    then does each witness need raw distinctness and one two-element query
+    of the graph's state.
     """
     S = root.ris
     graph = ExchangeGraph(seq, S)
@@ -135,9 +138,9 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
             if graph.source(xc):
                 records.append(AddRecord(xc))
             continue
-        xp = xpc[0]
-        if x != xp and x in raw:
+        if not graph.edge(xpc, xc):
             continue
+        xp = xpc[0]
         variants = [
             (xpc, yb) for yb in pool
             if yb[0] != x and (yb[0] == xp or yb[0] not in raw)

@@ -4,7 +4,7 @@ Elements of a matroid are the integers ``0..m-1``.  Every family answers
 independence queries through :meth:`Matroid.is_independent`, and gives its
 rank in closed form: ``k`` for uniform and sparse-paving matroids, one
 elimination of the columns (:func:`gf_rank`) for linear ones, one
-relabelling pass over the edges for graphic ones.
+union-find pass over the edges (:func:`_components`) for graphic ones.
 
 A loop that asks many questions about one fixed independent set ``T``
 ("is T - x + y independent?", "is T - x + y + z?") asks them through
@@ -13,9 +13,11 @@ A loop that asks many questions about one fixed independent set ``T``
 re-checking T, and :meth:`IndependenceState.extend` gives the state of
 ``T + y``.  Every call builds a new state, through the family's
 ``_build``, and the state belongs to its caller.  Linear states keep row
-operations that bring T to unit vectors, graphic states the component
-labels of the forest T; uniform and sparse-paving states ask the family's
-closed form directly.
+operations that bring T to unit vectors.  Graphic states keep the
+component labels of the forest T and, from the first question that removes
+an edge, one depth-first tour of T: the labels of T - x are then one pass
+that gives the subtree under x a fresh label.  Uniform and sparse-paving
+states ask the family's closed form directly.
 
 Uniform and sparse-paving matroids answer :meth:`Matroid.is_independent`
 in closed form and remember nothing.  Linear and graphic matroids, whose
@@ -415,15 +417,12 @@ class GraphicMatroid(_KeptStateMatroid):
         super().__init__(len(edges))
         self.vertices = vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
-        # a spanning forest's edge count: vertices minus components
-        labels = list(range(vertices))
-        for u, v in self.edges:
-            labels = _joined(labels, u, v) or labels
-        self.rank = vertices - len(set(labels))
+        # a spanning forest's edge count: the edges that join two components
+        self.rank = _components(vertices, self.edges, range(len(self.edges)))[1]
 
     def _build(self, T):
-        labels = _components(self.vertices, self.edges, T)
-        return None if labels is None else _GraphicState(T, self.vertices, self.edges, labels)
+        labels, joined = _components(self.vertices, self.edges, T)
+        return _GraphicState(T, self.vertices, self.edges, labels) if joined == len(T) else None
 
     def params(self):
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
@@ -471,15 +470,64 @@ def _joined(labels: list, u: int, v: int):
     return [a if c == b else c for c in labels]
 
 
-def _components(vertices: int, edges: tuple, A):
-    """The component label of each vertex in the forest ``A`` (indices into
-    ``edges``), or None at the first edge of ``A`` that closes a cycle."""
-    labels = list(range(vertices))
+def _components(vertices: int, edges: tuple, A) -> tuple:
+    """Union-find with path halving over the edges ``A`` (indices into
+    ``edges``): the component label of each vertex, itself a vertex, and
+    how many edges of ``A`` joined two components.  A is a forest iff
+    every one of them did."""
+    parent = list(range(vertices))
+    joined = 0
     for i in A:
-        labels = _joined(labels, *edges[i])
-        if labels is None:
-            return None
-    return labels
+        u, v = edges[i]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joined += 1
+    labels = []
+    for v in range(vertices):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        labels.append(v)
+    return labels, joined
+
+
+def _tour(vertices: int, edges: tuple, T) -> tuple:
+    """A depth-first tour of the forest ``T``, each tree rooted once.
+
+    Returns ``(enter, leave, below)``: each vertex's enter time, the time
+    after its subtree's last enter, and each edge of T's lower end.  The
+    subtree of w holds exactly the vertices entered in
+    ``enter[w] .. leave[w] - 1``.
+    """
+    near: list = [[] for _ in range(vertices)]
+    for i in T:
+        u, v = edges[i]
+        near[u].append((v, i))
+        near[v].append((u, i))
+    enter = [-1] * vertices
+    leave = [0] * vertices
+    below = {}
+    clock = 0
+    for root in range(vertices):
+        if enter[root] >= 0:
+            continue
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v < 0:
+                leave[~v] = clock
+                continue
+            enter[v] = clock
+            clock += 1
+            stack.append(~v)
+            for w, i in near[v]:
+                if enter[w] < 0:  # in a forest, every neighbour but the parent
+                    below[i] = w
+                    stack.append(w)
+    return enter, leave, below
 
 
 class _GraphicState(IndependenceState):
@@ -487,7 +535,10 @@ class _GraphicState(IndependenceState):
 
     Added edges join components: one is independent iff its ends lie in
     different components, two iff the second still does once the first
-    has merged its two.
+    has merged its two.  The first question that removes an edge roots
+    each tree of T once (:func:`_tour`); removing x then cuts off the
+    subtree under x's lower end, whose vertices, and only they, take the
+    fresh label ``vertices``, in one pass over the labels of T.
     """
 
     def __init__(self, T, vertices, edges, labels):
@@ -495,6 +546,7 @@ class _GraphicState(IndependenceState):
         self.vertices = vertices
         self.edges = edges
         self.labels = labels
+        self._rooted = None  # _tour of T, once a question removes an edge
         self._without: dict = {}  # x -> labels of the forest T - x
 
     def _query(self, gone, new):
@@ -503,7 +555,7 @@ class _GraphicState(IndependenceState):
             x = gone[0]
             labels = self._without.get(x)
             if labels is None:
-                labels = self._without[x] = _components(self.vertices, self.edges, self.T - {x})
+                labels = self._without[x] = self._cut(x)
         u, v = self.edges[new[0]]
         a, b = labels[u], labels[v]
         if a == b:
@@ -513,6 +565,15 @@ class _GraphicState(IndependenceState):
         u, v = self.edges[new[1]]
         c, d = labels[u], labels[v]
         return (a if c == b else c) != (a if d == b else d)
+
+    def _cut(self, x: int) -> list:
+        """The component labels of the forest T - x."""
+        if self._rooted is None:
+            self._rooted = _tour(self.vertices, self.edges, self.T)
+        enter, leave, below = self._rooted
+        w = below[x]
+        first, end, fresh = enter[w], leave[w], self.vertices
+        return [fresh if first <= t < end else a for a, t in zip(self.labels, enter)]
 
     def extend(self, y):
         labels = _joined(self.labels, *self.edges[y])

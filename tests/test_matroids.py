@@ -10,6 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbowpack import matroids
 from rainbowpack.errors import (
     GirthTooExpensiveError,
     InputError,
@@ -356,6 +357,95 @@ def test_state_extend_chains(data, M):
                 want = _from_scratch(M, state.T - set(removed) | set(added))
                 assert state.independent(removed, added) == want
         assert len(state.T) == M.rank and start <= state.T
+
+
+@st.composite
+def deep_graphic_matroids(draw):
+    """Multigraphs on up to 12 vertices whose forests run deep: several
+    trees, mostly long paths with a few branches, under a shuffled vertex
+    numbering; then loops, chords and parallel copies, in a shuffled edge
+    order."""
+    vertices = draw(st.integers(2, 12))
+    name = draw(st.permutations(range(vertices)))
+    edges = []
+    for v in range(1, vertices):
+        # v - 1 lengthens a path, v - 3 branches, None starts another tree
+        u = draw(st.sampled_from((v - 1, v - 1, max(v - 3, 0), None)))
+        if u is not None:
+            edges.append((name[u], name[v]))
+    vertex = st.integers(0, vertices - 1)
+    edges += draw(st.lists(vertex.map(lambda v: (v, v)) | st.tuples(vertex, vertex), max_size=4))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return GraphicMatroid(vertices, draw(st.permutations(edges)) or [(0, 0)])
+
+
+def _exchanges(data, M, T):
+    """Every question with one removed element of T and one or two added
+    elements, shuffled, so that each x comes back after others were asked."""
+    queries = [
+        ((x,), added)
+        for x in T
+        for y in range(M.size)
+        for added in [(y,)] + [(y, z) for z in range(M.size)]
+    ]
+    data.draw(st.randoms()).shuffle(queries)
+    return queries
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), deep_graphic_matroids())
+def test_deep_forest_state_matches_oracle(data, M):
+    for T in (_greedy(M, range(M.size)), data.draw(independent_sets(M))):
+        state = M.state(T)
+        for removed, added in _exchanges(data, M, T):
+            want = _from_scratch(M, T - set(removed) | set(added))
+            assert state.independent(removed, added) == want, (sorted(T), removed, added)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), deep_graphic_matroids())
+def test_deep_forest_extend_chains(data, M):
+    # Each state of the chain answers every T - x + y, x in a shuffled
+    # order, before it is extended; the last, a spanning forest, answers
+    # every question with one removed element.
+    order = data.draw(st.permutations(range(M.size)))
+    state = M.state(data.draw(independent_sets(M)))
+    for y in order:
+        if y in state.T or not _from_scratch(M, state.T | {y}):
+            continue
+        state = state.extend(y)
+        for x in data.draw(st.permutations(sorted(state.T))):
+            for z in range(M.size):
+                want = _from_scratch(M, state.T - {x} | {z})
+                assert state.independent((x,), (z,)) == want
+    assert len(state.T) == M.rank
+    for removed, added in _exchanges(data, M, state.T):
+        want = _from_scratch(M, state.T - set(removed) | set(added))
+        assert state.independent(removed, added) == want
+
+
+def test_graphic_state_builds_its_forest_once(monkeypatch):
+    # M.state(T) builds T's forest once; every T - x + y (+ z) after that
+    # is answered from T's one rooted tour, with no build from scratch.
+    M = GraphicMatroid(
+        9,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (7, 8),
+         (4, 6), (0, 0), (1, 2), (8, 7), (0, 8), (6, 3)],
+    )
+    T = frozenset(range(7))  # a path with a branch, and the tree 7-8
+    calls = []
+    build = matroids._components
+    monkeypatch.setattr(matroids, "_components", lambda *a: calls.append(a) or build(*a))
+    state = M.state(T)
+    assert len(calls) == 1
+    for x in sorted(T):
+        for y in range(M.size):
+            assert state.independent((x,), (y,)) == _from_scratch(M, T - {x} | {y})
+            for z in range(M.size):
+                want = _from_scratch(M, T - {x} | {y, z})
+                assert state.independent((x,), (y, z)) == want
+    assert len(calls) == 1
 
 
 @settings(deadline=None)
