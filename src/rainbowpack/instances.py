@@ -230,17 +230,20 @@ def _check_declared(inst: Instance, seq: BaseSequence) -> None:
     if inst.declared_beta is not None:
         if inst.declared_beta < 0:
             raise ValidationError("declared beta must be non-negative")
-        g = _safe_girth(seq.matroid)
-        if g is not None and g < seq.n - inst.declared_beta + 1:
+        promised = seq.n - inst.declared_beta + 1
+        # only a circuit smaller than the promise breaks it, and the search
+        # finds the smallest first: when it finds one, that is the girth
+        g = _safe_girth(seq.matroid, promised - 1)
+        if g is not None and g < promised:
             raise ValidationError(
                 f"declared beta={inst.declared_beta} promises girth >= "
-                f"{seq.n - inst.declared_beta + 1} but the matroid has girth {g}"
+                f"{promised} but the matroid has girth {g}"
             )
 
 
-def _safe_girth(M: Matroid):
+def _safe_girth(M: Matroid, most: Optional[int] = None):
     try:
-        return girth(M)
+        return girth(M, most)
     except GirthTooExpensiveError:
         return None
 

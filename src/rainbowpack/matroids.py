@@ -15,9 +15,10 @@ re-checking T, and :meth:`IndependenceState.extend` gives the state of
 ``_build``, and the state belongs to its caller.  Linear states keep row
 operations that bring T to unit vectors.  Graphic states keep the
 component labels of the forest T and, from the first question that removes
-an edge, one depth-first tour of T: the labels of T - x are then one pass
-that gives the subtree under x a fresh label.  Uniform and sparse-paving
-states ask the family's closed form directly.
+an edge, one depth-first tour of T: an added edge's end lies in the part
+that T - x cuts off exactly when it lies in the subtree under x, which
+its enter time shows, so no question builds labels of T - x.  Uniform and
+sparse-paving states ask the family's closed form directly.
 
 Uniform and sparse-paving matroids answer :meth:`Matroid.is_independent`
 in closed form and remember nothing.  Linear and graphic matroids, whose
@@ -461,15 +462,6 @@ class GraphicMatroid(_KeptStateMatroid):
         return best
 
 
-def _joined(labels: list, u: int, v: int):
-    """The component labels once an edge joins u and v: v's component takes
-    u's label.  None when u and v already share a component."""
-    a, b = labels[u], labels[v]
-    if a == b:
-        return None
-    return [a if c == b else c for c in labels]
-
-
 def _components(vertices: int, edges: tuple, A) -> tuple:
     """Union-find with path halving over the edges ``A`` (indices into
     ``edges``): the component label of each vertex, itself a vertex, and
@@ -497,19 +489,18 @@ def _components(vertices: int, edges: tuple, A) -> tuple:
 def _tour(vertices: int, edges: tuple, T) -> tuple:
     """A depth-first tour of the forest ``T``, each tree rooted once.
 
-    Returns ``(enter, leave, below)``: each vertex's enter time, the time
-    after its subtree's last enter, and each edge of T's lower end.  The
-    subtree of w holds exactly the vertices entered in
-    ``enter[w] .. leave[w] - 1``.
+    Returns ``(enter, leave)``: each vertex's enter time and the time after
+    its subtree's last enter.  The subtree of w holds exactly the vertices
+    entered in ``enter[w] .. leave[w] - 1``, and an edge of T's lower end is
+    the end entered later.
     """
     near: list = [[] for _ in range(vertices)]
     for i in T:
         u, v = edges[i]
-        near[u].append((v, i))
-        near[v].append((u, i))
+        near[u].append(v)
+        near[v].append(u)
     enter = [-1] * vertices
     leave = [0] * vertices
-    below = {}
     clock = 0
     for root in range(vertices):
         if enter[root] >= 0:
@@ -523,22 +514,23 @@ def _tour(vertices: int, edges: tuple, T) -> tuple:
             enter[v] = clock
             clock += 1
             stack.append(~v)
-            for w, i in near[v]:
+            for w in near[v]:
                 if enter[w] < 0:  # in a forest, every neighbour but the parent
-                    below[i] = w
                     stack.append(w)
-    return enter, leave, below
+    return enter, leave
 
 
 class _GraphicState(IndependenceState):
-    """Component labels of the forest T, and of T - x for each x asked about.
+    """Component labels of the forest T and, once asked, one tour of T.
 
     Added edges join components: one is independent iff its ends lie in
     different components, two iff the second still does once the first
     has merged its two.  The first question that removes an edge roots
-    each tree of T once (:func:`_tour`); removing x then cuts off the
-    subtree under x's lower end, whose vertices, and only they, take the
-    fresh label ``vertices``, in one pass over the labels of T.
+    each tree of T once (:func:`_tour`).  Removing x cuts off the subtree
+    under x's lower end: an added edge's end whose enter time lies in that
+    subtree's interval takes the fresh label ``vertices``, and every other
+    end keeps its label in T.  So each question reads four labels and makes
+    no list.
     """
 
     def __init__(self, T, vertices, edges, labels):
@@ -547,36 +539,39 @@ class _GraphicState(IndependenceState):
         self.edges = edges
         self.labels = labels
         self._rooted = None  # _tour of T, once a question removes an edge
-        self._without: dict = {}  # x -> labels of the forest T - x
 
     def _query(self, gone, new):
-        labels = self.labels
-        if gone:
-            x = gone[0]
-            labels = self._without.get(x)
-            if labels is None:
-                labels = self._without[x] = self._cut(x)
-        u, v = self.edges[new[0]]
+        labels, edges = self.labels, self.edges
+        u, v = edges[new[0]]
         a, b = labels[u], labels[v]
+        if gone:
+            if self._rooted is None:
+                self._rooted = _tour(self.vertices, edges, self.T)
+            enter, leave = self._rooted
+            p, q = edges[gone[0]]
+            w = p if enter[p] > enter[q] else q
+            first, end, fresh = enter[w], leave[w], self.vertices
+            if first <= enter[u] < end:
+                a = fresh
+            if first <= enter[v] < end:
+                b = fresh
         if a == b:
             return False
         if len(new) == 1:
             return True
-        u, v = self.edges[new[1]]
+        u, v = edges[new[1]]
         c, d = labels[u], labels[v]
+        if gone:
+            if first <= enter[u] < end:
+                c = fresh
+            if first <= enter[v] < end:
+                d = fresh
         return (a if c == b else c) != (a if d == b else d)
 
-    def _cut(self, x: int) -> list:
-        """The component labels of the forest T - x."""
-        if self._rooted is None:
-            self._rooted = _tour(self.vertices, self.edges, self.T)
-        enter, leave, below = self._rooted
-        w = below[x]
-        first, end, fresh = enter[w], leave[w], self.vertices
-        return [fresh if first <= t < end else a for a, t in zip(self.labels, enter)]
-
     def extend(self, y):
-        labels = _joined(self.labels, *self.edges[y])
+        u, v = self.edges[y]
+        a, b = self.labels[u], self.labels[v]
+        labels = [a if c == b else c for c in self.labels]
         return _GraphicState(self.T | {y}, self.vertices, self.edges, labels)
 
 
@@ -712,12 +707,14 @@ def find_circuit(M: Matroid, elements: Iterable[int], contains: int | None = Non
     return frozenset(A)
 
 
-def girth(M: Matroid):
+def girth(M: Matroid, most: int | None = None):
     """Size of a smallest circuit, or ``math.inf`` if the matroid is free.
 
     Uses the family's closed form when available; otherwise searches subsets
     by increasing size, which is only permitted for ground sets up to
-    ``GIRTH_SEARCH_CAP`` elements.
+    ``GIRTH_SEARCH_CAP`` elements.  With ``most``, the search asks no set of
+    more than ``most`` elements, so a girth above ``most`` may read as
+    ``math.inf``.
     """
     closed = M._girth_closed_form()
     if closed is not None:
@@ -726,12 +723,14 @@ def girth(M: Matroid):
         raise GirthTooExpensiveError(
             f"girth needs exhaustive search on m={M.size} > cap={GIRTH_SEARCH_CAP}"
         )
-    return girth_by_search(M)
+    return girth_by_search(M, most)
 
 
-def girth_by_search(M: Matroid):
-    """Exhaustive girth: the smallest dependent set is a circuit."""
-    for s in range(1, M.rank + 2):
+def girth_by_search(M: Matroid, most: int | None = None):
+    """Exhaustive girth: the smallest dependent set is a circuit.  With
+    ``most``, as in :func:`girth`, no larger set is asked."""
+    largest = M.rank + 1 if most is None else min(most, M.rank + 1)
+    for s in range(1, largest + 1):
         for sub in combinations(range(M.size), s):
             if not M.is_independent(sub):
                 return s

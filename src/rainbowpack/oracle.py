@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cascade import _chains, build_good_graph, cascade_search
 from .errors import (
@@ -95,7 +95,7 @@ def enumerate_rainbow_bases(
     """All size-n RIS's, one element per colour, by colour-wise backtracking.
 
     Each rainbow base is an int mask whose bit i marks
-    ``sorted(seq.universe)[i]`` (see :func:`_masks`), in the order the
+    ``sorted(seq.universe)[i]`` (see :func:`_bits`), in the order the
     search finds them: colour 1's choices in sorted order first.
     """
     return tuple(_enumerate(seq, seq.n, budget))
@@ -125,12 +125,6 @@ def _set_bits(mask: int) -> list:
 def _bits(seq: BaseSequence) -> dict:
     """Each coloured element's bit: ``1 << i`` for ``sorted(seq.universe)[i]``."""
     return {ce: 1 << i for i, ce in enumerate(sorted(seq.universe))}
-
-
-def _masks(seq: BaseSequence, sets: Iterable[frozenset]) -> list:
-    """Each set of coloured elements as its int mask (see :func:`_bits`)."""
-    bit = _bits(seq)
-    return [sum(bit[ce] for ce in S) for S in sets]
 
 
 def _enumerate(seq: BaseSequence, size: int, budget) -> list:

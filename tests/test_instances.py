@@ -8,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from rainbowpack import instances
+from rainbowpack import instances, matroids
 from rainbowpack.errors import InputError, ValidationError
 from rainbowpack.instances import (
     GENERATOR_FAMILIES,
@@ -143,6 +143,31 @@ def test_declared_fields_checked():
         )
         with pytest.raises(ValidationError):
             validate_instance(lying)
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "overlapping"])
+def test_declared_beta_check_asks_no_set_beyond_the_promise(mode):
+    # Linear n = 4 has no closed-form girth and m <= 20, so the check
+    # searches.  The promise girth >= n - beta + 1 is broken only by a
+    # smaller circuit, so no set of more than n - beta elements is asked;
+    # a broken promise still names the matroid's girth.
+    inst = generate_instance("linear", 4, mode, seed=0)
+    seq = inst.base_sequence()
+    M = seq.matroid
+    g = matroids.girth(M)
+    assert M._girth_closed_form() is None and M.size <= matroids.GIRTH_SEARCH_CAP
+    asked = []
+    answer = M.is_independent
+    M.is_independent = lambda A: asked.append(len(A)) or answer(A)
+    for beta in (inst.declared_beta, inst.declared_beta - 1):
+        asked.clear()
+        declared = Instance(inst.family, inst.params, inst.bases, declared_beta=beta)
+        if g >= seq.n - beta + 1:
+            instances._check_declared(declared, seq)
+        else:
+            with pytest.raises(ValidationError, match=f"the matroid has girth {g}$"):
+                instances._check_declared(declared, seq)
+        assert asked and max(asked) <= seq.n - beta, (beta, asked)
 
 
 def test_parse_rejects_malformed():

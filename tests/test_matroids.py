@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -446,6 +447,31 @@ def test_graphic_state_builds_its_forest_once(monkeypatch):
                 want = _from_scratch(M, T - {x} | {y, z})
                 assert state.independent((x,), (y, z)) == want
     assert len(calls) == 1
+
+
+def test_graphic_state_keeps_nothing_per_removed_edge():
+    # After its first T - x question a state holds T's labels and one tour;
+    # asking about every other x of a 200-vertex tree keeps less than two
+    # lists of 200 pointers, where a labels list of T - x kept per x would
+    # keep ~1.6 kB for each of the 198.
+    vertices = 200
+    rng = random.Random(0)
+    tree = [(rng.randrange(v), v) for v in range(1, vertices)]
+    chords = [(rng.randrange(vertices), rng.randrange(vertices)) for _ in range(50)]
+    M = GraphicMatroid(vertices, tree + chords)
+    T = frozenset(range(len(tree)))
+    state = M.state(T)
+    state.independent((0,), (len(tree),))  # roots T's tree
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in range(1, len(tree)):
+            for y in range(len(tree), M.size):
+                state.independent((x,), (y,))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 8 * vertices, kept
 
 
 @settings(deadline=None)

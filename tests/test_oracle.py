@@ -27,8 +27,8 @@ from rainbowpack.model import (
 from rainbowpack.oracle import (
     HARNESS_IDS,
     OracleBudget,
+    _bits,
     _check_maxsubmax_case,
-    _masks,
     _max_disjoint,
     _Meter,
     _qbound_side_condition,
@@ -43,6 +43,12 @@ from rainbowpack.oracle import (
     run_lemma_harness,
 )
 from conftest import generated_seqs, uniform_seq
+
+
+def _masks(seq, sets):
+    """Each set of coloured elements as its int mask (see ``oracle._bits``)."""
+    bit = _bits(seq)
+    return [sum(bit[ce] for ce in S) for S in sets]
 
 
 def _rainbow_bases_from_scratch(seq):
