@@ -213,16 +213,13 @@ def _chains(coll: Collection, roots, max_hops: int):
 
 
 def concentration_probe(
-    seq: BaseSequence,
-    coll: Collection,
-    k: int,
-    depth_limit: Optional[int] = None,
+    seq: BaseSequence, coll: Collection, k: int, depth_limit: int
 ) -> Optional[tuple]:
     """Look for chains whose cascadable elements pile up in one set.
 
-    One breadth-first pass over chains of at most ``depth_limit`` (default
-    k) hops, making at most ``PROBE_SEARCH_BUDGET`` cascade searches.  For
-    each c = 1, ..., k it keeps the first chain, and that chain's first other
+    One breadth-first pass over chains of at most ``depth_limit`` hops,
+    making at most ``PROBE_SEARCH_BUDGET`` cascade searches.  For each
+    c = 1, ..., k it keeps the first chain, and that chain's first other
     set, holding at least c cascadable elements, and it stops at the first
     chain that reaches k.  Returns those results most concentrated first,
     each once; ``None`` means none found within budget, not that none exists.
@@ -232,9 +229,8 @@ def concentration_probe(
         top = istar(coll)
     except PreconditionError:
         return None
-    max_hops = depth_limit if depth_limit is not None else k
     found: list = []  # found[c - 1]: the first result landing c elements
-    pairs = _chains(coll, iter_roots(seq, coll, size=top), max_hops)
+    pairs = _chains(coll, iter_roots(seq, coll, size=top), depth_limit)
     for root, chain in islice(pairs, PROBE_SEARCH_BUDGET):
         casc = cascade_search(seq, root, chain)
         used = set(chain) | {root.index}

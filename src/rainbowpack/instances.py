@@ -206,14 +206,9 @@ def load_instance(text: str) -> tuple:
         declared_kappa=kappa,
         provenance=dict(provenance),
     )
-    return inst, validate_instance(inst)
-
-
-def validate_instance(inst: Instance) -> BaseSequence:
-    """Build and cross-check the instance; returns the base sequence."""
     seq = inst.base_sequence()  # raises naming the offending colour
     _check_declared(inst, seq)
-    return seq
+    return inst, seq
 
 
 def _check_declared(inst: Instance, seq: BaseSequence) -> None:

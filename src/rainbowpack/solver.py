@@ -9,11 +9,14 @@ can take directly, or a shortest augmenting path, :func:`augmenting_path`;
 ``steal``: a short set takes another set's element by an augmenting path,
 and the other set repairs by one; ``cascade``: the paper's root cascade and
 cyclic exchange) and does not change how it applies, so a log with one
-element per fill still replays.  The finders are tried in that order, and
-the first move found is taken.  Every path search asks the exchange graph
-of its set (:class:`~rainbowpack.exchange.ExchangeGraph`), built for that
-search and holding its own independence state; a steal builds the short
-set's graph once, for its reach test and for every path search from it.
+element per fill still replays.  Two finders are tried in turn, and the
+first move found is taken: :func:`_augment_move` makes the augment and
+steal moves, in that order, and the cascade comes last.  Every path search
+asks the exchange graph of its set
+(:class:`~rainbowpack.exchange.ExchangeGraph`), which holds its own
+independence state; a short set's graph is built once per move, for its
+path search into the pool and for every steal through it, and a repair
+builds one more.
 ``changes`` lists ``{"set", "removed", "added"}`` with coloured elements as
 ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
@@ -148,40 +151,6 @@ def _augment(i, removed, added) -> dict:
     return {"kind": "augment", "changes": [_change(i, removed, added)]}
 
 
-def _augment_move(seq, coll, eta, free):
-    """A fill of the first non-full set, smallest set first, that takes an
-    element directly; else a longer augmenting path, set by set; else a new
-    set.
-
-    The fill walks ``free`` once and adds every element whose colour the set
-    lacks and that keeps it an RIS, so no element left in the pool could
-    still be added on its own: an element refused once stays refused as the
-    set grows.  ``free`` is the solve's pool, kept across moves: the sorted
-    coloured elements no set of ``coll`` holds.
-    """
-    order = _short_sets(seq, coll)
-    for i in order:
-        S = coll.sets[i]
-        present = set(colours_of(S))
-        added = []
-        for y in free:
-            if y[1] not in present and is_ris(seq, S | {y}):
-                S |= {y}
-                present.add(y[1])
-                added.append(y)
-        if added:
-            return _augment(i, (), added)
-    for i in order:
-        path = augmenting_path(ExchangeGraph(seq, coll.sets[i]), free)
-        if path is not None:
-            return _augment(i, *path)
-    if len(coll.sets) < eta:
-        path = augmenting_path(ExchangeGraph(seq, frozenset()), free)
-        if path is not None:
-            return _augment(len(coll.sets), *path)
-    return None
-
-
 def _takes(graph: ExchangeGraph, free: list):
     """A test that fails each y outside the RIS S of ``graph`` and outside
     ``free`` that no augmenting path of S into ``free`` plus y can add.
@@ -224,24 +193,50 @@ def _takes(graph: ExchangeGraph, free: list):
     )
 
 
-def _steal_move(seq, coll, free):
-    """A short set takes an element of another set, which then repairs.
+def _augment_move(seq, coll, eta, free):
+    """The first move of four stages: a fill of a short set, smallest first,
+    that takes an element directly; a longer augmenting path of one, in the
+    same order; a new set's path; a steal.
 
-    For each short set a (smallest first), each other set b and each y in
-    S_b, in order: an augmenting path of S_a into ``free`` plus y that adds
-    y grows a by one and leaves b short of y; an augmenting path of
-    S_b - y into what is then unused (``free``, plus what a's path removed,
-    less what it added) brings b back to its size.  The first pair of paths
-    found is one ``steal`` move with a change to each set, and the
-    signature rises since a grows and b keeps its size.  A y that
-    :func:`_takes` rules out is skipped without a path search: no path
-    through it exists, so the search would not add it.  Set a's exchange
-    graph is built once, for that test and for every y's path search.
+    The fill walks ``free`` once and adds every element whose colour the set
+    lacks and that keeps it an RIS, so no element left in the pool could
+    still be added on its own: an element refused once stays refused as the
+    set grows.  ``free`` is the solve's pool, kept across moves: the sorted
+    coloured elements no set of ``coll`` holds.
+
+    A steal takes y from another set b, in set then element order: a path
+    of S_a into ``free`` plus y that adds y grows a and leaves b short of y;
+    a path of S_b - y into what is then unused (``free``, plus what a's path
+    removed, less what it added) brings b back to its size.  The signature
+    rises since a grows and b keeps its size.  A y that :func:`_takes` rules
+    out has no such path and gets no search.  Each short set's exchange
+    graph is built once, for its path into ``free``, its :func:`_takes` test
+    and every y's path; only a repair builds another.
     """
-    if len(coll.sets) < 2:
-        return None
-    for a in _short_sets(seq, coll):
-        graph = ExchangeGraph(seq, coll.sets[a])
+    order = _short_sets(seq, coll)
+    for i in order:
+        S = coll.sets[i]
+        present = set(colours_of(S))
+        added = []
+        for y in free:
+            if y[1] not in present and is_ris(seq, S | {y}):
+                S |= {y}
+                present.add(y[1])
+                added.append(y)
+        if added:
+            return _augment(i, (), added)
+    graphs = []
+    for i in order:
+        graph = ExchangeGraph(seq, coll.sets[i])
+        path = augmenting_path(graph, free)
+        if path is not None:
+            return _augment(i, *path)
+        graphs.append((i, graph))
+    if len(coll.sets) < eta:
+        path = augmenting_path(ExchangeGraph(seq, frozenset()), free)
+        if path is not None:
+            return _augment(len(coll.sets), *path)
+    for a, graph in graphs:
         takes = _takes(graph, free)
         for b, S_b in enumerate(coll.sets):
             if b == a:
@@ -325,11 +320,7 @@ def _attempt_exchange(seq, coll, probe):
 
 
 def _find_move(seq, coll, eta, params, free):
-    return (
-        _augment_move(seq, coll, eta, free)
-        or _steal_move(seq, coll, free)
-        or _cascade_move(seq, coll, params)
-    )
+    return _augment_move(seq, coll, eta, free) or _cascade_move(seq, coll, params)
 
 
 def pack_rainbow_bases(seq: BaseSequence, params: SolverParams | None = None) -> SolveResult:

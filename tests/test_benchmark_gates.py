@@ -17,8 +17,6 @@ import sys
 
 import pytest
 
-from rainbowpack.matroids import GraphicMatroid
-
 RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "run.py")
 
 # The benchmark's movelog_sha256 of one round at seed 0.  A speed-up must
@@ -95,45 +93,49 @@ def test_seed0_dense_oracle_answer_routing():
 
 
 def test_steal_builds_one_state_per_short_set_and_repair(monkeypatch):
-    # One _steal_move call builds short set a's exchange graph once, for its
-    # reach test and for every y's path search, and one more graph per
-    # repair, so a failed repair leaves a's graph as it was.  Counted on the
-    # seed-0 dense-oracle graphic instances; inside a steal, every state
-    # built is a graph's.
+    # One _augment_move call builds each short set's exchange graph once, for
+    # its path search into the pool, its reach test and every y's steal
+    # search, plus one graph for a new set and one per repair, so a failed
+    # repair leaves the short set's graph as it was.  A repair is a path
+    # search, once the steal stage has begun, from a graph no reach test
+    # was given.  Counted on the seed-0 dense-oracle graphic instances.
     run = _benchmark_module()
     solver = run.solver
-    build, takes, path, steal = (
-        GraphicMatroid._build, solver._takes, solver.augmenting_path, solver._steal_move
+    Graph, takes, path, augment = (
+        solver.ExchangeGraph, solver._takes, solver.augmenting_path, solver._augment_move
     )
-    seen: dict = {"builds": 0, "short": [], "repairs": 0}
-    calls = []  # (states built, short sets searched, repairs) per call
+    seen: dict = {"builds": 0, "taken": [], "repairs": 0}
+    calls = []  # (graphs built, short sets, repairs) per call
 
-    def counting_build(self, T):
-        seen["builds"] += 1
-        return build(self, T)
+    class CountingGraph(Graph):
+        def __init__(self, seq, S):
+            seen["builds"] += 1
+            super().__init__(seq, S)
 
     def counting_takes(graph, free):
-        seen["short"].append(graph)
+        seen["taken"].append(graph)
         return takes(graph, free)
 
     def counting_path(graph, pool):
-        # a repair searches from another set than the short ones
-        seen["repairs"] += all(graph.holder != g.holder for g in seen["short"])
+        seen["repairs"] += bool(seen["taken"]) and all(
+            graph is not g for g in seen["taken"]
+        )
         return path(graph, pool)
 
-    def counting_steal(seq, coll, free):
-        seen.update(builds=0, short=[], repairs=0)
-        move = steal(seq, coll, free)
-        calls.append((seen["builds"], len(seen["short"]), seen["repairs"]))
+    def counting_augment(seq, coll, eta, free):
+        seen.update(builds=0, taken=[], repairs=0)
+        move = augment(seq, coll, eta, free)
+        short = len(solver._short_sets(seq, coll))
+        calls.append((seen["builds"], short, seen["repairs"]))
         return move
 
-    monkeypatch.setattr(GraphicMatroid, "_build", counting_build)
+    monkeypatch.setattr(solver, "ExchangeGraph", CountingGraph)
     monkeypatch.setattr(solver, "_takes", counting_takes)
     monkeypatch.setattr(solver, "augmenting_path", counting_path)
-    monkeypatch.setattr(solver, "_steal_move", counting_steal)
+    monkeypatch.setattr(solver, "_augment_move", counting_augment)
     for text in run.instance_texts(run.WORKLOADS["dense-oracle"], 0):
         inst = run.instances.parse_instance(text)
         if inst.family == "graphic":
             solver.pack_rainbow_bases(inst.base_sequence(), run._solver_params(inst))
-    assert all(built <= short + repairs for built, short, repairs in calls), calls
+    assert all(built <= short + 1 + repairs for built, short, repairs in calls), calls
     assert sum(repairs for *_, repairs in calls) > 0

@@ -195,7 +195,7 @@ def test_concentration_probe_leaves_no_garbage_cycles(monkeypatch):
     # A search's states and traces must be freed when it returns, not held
     # in a reference cycle until the next full garbage collection.  Without
     # the steal move the solve reaches a collection a cascade moves from.
-    monkeypatch.setattr(solver, "_steal_move", lambda seq, coll, free: None)
+    monkeypatch.setattr(solver, "_takes", lambda graph, free: lambda y: False)
     seq = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1).base_sequence()
     moves = pack_rainbow_bases(seq).moves
     at = [m["kind"] for m in moves].index("cascade")

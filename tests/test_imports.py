@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name is used somewhere in the package."""
+"""Every name a module of the package or a test file imports is used in
+that file, and every module-level private name is used somewhere in the
+package."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rainbowpack"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(source: str) -> list:
@@ -62,9 +64,13 @@ def test_the_check_finds_an_unused_import():
     assert _unused_imports(source) == [(2, "dumps")]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    assert _unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(SRC / m, id=m) for m in MODULES]
+    + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))],
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
 
 
 def test_the_check_finds_an_unreferenced_private_name():

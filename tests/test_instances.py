@@ -19,7 +19,6 @@ from rainbowpack.instances import (
     load_instance,
     load_yaml,
     parse_instance,
-    validate_instance,
 )
 from rainbowpack.model import overlap_counts
 
@@ -133,7 +132,7 @@ def test_declared_fields_checked():
         declared_beta=inst.declared_beta, declared_kappa=0,
     )
     with pytest.raises(ValidationError):
-        validate_instance(too_low)
+        load_instance(emit_instance(too_low))
     # declared beta promising a girth the matroid does not have
     sp = generate_instance("sparse_paving", 3, "disjoint", seed=0)
     if sp.declared_beta and sp.declared_beta > 0:
@@ -142,7 +141,7 @@ def test_declared_fields_checked():
             declared_beta=0, declared_kappa=sp.declared_kappa,
         )
         with pytest.raises(ValidationError):
-            validate_instance(lying)
+            load_instance(emit_instance(lying))
 
 
 @pytest.mark.parametrize("mode", ["disjoint", "overlapping"])

@@ -21,7 +21,6 @@ from rainbowpack.model import (
     validate_collection,
     validate_ris,
 )
-from conftest import uniform_seq
 
 
 def test_bound_params_validation():

@@ -15,7 +15,6 @@ from rainbowpack.matroids import (
     GraphicMatroid,
     LinearMatroid,
     SparsePavingMatroid,
-    UniformMatroid,
 )
 from rainbowpack.model import (
     BaseSequence,

@@ -386,9 +386,10 @@ def test_steal_reaches_the_oracle_where_augment_stopped_short():
 
 
 def _without_steal(monkeypatch):
-    """Finders in the order augment, cascade: the steal move would solve the
-    instances these tests take a cascade move from."""
-    monkeypatch.setattr(solver, "_steal_move", lambda seq, coll, free: None)
+    """No steal, since a ``_takes`` test that rules out every y leaves the
+    steal stage nothing to search: the steal move would solve the instances
+    these tests take a cascade move from."""
+    monkeypatch.setattr(solver, "_takes", lambda graph, free: lambda y: False)
 
 
 def test_replay_of_a_cascade_move(monkeypatch):
