@@ -227,46 +227,41 @@ def _assign(raw: list, edges: list, i: int, used: set, acc: dict) -> Optional[di
     return None
 
 
-def arrow(state, xc: CElem, xpc: CElem) -> bool:
-    """True when the target set stays independent after the raw swap.
-
-    ``state`` is the independence state of the target set's raw elements,
-    and the target set, an RIS, holds ``xpc``.
-    """
-    return state.independent((xpc[0],), (xc[0],))
+def arrow(graph: ExchangeGraph, xc: CElem, xpc: CElem) -> bool:
+    """Whether the target set less ``xpc`` plus ``xc`` is independent in the
+    lifted matroid: the edge from xpc to xc of its exchange ``graph``."""
+    return graph.edge(xpc, xc)
 
 
-def cyclic_exchange(seq: BaseSequence, S_prime, pairs: Sequence) -> frozenset:
+def cyclic_exchange(graph: ExchangeGraph, pairs: Sequence) -> frozenset:
     """Nonempty index set realizing a valid multi-element swap into S_prime.
 
-    The caller keeps the contract: ``pairs`` is a nonempty list of
-    ((x_i, c_i) in S, (x'_i, c_i) in S_prime) for one other set S of the
-    collection, each pair of one colour and no colour twice.  Pair i
-    relates to pair j when :func:`arrow` holds for x_i and x'_j, asked once
-    per (i, j) of one state of underline(S_prime).  Returns the 0-based
-    indices I of a shortest cycle of that relation, the least by sorted
-    indices among them (a self-swap is a cycle of length one), so that
-    removing the right elements of I and adding the left ones keeps S_prime
-    an RIS.  The exchange argument alone gives that, so the set is not
-    re-checked here: callers check the exchanged set (the solver's
-    :func:`~rainbowpack.solver.apply_move` checks every move it makes).  A
-    pair with no partner reaches no cycle, nor does a pair whose arrows all
-    lead to such pairs, so they need no pruning.  Raises
+    The caller keeps the contract: ``graph`` is the exchange graph of the
+    RIS S_prime, and ``pairs`` is a nonempty list of ((x_i, c_i) in S,
+    (x'_i, c_i) in S_prime) for one other set S of the collection, each pair
+    of one colour and no colour twice.  Pair i relates to pair j when
+    :func:`arrow` holds for x_i and x'_j, asked once per (i, j) of
+    ``graph``.  Returns the 0-based indices I of a shortest cycle of that
+    relation, the least by sorted indices among them (a self-swap is a cycle
+    of length one), so that removing the right elements of I and adding the
+    left ones keeps S_prime an RIS.  The exchange argument alone gives that,
+    so the set is not re-checked here: callers check the exchanged set (the
+    solver's :func:`~rainbowpack.solver.apply_move` checks every move it
+    makes).  A pair with no partner reaches no cycle, nor does a pair whose
+    arrows all lead to such pairs, so they need no pruning.  Raises
     :class:`PreconditionError` when some x_i other than x'_i already lies in
     underline(S_prime), and when no cycle exists and some pair has no
     partner; when every pair has one, a cycle exists.
     """
     k = len(pairs)
-    raw_prime = underline(S_prime)
     for (xi, _), (xpi, _) in pairs:
         # the exchange argument needs incoming raw elements fresh to S_prime
         # (except for the trivial self-swap) for every index set to stay RIS
-        if xi in raw_prime and xi != xpi:
+        if xi in graph.raw and xi != xpi:
             raise PreconditionError(f"raw element {xi} already present in the target set")
 
-    state = seq.matroid.state(raw_prime)
     succ = [
-        [j for j in range(k) if arrow(state, pairs[i][0], pairs[j][1])]
+        [j for j in range(k) if arrow(graph, pairs[i][0], pairs[j][1])]
         for i in range(k)
     ]
 

@@ -22,7 +22,7 @@ sparse-paving states ask the family's closed form directly.
 
 Uniform and sparse-paving matroids answer :meth:`Matroid.is_independent`
 in closed form and remember nothing.  Linear and graphic matroids, whose
-check from scratch is an elimination, remember every answer and keep one
+check from scratch is an elimination, remember recent answers and keep one
 state of their own, which follows a set as it grows: asked about the kept
 set plus one element, one state query answers, and an independent answer
 moves the kept state to the larger set.  Any other new set is checked from
@@ -50,6 +50,7 @@ from .errors import (
 )
 
 GIRTH_SEARCH_CAP = 20
+KNOWN_ANSWERS_CAP = 4096  # most answers a linear or graphic matroid remembers
 
 INFINITY = math.inf
 
@@ -129,12 +130,13 @@ class _KeptStateMatroid(Matroid):
     """A family whose check from scratch is a state build (``_build``): it
     remembers the answers of :meth:`is_independent` and keeps one state.
 
-    A set asked again, as replay's final check asks each set the moves
-    built, costs one lookup.  The kept state is that of the last independent
-    set a new answer was about; a remembered answer, a dependent set and
-    :meth:`state` leave it where it was.  A kept state must hold no
-    reference to its matroid: the two would form a reference cycle, and a
-    dropped matroid would wait for the cycle collector.
+    A set asked again, as replay's final check asks each set the moves built,
+    costs one lookup, until the memo holds :data:`KNOWN_ANSWERS_CAP` answers
+    and starts over (most repeats are recent).  The kept state is that of the
+    last independent set a new answer was about; a remembered answer, a
+    dependent set and :meth:`state` leave it where it was.  A kept state must
+    hold no reference to its matroid: the two would form a reference cycle,
+    and a dropped matroid would wait for the cycle collector.
     """
 
     def __init__(self, size: int):
@@ -158,6 +160,8 @@ class _KeptStateMatroid(Matroid):
         else:
             self.answers["scratch"] += 1
             state = self._build(A)
+        if len(self._known) >= KNOWN_ANSWERS_CAP:
+            self._known = {frozenset(): True}
         independent = self._known[A] = state is not None
         if independent:
             self._state = state

@@ -18,6 +18,7 @@ from .errors import (
     PreconditionError,
 )
 from .exchange import (
+    ExchangeGraph,
     add_set,
     arrow,
     cyclic_exchange,
@@ -552,17 +553,13 @@ def _harness_exchange(seq, rng):
             left = {c: next(e for e in sorted(S) if e[1] == c) for c in shared}
             right = {c: next(e for e in sorted(S_prime) if e[1] == c) for c in shared}
             pairs = [(left[c], right[c]) for c in shared]
-            state = seq.matroid.state(underline(S_prime))
-            hyp = all(
-                any(arrow(state, l, r2) for _, r2 in pairs)
-                for l, _ in pairs
-            )
-            if not hyp:
+            graph = ExchangeGraph(seq, S_prime)
+            if not all(any(arrow(graph, l, r) for _, r in pairs) for l, _ in pairs):
                 yield None
                 continue
             where = dict(S=sorted(S), S_prime=sorted(S_prime))
             try:
-                I = cyclic_exchange(seq, S_prime, pairs)
+                I = cyclic_exchange(graph, pairs)
             except Exception as exc:
                 yield [dict(where, reason=f"cyclic_exchange failed: {exc}")]
                 continue

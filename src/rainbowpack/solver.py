@@ -14,9 +14,10 @@ first move found is taken: :func:`_augment_move` makes the augment and
 steal moves, in that order, and the cascade comes last.  Every path search
 asks the exchange graph of its set
 (:class:`~rainbowpack.exchange.ExchangeGraph`), which holds its own
-independence state; a short set's graph is built once per move, for its
-path search into the pool and for every steal through it, and a repair
-builds one more.
+independence state; a short set's graph is built once per move, for its path
+search into the pool and for every steal through it, and a repair builds one
+more.  A cascade builds its landing set's graph once per probe, for every
+donor's cyclic exchange.
 ``changes`` lists ``{"set", "removed", "added"}`` with coloured elements as
 ``[element, colour]`` pairs; ``set`` is a position
 in the collection before the move, ``set == len(sets)`` opens a new set, and
@@ -153,15 +154,17 @@ def _augment(i, removed, added) -> dict:
 
 def _takes(graph: ExchangeGraph, free: list):
     """A test that fails each y outside the RIS S of ``graph`` and outside
-    ``free`` that no augmenting path of S into ``free`` plus y can add.
+    ``free`` that no augmenting path of S into ``free`` plus y can add; once
+    S has no path into ``free``, the test is exact, not just a filter.
 
     In S's exchange graph, y changes only the edges at y.  So a path through
     y runs from the sources over ``free`` to y (y is a source, or an inside
     element that the sources reach over ``free`` has an edge to y), and from
     y to a sink (y's colour is missing from S, or its holder in S reaches a
-    sink over ``free``).  Both reaches are searched once here, each asking
-    about an edge at most once; the test then asks at most one question per
-    reached element about y.
+    sink over ``free``); with no path into ``free``, the two reaches make one
+    through y, as a vertex they shared would join a source to a sink.  Both
+    reaches are searched once here, each asking about an edge at most once;
+    the test then asks at most one question per reached element about y.
     """
     holder, source, edge = graph.holder, graph.source, graph.edge
     reached: set = set()
@@ -208,10 +211,11 @@ def _augment_move(seq, coll, eta, free):
     of S_a into ``free`` plus y that adds y grows a and leaves b short of y;
     a path of S_b - y into what is then unused (``free``, plus what a's path
     removed, less what it added) brings b back to its size.  The signature
-    rises since a grows and b keeps its size.  A y that :func:`_takes` rules
-    out has no such path and gets no search.  Each short set's exchange
-    graph is built once, for its path into ``free``, its :func:`_takes` test
-    and every y's path; only a repair builds another.
+    rises since a grows and b keeps its size.  :func:`_takes` admits exactly
+    the y with such a path, a's path into ``free`` having failed, so each
+    search finds one.  Each short set's exchange graph is built once, for
+    its path into ``free``, its :func:`_takes` test and every y's path; only
+    a repair builds another.
     """
     order = _short_sets(seq, coll)
     for i in order:
@@ -246,10 +250,7 @@ def _augment_move(seq, coll, eta, free):
                     continue
                 pool = free.copy()
                 insort(pool, y)
-                path = augmenting_path(graph, pool)
-                if path is None or y not in path[1]:
-                    continue
-                removed, added = path
+                removed, added = augmenting_path(graph, pool)
                 rest = sorted(set(pool).difference(added).union(removed))
                 repair = augmenting_path(ExchangeGraph(seq, S_b - {y}), rest)
                 if repair is not None:
@@ -277,6 +278,7 @@ def _cascade_move(seq, coll, params):
 def _attempt_exchange(seq, coll, probe):
     j = probe.landing_index
     target = coll.sets[j]
+    graph = ExchangeGraph(seq, target)  # every donor's exchange asks it
     blocked = set(probe.chain) | {probe.root.index, j}
     by_colour = {xc[1]: xc for xc in probe.traces}
     donors = sorted(
@@ -289,7 +291,7 @@ def _attempt_exchange(seq, coll, probe):
         if not pairs:
             continue
         try:
-            I = cyclic_exchange(seq, target, pairs)
+            I = cyclic_exchange(graph, pairs)
         except PreconditionError:
             continue
         # every right element landed, so it has a trace; one more transition

@@ -17,6 +17,8 @@ import sys
 
 import pytest
 
+from rainbowpack.matroids import Matroid
+
 RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "run.py")
 
 # The benchmark's movelog_sha256 of one round at seed 0.  A speed-up must
@@ -139,3 +141,65 @@ def test_steal_builds_one_state_per_short_set_and_repair(monkeypatch):
             solver.pack_rainbow_bases(inst.base_sequence(), run._solver_params(inst))
     assert all(built <= short + 1 + repairs for built, short, repairs in calls), calls
     assert sum(repairs for *_, repairs in calls) > 0
+
+
+def _seed0_dense_oracle_graphic_solves(run):
+    for text in run.instance_texts(run.WORKLOADS["dense-oracle"], 0):
+        inst = run.instances.parse_instance(text)
+        if inst.family == "graphic":
+            run.solver.pack_rainbow_bases(inst.base_sequence(), run._solver_params(inst))
+
+
+def test_steal_reach_test_admits_only_ys_with_a_path(monkeypatch):
+    # Once a short set's path into the pool has failed, _takes is exact:
+    # every y it admits has an augmenting path into the pool plus y, and
+    # that path adds y.  Checked on the seed-0 dense-oracle graphic instances.
+    run = _benchmark_module()
+    solver = run.solver
+    takes, admitted = solver._takes, []
+
+    def checked_takes(graph, free):
+        test = takes(graph, free)
+
+        def checked(y):
+            if not test(y):
+                return False
+            path = solver.augmenting_path(graph, sorted([*free, y]))
+            assert path is not None and y in path[1], y
+            admitted.append(y)
+            return True
+
+        return checked
+
+    monkeypatch.setattr(solver, "_takes", checked_takes)
+    _seed0_dense_oracle_graphic_solves(run)
+    assert admitted
+
+
+def test_cascade_exchange_builds_one_state_per_attempt(monkeypatch):
+    # _attempt_exchange builds the landing set's exchange graph once, and
+    # every donor's cyclic exchange asks it, so one attempt makes at most
+    # one state build.  Counted on the seed-0 dense-oracle graphic instances.
+    run = _benchmark_module()
+    solver = run.solver
+    attempt, state = solver._attempt_exchange, Matroid.state
+    builds = []  # state builds per attempt
+    inside = []  # the attempt in progress
+
+    def counting_state(self, T):
+        if inside:
+            builds[-1] += 1
+        return state(self, T)
+
+    def counting_attempt(seq, coll, probe):
+        builds.append(0)
+        inside.append(probe)
+        try:
+            return attempt(seq, coll, probe)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Matroid, "state", counting_state)
+    monkeypatch.setattr(solver, "_attempt_exchange", counting_attempt)
+    _seed0_dense_oracle_graphic_solves(run)
+    assert builds and all(b <= 1 for b in builds), builds

@@ -13,6 +13,7 @@ from rainbowpack.errors import (
 )
 from rainbowpack.exchange import (
     AddRecord,
+    ExchangeGraph,
     Root,
     add_set,
     apply_add,
@@ -35,6 +36,7 @@ from rainbowpack.model import (
     unused,
     validate_collection,
 )
+from rainbowpack.oracle import enumerate_ris
 from rainbowpack.solver import apply_move, pack_rainbow_bases
 from conftest import generated_seqs, uniform_seq
 
@@ -271,14 +273,29 @@ def test_exchange_injection_leaves_no_garbage_cycles():
 def test_arrow(u24_disjoint):
     seq = u24_disjoint
     T = frozenset({(1, 1), (2, 2)})
-    assert arrow(seq.matroid.state(underline(T)), (0, 1), (1, 1))
+    assert arrow(ExchangeGraph(seq, T), (0, 1), (1, 1))
+
+
+def test_arrow_asks_whether_a_fresh_pair_swaps():
+    # For a fresh pair, xpc in S_prime and xc of its colour whose raw element
+    # lies outside S_prime, arrow on S_prime's exchange graph answers whether
+    # S_prime - xpc + xc is an RIS.
+    checked = 0
+    for _, seq in generated_seqs(ns=(3, 4)):
+        for S_prime in enumerate_ris(seq):
+            graph = ExchangeGraph(seq, S_prime)
+            for xpc, xc in itertools.product(sorted(S_prime), sorted(seq.universe)):
+                if xc[1] == xpc[1] and xc[0] not in graph.raw:
+                    assert arrow(graph, xc, xpc) == is_ris(seq, S_prime - {xpc} | {xc})
+                    checked += 1
+    assert checked > 10000
 
 
 def test_cyclic_exchange_self_swap():
     seq = uniform_seq(2, [{0, 1}, {2, 3}])
     S_prime = frozenset({(1, 1), (3, 2)})
     pairs = [((0, 1), (1, 1)), ((2, 2), (3, 2))]
-    I = cyclic_exchange(seq, S_prime, pairs)
+    I = cyclic_exchange(ExchangeGraph(seq, S_prime), pairs)
     assert I == {0}  # uniform matroids allow every single swap; the least wins
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -296,14 +313,14 @@ def test_cyclic_exchange_prefers_the_least_self_swap():
     seq = BaseSequence(M, [{0, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {0, 2, 3, 7}])
     S_prime = frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     pairs = [((4, 1), (0, 1)), ((5, 2), (1, 2)), ((6, 3), (2, 3)), ((7, 4), (3, 4))]
-    state = M.state(underline(S_prime))
+    graph = ExchangeGraph(seq, S_prime)
     relation = {
         (i, j)
         for i, j in itertools.product(range(4), repeat=2)
-        if arrow(state, pairs[i][0], pairs[j][1])
+        if arrow(graph, pairs[i][0], pairs[j][1])
     }
     assert relation == {(0, 1), (1, 0), (2, 0), (2, 2), (3, 1), (3, 3)}
-    I = cyclic_exchange(seq, S_prime, pairs)
+    I = cyclic_exchange(graph, pairs)
     assert I == {2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -315,10 +332,10 @@ def test_cyclic_exchange_true_cycle():
     seq = BaseSequence(M, [{0, 2}, {1, 3}])
     S_prime = frozenset({(0, 1), (1, 2)})
     pairs = [((2, 1), (0, 1)), ((3, 2), (1, 2))]
-    state = M.state(underline(S_prime))
-    assert not arrow(state, (2, 1), (0, 1))
-    assert not arrow(state, (3, 2), (1, 2))
-    I = cyclic_exchange(seq, S_prime, pairs)
+    graph = ExchangeGraph(seq, S_prime)
+    assert not arrow(graph, (2, 1), (0, 1))
+    assert not arrow(graph, (3, 2), (1, 2))
+    I = cyclic_exchange(graph, pairs)
     assert I == {0, 1}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -341,9 +358,9 @@ def _partnerless_system():
 
 def test_cyclic_exchange_skips_a_pair_with_no_partner():
     seq, S_prime, pairs = _partnerless_system()
-    state = seq.matroid.state(underline(S_prime))
-    assert not any(arrow(state, pairs[0][0], q[1]) for q in pairs)
-    I = cyclic_exchange(seq, S_prime, pairs)
+    graph = ExchangeGraph(seq, S_prime)
+    assert not any(arrow(graph, pairs[0][0], q[1]) for q in pairs)
+    I = cyclic_exchange(graph, pairs)
     assert I == {1, 2}
     assert is_ris(seq, exchanged_set(S_prime, pairs, I))
 
@@ -352,7 +369,7 @@ def test_cyclic_exchange_without_a_cycle_needs_a_pair_with_no_partner():
     seq, S_prime, pairs = _partnerless_system()
     # pair 1 relates only to pair 2, which is left out
     with pytest.raises(PreconditionError, match="no partner"):
-        cyclic_exchange(seq, S_prime, pairs[:2])
+        cyclic_exchange(ExchangeGraph(seq, S_prime), pairs[:2])
 
 
 def test_cyclic_exchange_exhaustive_cross_check():
@@ -374,13 +391,13 @@ def test_cyclic_exchange_exhaustive_cross_check():
                 left = {c: (x, c) for x, c in S}
                 right = {c: (x, c) for x, c in S_prime}
                 pairs = [(left[c], right[c]) for c in shared]
-                state = seq.matroid.state(underline(S_prime))
+                graph = ExchangeGraph(seq, S_prime)
                 if not all(
-                    any(arrow(state, p[0], q[1]) for q in pairs)
+                    any(arrow(graph, p[0], q[1]) for q in pairs)
                     for p in pairs
                 ):
                     continue
-                I = cyclic_exchange(seq, S_prime, pairs)
+                I = cyclic_exchange(graph, pairs)
                 assert I and is_ris(seq, exchanged_set(S_prime, pairs, I))
                 checked += 1
         assert checked > 0
@@ -396,8 +413,11 @@ def test_solver_keeps_the_exchange_contracts(monkeypatch):
         colls.append(coll)
         return attempt(seq, coll, probe)
 
-    def checked_cyclic_exchange(seq, S_prime, pairs):
+    def checked_cyclic_exchange(graph, pairs):
         calls["cyclic_exchange"] += 1
+        # the graph is that of a set of the collection
+        S_prime = frozenset(graph.holder.values())
+        assert S_prime in colls[-1].sets and underline(S_prime) == graph.raw
         assert pairs and len({c for (_, c), _ in pairs}) == len(pairs)
         # every left element comes from one other set of the collection
         donors = {colls[-1].index_of_element(left) for left, _ in pairs}
@@ -405,7 +425,7 @@ def test_solver_keeps_the_exchange_contracts(monkeypatch):
         assert colls[-1].sets[donors.pop()] != S_prime
         for left, right in pairs:
             assert left[1] == right[1] and right in S_prime
-        return cyclic_exchange(seq, S_prime, pairs)
+        return cyclic_exchange(graph, pairs)
 
     def checked_transition(seq, root, record, variant=None):
         calls["transition"] += 1
@@ -427,7 +447,6 @@ def test_cyclic_exchange_preconditions(u24_overlapping):
     # raw collision between an incoming element and the target set
     with pytest.raises(PreconditionError, match="already present in the target"):
         cyclic_exchange(
-            u24_overlapping,
-            frozenset({(1, 2), (0, 1)}),
+            ExchangeGraph(u24_overlapping, frozenset({(1, 2), (0, 1)})),
             [((1, 1), (0, 1)), ((0, 2), (1, 2))],
         )

@@ -1,6 +1,6 @@
-"""Every name a module of the package or a test file imports is used in
-that file, and every module-level private name is used somewhere in the
-package."""
+"""Every name a module of the package, a test file or a benchmark file
+imports is used in that file, and every module-level private name is used
+somewhere in the package."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rainbowpack"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = pathlib.Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(source: str) -> list:
@@ -67,7 +68,8 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize(
     "path",
     [pytest.param(SRC / m, id=m) for m in MODULES]
-    + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))],
+    + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))]
+    + [pytest.param(p, id=f"perfbench/{p.name}") for p in sorted(PERFBENCH.glob("*.py"))],
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []

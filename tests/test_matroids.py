@@ -18,6 +18,7 @@ from rainbowpack.errors import (
     PreconditionError,
     ValidationError,
 )
+from rainbowpack.instances import generate_instance
 from rainbowpack.matroids import (
     GraphicMatroid,
     LinearMatroid,
@@ -32,6 +33,7 @@ from rainbowpack.matroids import (
     max_independent_subset,
     rank_of,
 )
+from rainbowpack.solver import dump_move_log, pack_rainbow_bases
 
 
 def test_uniform_basics():
@@ -533,6 +535,30 @@ def test_only_linear_and_graphic_remember_answers(family):
         {k: int(k == "scratch") for k in counts[0]},
         {k: int(k == again) for k in counts[0]},
     ]
+
+
+def test_answer_memo_starts_over_at_its_cap(monkeypatch):
+    # A solve whose memo outgrows a cap of 64 answers makes the same moves
+    # with that cap, and its memo then never holds more than 64 answers.
+    def solve():
+        seq = generate_instance("graphic", 12, "overlapping", seed=0).base_sequence()
+        return seq.matroid, dump_move_log(pack_rainbow_bases(seq).moves)
+
+    M, log = solve()
+    assert len(M._known) > 64
+    sizes = []
+    answer = matroids._KeptStateMatroid._answer
+
+    def recording(self, A):
+        independent = answer(self, A)
+        sizes.append(len(self._known))
+        return independent
+
+    monkeypatch.setattr(matroids, "KNOWN_ANSWERS_CAP", 64)
+    monkeypatch.setattr(matroids._KeptStateMatroid, "_answer", recording)
+    M, capped = solve()
+    assert capped == log
+    assert max(sizes) == 64 and M.answers["cached"] > 0
 
 
 def _one_more(T, A):

@@ -415,7 +415,7 @@ def test_replay_of_a_cascade_move(monkeypatch):
 def test_cascade_exchange_invariant_errors_propagate(monkeypatch):
     # A failed donor raises PreconditionError and is skipped; an
     # InternalInvariantError is a bug, so the solve must not swallow it.
-    def broken(seq, S_prime, pairs):
+    def broken(graph, pairs):
         raise InternalInvariantError("every pair has a partner, yet no cycle")
 
     monkeypatch.setattr(solver, "cyclic_exchange", broken)
