@@ -12,8 +12,13 @@ A loop that asks many questions about one fixed independent set ``T``
 ``T - removed | added`` for one removed and two added elements without
 re-checking T, and :meth:`IndependenceState.extend` gives the state of
 ``T + y``.  Every call builds a new state, through the family's
-``_build``, and the state belongs to its caller.  Linear states keep row
-operations that bring T to unit vectors.  Graphic states keep the
+``_build``, and the state belongs to its caller.  Linear states work on
+packed columns: each GF(p) column is one int with one lane per row, and
+the lane width, derived from p and the row count, keeps every reduction
+from carrying between lanes.  A state keeps one pivot step per element of
+T, each a multiply-add that pivots without row swaps on the lowest lane
+no earlier step took, and the lanes none took, the rows that vanish on
+span(T), as one mask.  Graphic states keep the
 component labels of the forest T and, from the first question that removes
 an edge, one depth-first tour of T: an added edge's end lies in the part
 that T - x cuts off exactly when it lies in the subtree under x, which
@@ -262,19 +267,96 @@ def _is_prime(p: int) -> bool:
     )
 
 
-def gf_rank(columns: list, p: int) -> int:
-    """Rank of a list of column vectors over GF(p).
+class _Lanes:
+    """GF(p) columns of ``rows`` entries, each packed into one int.
 
-    Each column, reduced mod p, goes through :func:`_pivot`: a column that
-    depends on the earlier ones adds no pivot step.  Stops once there are
-    as many pivot steps as rows.
+    Row i of a column is the lane of ``width`` bits at bit ``i * width``,
+    and a packed column is reduced when every lane holds its entry mod p.
+    A pivot step ``(shift, inv, g)`` pivots on the lane at bit ``shift``.
+    Applied to a column whose pivot lane holds a, it sets that lane to
+    ``c = a * inv mod p`` and subtracts c times the pivot column w from
+    every other lane, as one multiply-add: ``v + c * g - (a << shift)``,
+    where g holds ``p - w`` in w's other lanes and 1 in its pivot lane.
+    Applied to w, it leaves the unit vector of the pivot lane.
+
+    Lanes go back below p once per column, by :meth:`mod`; until then each
+    step adds at most ``(p - 1) * p`` to a lane, and a column meets at most
+    ``rows`` steps, one per lane.  The width is worked out from p and
+    ``rows``: the largest lane a column can reach, times :meth:`mod`'s
+    Barrett factor, still fits in one lane, so no operation carries from
+    one lane into the next.
     """
-    rows = len(columns[0]) if columns else 0
-    steps: list = []
-    for col in columns:
-        if _pivot(steps, [a % p for a in col], p) and len(steps) == rows:
-            break
-    return len(steps)
+
+    def __init__(self, p: int, rows: int):
+        top = (p - 1) * (1 + rows * p)  # the most a lane holds before mod
+        self.p = p
+        self.shift = (top * p).bit_length()  # 2**shift > top * p: exact quotients
+        self.barrett = -(-(1 << self.shift) // p)
+        self.width = width = (top * self.barrett).bit_length()
+        self.lane = (1 << width) - 1
+        ones = ((1 << rows * width) - 1) // self.lane  # 1 in every lane
+        self.full = self.lane * ones  # the mask of every lane
+        self.quotients = ((1 << width - self.shift) - 1) * ones
+        self.ps = p * ones  # p in every lane
+
+    def pack(self, column) -> int:
+        """The reduced packed column of a vector of integers."""
+        p, width = self.p, self.width
+        return sum((a % p) << i * width for i, a in enumerate(column))
+
+    def mod(self, v: int) -> int:
+        """v with every lane taken mod p, by a lane-wise Barrett step: a
+        lane's quotient by p is the lane times ``barrett``, shifted right by
+        ``shift``, exact for every lane a column reaches."""
+        return v - ((v * self.barrett >> self.shift) & self.quotients) * self.p
+
+    def low(self, v: int) -> int:
+        """The shift of the lowest non-zero lane of v, which is not 0."""
+        return ((v & -v).bit_length() - 1) // self.width * self.width
+
+    def step(self, w: int, free: int):
+        """The pivot step of the reduced column w on its lowest non-zero
+        lane among ``free``, a mask of whole lanes, or None when w is zero
+        on all of them: then w depends on the columns whose steps took the
+        other lanes."""
+        t = w & free
+        if not t:
+            return None
+        shift = self.low(t)
+        a = w >> shift & self.lane
+        return shift, pow(a, -1, self.p), self.ps - w + (a + 1 - self.p << shift)
+
+    def apply(self, steps, v: int) -> int:
+        """The reduced column of v after the pivot steps ``steps``, in order."""
+        lane, p = self.lane, self.p
+        for shift, inv, g in steps:
+            a = v >> shift & lane
+            if a:
+                v += a * inv % p * g - (a << shift)
+        return self.mod(v)
+
+    def rank(self, packed) -> int:
+        """Rank of the packed columns: each, reduced by the steps of the
+        independent columns before it, adds its own step when it stays
+        non-zero on a lane no step has taken.  Stops once every lane is."""
+        steps: list = []
+        free = self.full
+        for v in packed:
+            step = self.step(self.apply(steps, v), free)
+            if step:
+                steps.append(step)
+                free ^= self.lane << step[0]
+                if not free:
+                    break
+        return len(steps)
+
+
+def gf_rank(columns: list, p: int) -> int:
+    """Rank of a list of column vectors over GF(p), entries taken mod p."""
+    if not columns or not columns[0]:
+        return 0
+    lanes = _Lanes(p, len(columns[0]))
+    return lanes.rank(map(lanes.pack, columns))
 
 
 class LinearMatroid(_KeptStateMatroid):
@@ -297,113 +379,86 @@ class LinearMatroid(_KeptStateMatroid):
         super().__init__(width)
         self.p = p
         self.matrix = tuple(tuple(row) for row in matrix)
-        self._columns = list(zip(*matrix))
-        self.rank = gf_rank(self._columns, p)
+        self._lanes = _Lanes(p, len(matrix))
+        self._packed = [self._lanes.pack(col) for col in zip(*matrix)]
+        self.rank = self._lanes.rank(self._packed)
 
     def _build(self, T):
-        order = sorted(T)
+        lanes, packed = self._lanes, self._packed
         steps: list = []
-        for x in order:
-            if not _pivot(steps, list(self._columns[x]), self.p):
+        position = {}
+        free = lanes.full
+        for x in T:
+            step = lanes.step(lanes.apply(steps, packed[x]), free)
+            if step is None:
                 return None
-        position = {x: r for r, x in enumerate(order)}
-        return _LinearState(T, self._columns, self.p, position, tuple(steps))
+            steps.append(step)
+            position[x] = lanes.lane << step[0]
+            free ^= position[x]
+        return _LinearState(T, packed, lanes, position, tuple(steps), free)
 
     def params(self):
         return {"p": self.p, "matrix": [list(row) for row in self.matrix]}
 
     def _girth_closed_form(self):
-        if any(all(v == 0 for v in col) for col in self._columns):
+        if 0 in self._packed:
             return 1  # zero column is a loop
         if self.rank == self.size:
             return INFINITY
         return None
 
 
-def _pivot_step(w: list, r: int, p: int) -> tuple:
-    """The row operations that turn the column ``w`` into unit vector r,
-    pivoting on the first non-zero entry of w at or below row r.
-
-    Returns ``(r, i, inv, factors)``: swap rows r and i, scale row r by
-    ``inv``, then subtract ``factors[j]`` times the new row r from every
-    other row j.
-    """
-    i = next(i for i in range(r, len(w)) if w[i])
-    factors = list(w)
-    factors[r], factors[i] = factors[i], factors[r]
-    return r, i, pow(factors[r], -1, p), factors
-
-
-def _reduce(steps, v: list, p: int) -> None:
-    """Apply the pivot steps ``steps`` (see :func:`_pivot_step`), in order,
-    to the column ``v``, in place."""
-    for r, i, inv, factors in steps:
-        v[r], v[i] = v[i], v[r]
-        c = v[r] * inv % p
-        if c:
-            v[:] = [(a - f * c) % p for a, f in zip(v, factors)]
-            v[r] = c
-
-
-def _pivot(steps: list, v: list, p: int) -> bool:
-    """Reduce the column ``v`` (entries mod p, changed in place) by
-    ``steps``, the pivot steps of the independent columns before it, and
-    append its own :func:`_pivot_step` when it stays non-zero below them.
-    Returns whether it did: whether v is independent of those columns."""
-    _reduce(steps, v, p)
-    r = len(steps)
-    if not any(v[r:]):
-        return False
-    steps.append(_pivot_step(v, r, p))
-    return True
-
-
 class _LinearState(IndependenceState):
-    """Row operations E bringing T's columns to the first |T| unit vectors.
+    """Pivot steps E bringing each column of T to the unit vector of a lane.
 
-    E's rows are T's coordinate rows, then the rows that vanish on span(T).
-    A column reduced by E (cached per element) shows at once whether T - x
-    plus it is independent: modulo span(T - x), only x's coordinate row and
-    the vanishing rows remain, so one added column is independent iff it is
-    non-zero there, and two iff they have rank 2 there.  E is kept as one
-    pivot step per element of T, in the order they were added, so that
+    Pivots take no row swaps: each element x of T pivots on the lowest lane
+    that its column, reduced by the steps before it, is non-zero on and no
+    earlier element took; ``position[x]`` is that lane's mask.  The lanes
+    no element took are the rows that vanish on span(T), and ``free`` is
+    their one mask.  A column reduced by E (cached per element) shows at
+    once whether T - x plus it is independent: modulo span(T - x), only x's
+    lane and the free lanes remain, so one added column is independent iff
+    it is non-zero there, a mask test, and two iff they have rank 2 there,
+    which one multiply-add and one :meth:`_Lanes.mod` decide.  E is kept as
+    one step per element of T, in the order they were added, so that
     :meth:`extend` adds one step and copies no matrix.
     """
 
-    def __init__(self, T, columns, p, position, steps):
+    def __init__(self, T, packed, lanes, position, steps, free):
         super().__init__(T)
-        self.columns = columns
-        self.p = p
-        self.position = position  # element of T -> its coordinate row
-        self.steps = steps  # one _pivot_step per element of T
+        self.packed = packed  # element -> its packed column
+        self.lanes = lanes
+        self.position = position  # element of T -> the mask of its pivot lane
+        self.steps = steps  # one pivot step per element of T
+        self.free = free  # the mask of the lanes no element of T took
         self._reduced: dict = {}  # element -> E times its column
 
-    def _vector(self, y: int) -> list:
+    def _vector(self, y: int) -> int:
         w = self._reduced.get(y)
         if w is None:
-            w = self._reduced[y] = list(self.columns[y])
-            _reduce(self.steps, w, self.p)
+            w = self._reduced[y] = self.lanes.apply(self.steps, self.packed[y])
         return w
 
     def _query(self, gone, new):
-        r = len(self.T)
-        rows = [self.position[x] for x in gone]
-        if len(new) == 1:
-            w = self._vector(new[0])
-            return any(w[r:]) or any(w[i] for i in rows)
-        u, v = ([w[i] for i in rows] + w[r:] for w in map(self._vector, new))
-        i = next((i for i, a in enumerate(u) if a), None)
-        if i is None:
-            return False
-        p = self.p
-        f = v[i] * pow(u[i], -1, p)
-        return any((b - f * a) % p for a, b in zip(u, v))
+        rows = self.free
+        for x in gone:
+            rows |= self.position[x]
+        u = self._vector(new[0]) & rows
+        if not u or len(new) == 1:
+            return u != 0
+        v = self._vector(new[1]) & rows
+        lanes = self.lanes
+        p, lane, shift = lanes.p, lanes.lane, lanes.low(u)
+        f = (v >> shift & lane) * pow(u >> shift & lane, -1, p) % p
+        return lanes.mod(v + (p - f) * u) != 0
 
     def extend(self, y):
-        r = len(self.T)
-        step = _pivot_step(self._vector(y), r, self.p)
-        position = {**self.position, y: r}
-        return _LinearState(self.T | {y}, self.columns, self.p, position, self.steps + (step,))
+        step = self.lanes.step(self._vector(y), self.free)
+        lane = self.lanes.lane << step[0]
+        position = {**self.position, y: lane}
+        return _LinearState(
+            self.T | {y}, self.packed, self.lanes, position, self.steps + (step,), self.free ^ lane
+        )
 
 
 class GraphicMatroid(_KeptStateMatroid):

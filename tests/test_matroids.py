@@ -1,6 +1,7 @@
 """Matroid families, derived quantities and axiom spot checks."""
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -191,15 +192,33 @@ def test_matroid_axioms_spot_check(M):
     assert max(map(len, independents)) == M.rank
 
 
+# Two large moduli, where a packed lane is widest: the Mersenne prime
+# 2**61 - 1 and the largest prime below the primality test's range.
+LARGE_PRIMES = (2**61 - 1, 3317044064679887385961813)
+
+
+def _combinations(pool, scales, reduce):
+    """Columns a + c * b for a and b drawn from ``pool`` and c from
+    ``scales``, each entry passed through ``reduce``: repeated (c = 0),
+    scaled (a = b) and dependent columns, over any modulus."""
+    return st.builds(
+        lambda a, b, c: [reduce(x + c * y) for x, y in zip(a, b)],
+        st.sampled_from(pool),
+        st.sampled_from(pool),
+        scales,
+    )
+
+
 @st.composite
 def linear_matroids(draw):
-    """Small matrices over GF(2), GF(3) or GF(5) with zero, repeated and
-    dependent columns."""
-    p = draw(st.sampled_from((2, 3, 5)))
-    k = draw(st.integers(1, 4))
+    """Matrices of up to 8 rows over GF(2), GF(3), GF(5) and two large
+    prime fields, with zero, repeated, scaled and dependent columns."""
+    p = draw(st.sampled_from((2, 3, 5) + LARGE_PRIMES))
+    k = draw(st.integers(1, 8))
     vector = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
     pool = draw(st.lists(vector, min_size=1, max_size=3))
-    column = st.sampled_from(pool) | st.just([0] * k) | vector
+    combination = _combinations(pool, st.integers(0, p - 1), lambda a: a % p)
+    column = combination | st.just([0] * k) | vector
     cols = draw(st.lists(column, min_size=1, max_size=8))
     return LinearMatroid(p, [[c[i] for c in cols] for i in range(k)])
 
@@ -703,20 +722,56 @@ def _rref_rank(columns, p):
 
 @st.composite
 def gf_columns(draw):
-    """Column lists with unreduced (negative and large) entries, zero and
-    repeated columns, and often more columns than rows."""
-    k = draw(st.integers(1, 5))
-    entry = st.integers(-12, 30)
+    """A prime p and a list of columns of up to 8 rows, with unreduced
+    (negative and large) entries, zero, repeated, scaled and dependent
+    columns, and often more columns than rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7) + LARGE_PRIMES))
+    k = draw(st.integers(1, 8))
+    entry = st.integers(-12, 30) | st.integers(-2 * p, 2 * p)
     vector = st.lists(entry, min_size=k, max_size=k)
     pool = draw(st.lists(vector, min_size=1, max_size=3))
-    column = st.sampled_from(pool) | st.just([0] * k) | vector
-    return draw(st.lists(column, max_size=9))
+    combination = _combinations(pool, st.integers(-p, p), lambda a: a)
+    column = combination | st.just([0] * k) | vector
+    return p, draw(st.lists(column, max_size=9))
 
 
 @settings(deadline=None)
-@given(gf_columns(), st.sampled_from((2, 3, 5, 7)))
-def test_gf_rank_matches_full_reduction(columns, p):
+@given(gf_columns())
+def test_gf_rank_matches_full_reduction(case):
+    p, columns = case
     assert gf_rank(columns, p) == _rref_rank(columns, p)
+
+
+@pytest.mark.parametrize("p", (2, 5, 2**61 - 1))
+def test_linear_lanes_at_64_rows_of_the_largest_entry(p):
+    # Every entry p - 1, the largest a reduced lane starts from.  The all
+    # p - 1 matrix has rank 1.  The 64 columns of (p - 1)(J - I), J all
+    # ones, are independent over these p (63 is not 0 mod p), so their
+    # elimination runs 64 pivot steps, and the all p - 1 column depends on
+    # every one of them: each lane meets as many steps as a lane can.
+    k = 64
+    ones = [p - 1] * k
+    assert gf_rank([ones] * 8, p) == _rref_rank([ones] * 8, p) == 1
+    columns = [[0 if i == j else p - 1 for i in range(k)] for j in range(k)] + [ones]
+    assert gf_rank(columns, p) == _rref_rank(columns, p) == k
+    M = LinearMatroid(p, [list(row) for row in zip(*columns)])
+    # a lane starts below p and each of at most k steps adds at most
+    # (p - 1) * p; the lane-wise mod is exact up to that bound, whose
+    # residue is p - 1, the largest
+    lanes = M._lanes
+    top = (p - 1) * (1 + k * p)
+    values = [top - i for i in range(k)]
+    assert lanes.mod(sum(a << i * lanes.width for i, a in enumerate(values))) == lanes.pack(values)
+    # a built state of half of T, extended to T = 0..62, one step at a time
+    state = M.state(range(32))
+    for y in range(32, 63):
+        state = state.extend(y)
+    T = state.T
+    for x in (0, 31, 62):
+        for added in ((63,), (k,), (63, k)):
+            want = _from_scratch(M, T - {x} | set(added))
+            assert state.independent((x,), added) == want, (x, added)
+    assert state.independent((), (63,)) and not state.independent((), (63, k))
 
 
 def test_gf_rank_edge_cases():
@@ -725,3 +780,15 @@ def test_gf_rank_edge_cases():
     assert gf_rank([[5, 10], [7, 14]], 5) == 1  # unreduced: (0, 0) and (2, 4) mod 5
     assert gf_rank([[1, 0], [0, 1], [1, 1], [2, 3]], 7) == 2  # stops at full row rank
     assert gf_rank([[1, 1], [1, 1]], 2) == 1
+
+
+# The move log of a linear solve at 32 rows, more than the strategies above
+# draw.  Its SHA-256 was computed at commit a039f40, with the list-based
+# elimination that preceded the packed lanes.
+LINEAR_N32_MOVELOG_SHA256 = "4dba0c35bb29ea9c8fb1b58bce786aa2a6184ee06cbeed70af53614a009f74bb"
+
+
+def test_linear_solve_at_32_rows_is_pinned():
+    seq = generate_instance("linear", 32, "overlapping", seed=0).base_sequence()
+    log = dump_move_log(pack_rainbow_bases(seq).moves)
+    assert hashlib.sha256(log.encode()).hexdigest() == LINEAR_N32_MOVELOG_SHA256
