@@ -82,7 +82,6 @@ from .instances import (
     emit_instance,
     generate_instance,
     instance_digest,
-    load_instance,
     parse_instance,
 )
 

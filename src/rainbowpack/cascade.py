@@ -154,25 +154,23 @@ def cascade_search(
         root.ris, *(root.collection.sets[i] for i in chain)
     )
     results: dict = {}
-    _walk(seq, chain, good, forbidden, results, set(), [0], root, 0)
+    _walk(seq, chain, good, forbidden, results, [0], root, 0)
     return results
 
 
 # Module level, not a recursive closure: a closure that refers to itself is
 # a reference cycle, which would hold the search's states and results until
-# the next full garbage collection.
+# the next full garbage collection.  It keeps no visited set: choices that
+# first differ at step q leave a different set where the root was at q, and
+# later steps change only chain[q] onward, so no state is reached twice.
 
 
-def _walk(seq, chain, good, forbidden, results, seen_states, nodes, current, pos):
+def _walk(seq, chain, good, forbidden, results, nodes, current, pos):
     nodes[0] += 1
     if nodes[0] > SEARCH_NODE_BUDGET:
         return
     if good:
         current, _ = good_transform(seq, current)
-    state = (current.collection.sets, current.index, current.b, pos)
-    if state in seen_states:
-        return
-    seen_states.add(state)
     if pos == len(chain):
         for rec in add_set(seq, current):
             if rec.element not in forbidden and rec.element not in results:
@@ -187,7 +185,7 @@ def _walk(seq, chain, good, forbidden, results, seen_states, nodes, current, pos
                 nxt = transition(seq, current, rec, variant)
             except PreconditionError:
                 continue  # singleton donor; no continuation through it
-            _walk(seq, chain, good, forbidden, results, seen_states, nodes, nxt, pos + 1)
+            _walk(seq, chain, good, forbidden, results, nodes, nxt, pos + 1)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .instances import (
     emit_instance,
     generate_instance,
     instance_digest,
-    load_instance,
     load_yaml,
+    parse_instance,
     _safe_girth,
 )
 from .model import BoundParams
@@ -118,8 +118,9 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _read_instance(path: str) -> tuple:
-    """The instance at ``path`` and its base sequence."""
-    return load_instance(_read_text(path, "instance"))
+    """The instance at ``path`` and its checked base sequence."""
+    inst = parse_instance(_read_text(path, "instance"))
+    return inst, inst.base_sequence()
 
 
 def _girth_field(inst: Instance, g) -> str:

@@ -1,5 +1,6 @@
-"""Instance file format (YAML), validation and generators that build their
-bases by construction, so they succeed at every n.
+"""Instance file format (YAML), the one check of an instance
+(:meth:`Instance.base_sequence`) and generators that build their bases by
+construction, so they succeed at every n.
 
 Documents load through PyYAML's safe loader (libyaml's ``CSafeLoader``
 where PyYAML has it) with one fast path: the flow sequences of plain decimal
@@ -95,7 +96,8 @@ def _load_spliced(text: str):
 
 @dataclass(frozen=True)
 class Instance:
-    """One serializable problem: a matroid family spec plus n coloured bases."""
+    """One serializable problem: a matroid family spec, n coloured bases and
+    the kappa and beta it may declare, unchecked until :meth:`base_sequence`."""
 
     family: str
     params: dict
@@ -109,7 +111,11 @@ class Instance:
         return build_matroid(self.family, self.params)
 
     def base_sequence(self) -> BaseSequence:
-        return BaseSequence(self.matroid(), self.bases)
+        """The checked base sequence: the matroid checks its parameters, the
+        sequence each base, then the declared kappa and beta are checked."""
+        seq = BaseSequence(self.matroid(), self.bases)
+        _check_declared(self, seq)
+        return seq
 
 
 def _require(mapping, key, kind, where):
@@ -159,13 +165,8 @@ def load_yaml(text: str):
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse and fully validate one instance document."""
-    return load_instance(text)[0]
-
-
-def load_instance(text: str) -> tuple:
-    """Parse and fully validate one instance document; returns the instance
-    and the base sequence its validation built."""
+    """Read one instance document; raises :class:`InputError` only, for a
+    text that is not one.  It builds nothing: see :meth:`Instance.base_sequence`."""
     try:
         data = load_yaml(text)
     except yaml.YAMLError as exc:
@@ -197,7 +198,7 @@ def load_instance(text: str) -> tuple:
 
     provenance = _optional_mapping(data, "provenance")
 
-    inst = Instance(
+    return Instance(
         family=family,
         params=params,
         bases=tuple(bases),
@@ -206,9 +207,6 @@ def load_instance(text: str) -> tuple:
         declared_kappa=kappa,
         provenance=dict(provenance),
     )
-    seq = inst.base_sequence()  # raises naming the offending colour
-    _check_declared(inst, seq)
-    return inst, seq
 
 
 def _check_declared(inst: Instance, seq: BaseSequence) -> None:
@@ -403,7 +401,8 @@ def generate_instance(
     The bases are built, not sampled: cyclic windows (:func:`_windows`) for
     uniform, sparse paving and linear, shared spanning-tree copies for
     graphic.  So every n >= 1 and every kappa >= 2 give an instance with no
-    element in more than kappa bases.
+    element in more than kappa bases.  Only the matroid is built, for the
+    least beta its girth allows; kappa is the bases' overlap, or ``kappa``.
     """
     if family not in _GENERATORS:
         raise InputError(f"unknown generator family {family!r}")
@@ -415,12 +414,12 @@ def generate_instance(
         raise InputError("overlapping mode needs kappa >= 2")
     rng = random.Random(f"{family}:{n}:{mode}:{kappa}:{seed}")
     params, bases = _GENERATORS[family](n, mode, kappa, rng)
-    seq = BaseSequence(build_matroid(family, params), bases)
+    overlap = max(overlap_counts(bases).values())
     return Instance(
         family=family,
         params=params,
         bases=tuple(tuple(sorted(b)) for b in bases),
-        declared_beta=_girth_deficit(seq.matroid, n),
-        declared_kappa=max(seq.overlap_kappa(), kappa if mode == "overlapping" else 1),
+        declared_beta=_girth_deficit(build_matroid(family, params), n),
+        declared_kappa=max(overlap, kappa if mode == "overlapping" else 1),
         provenance={"generator": f"{family}-{mode}", "seed": seed},
     )

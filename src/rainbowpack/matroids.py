@@ -37,8 +37,8 @@ dependent element.  Every independent set's state becomes the kept one, a
 base's included.  Each family has this one elimination for its rank, its
 from-scratch answers and its states.  Each matroid counts its independence
 answers (:attr:`Matroid.answers`).  Closure, circuits and the girth search
-are derived from the oracle alone, so they are valid for any family that
-satisfies the matroid axioms.
+(by state builds, which leave the answers alone) are derived from the oracle
+alone, so they are valid for any family that satisfies the matroid axioms.
 """
 
 from __future__ import annotations
@@ -787,10 +787,11 @@ def girth(M: Matroid, most: int | None = None):
 
 def girth_by_search(M: Matroid, most: int | None = None):
     """Exhaustive girth: the smallest dependent set is a circuit.  With
-    ``most``, as in :func:`girth`, no larger set is asked."""
+    ``most``, as in :func:`girth`, no larger set is asked; each is a state
+    build, which leaves the memo, kept state and answers as they were."""
     largest = M.rank + 1 if most is None else min(most, M.rank + 1)
     for s in range(1, largest + 1):
         for sub in combinations(range(M.size), s):
-            if not M.is_independent(sub):
+            if M._build(frozenset(sub)) is None:
                 return s
     return INFINITY

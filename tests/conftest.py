@@ -1,5 +1,7 @@
 """Shared fixtures and builders for the rainbowpack test suite."""
 
+import functools
+
 import pytest
 
 from rainbowpack.exchange import Root
@@ -22,6 +24,25 @@ def generated_seqs(ns=range(3, 7), families=GENERATOR_FAMILIES):
             for n in ns:
                 inst = generate_instance(family, n, mode, seed=0)
                 yield f"{family}-{mode}-{n}", inst.base_sequence()
+
+
+# The two generated suites at kappa 2, every family and both modes: n = 3..5
+# with seeds 0-19, and n = 6, 8, 10, 12 with seeds 0-7.
+SUITES = {"n<=5": ((3, 4, 5), range(20)), "n=6..12": ((6, 8, 10, 12), range(8))}
+
+
+@functools.cache
+def suite_instances(suite):
+    """(family, instance) of every instance of a suite, generated once per
+    test run, in the order of its digests: family, n, mode, seed."""
+    ns, seeds = SUITES[suite]
+    return tuple(
+        (family, generate_instance(family, n, mode, kappa=2, seed=seed))
+        for family in GENERATOR_FAMILIES
+        for n in ns
+        for mode in ("disjoint", "overlapping")
+        for seed in seeds
+    )
 
 
 @pytest.fixture

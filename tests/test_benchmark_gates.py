@@ -1,6 +1,7 @@
 """The benchmark's traced runs on the workloads perfbench's own tests skip,
-the move logs its workloads make at seed 0, and how the independence oracle
-answers on its dense-oracle workload.
+the spans they install, what one setup builds, the move logs its workloads
+make at seed 0, and how the independence oracle answers on its dense-oracle
+workload.
 
 A traced run reports ``correct: false`` when a span its workload requires
 stays empty (dense-oracle: ``exchange.arrow``, ``exchange.add_set``,
@@ -9,6 +10,7 @@ tracing changes a move log.  ``perfbench/test_perfbench.py`` traces
 exact-small only.
 """
 
+import importlib
 import importlib.util
 import json
 import os
@@ -63,6 +65,44 @@ def _benchmark_module():
         module = sys.modules["perfbench_run"] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # its dataclasses look the module up
     return module
+
+
+def test_every_span_resolves_in_the_package():
+    # A renamed or deleted function would otherwise show only as an error
+    # inside a traced run's subprocess.
+    run = _benchmark_module()
+    names = set()
+    for module, attribute, name, _ in run.SPANS:
+        target = importlib.import_module(f"rainbowpack.{module}")
+        for part in attribute.split("."):  # a Class.method through its class
+            target = getattr(target, part, None)
+            assert target is not None, f"span {name}: no {module}.{attribute}"
+        assert callable(target), f"span {name}: {module}.{attribute} is not callable"
+        names.add(name)
+    for workload in run.WORKLOADS.values():
+        for name in workload.required_spans:
+            assert name in names, f"{workload.name} requires span {name}, which SPANS lacks"
+
+
+@pytest.mark.parametrize("workload", sorted(SEED0_MOVELOG_SHA256))
+def test_a_setup_builds_one_base_sequence(monkeypatch, workload):
+    # The setup the benchmark times, parse_instance(text).base_sequence():
+    # the parse builds nothing, and the check builds one base sequence.
+    run = _benchmark_module()
+    built = []
+
+    class Counting(run.instances.BaseSequence):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(run.instances, "BaseSequence", Counting)
+    for text in run.instance_texts(run.WORKLOADS[workload], 0):
+        built.clear()
+        inst = run.instances.parse_instance(text)
+        assert not built
+        inst.base_sequence()
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("workload", sorted(SEED0_MOVELOG_SHA256))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rainbowpack import solver
+from rainbowpack import cascade, solver
 from rainbowpack.cascade import (
     build_good_graph,
     cascade_search,
@@ -17,8 +17,9 @@ from rainbowpack.errors import LevelBoundViolatedError, PreconditionError
 from rainbowpack.exchange import Root, add_set, transition
 from rainbowpack.instances import generate_instance
 from rainbowpack.model import Collection, underline, validate_collection
+from rainbowpack.oracle import run_lemma_harness
 from rainbowpack.solver import PROBE_K, pack_rainbow_bases, replay_moves
-from conftest import sample_bad_root, uniform_seq
+from conftest import SUITES, sample_bad_root, suite_instances, uniform_seq
 
 
 def test_is_good_cases(u24_disjoint):
@@ -207,3 +208,35 @@ def test_concentration_probe_leaves_no_garbage_cycles(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_cascade_search_reaches_no_state_twice(monkeypatch):
+    # _walk keeps no visited set, since a choice sequence fixes the sets it
+    # leaves behind.  Every node's (collection, root, colour, step), taken
+    # after a good search's recolouring, is new within its search: checked
+    # on the solves of both generated suites and the qbound, obs1 and obs2
+    # sweeps, the callers of cascade_search.
+    walk = cascade._walk
+    seen, repeats, counts = set(), [], {"searches": 0, "nodes": 0}
+
+    def recording(seq, chain, good, forbidden, results, nodes, current, pos):
+        if nodes[0] == 0:  # a new search
+            seen.clear()
+            counts["searches"] += 1
+        if nodes[0] < cascade.SEARCH_NODE_BUDGET:  # the walk goes on
+            state = good_transform(seq, current)[0] if good else current
+            key = (state.collection.sets, state.index, state.b, pos)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            counts["nodes"] += 1
+        walk(seq, chain, good, forbidden, results, nodes, current, pos)
+
+    monkeypatch.setattr(cascade, "_walk", recording)
+    for suite in SUITES:
+        for _, inst in suite_instances(suite):
+            pack_rainbow_bases(inst.base_sequence())
+    for lemma in ("qbound", "obs1", "obs2"):
+        run_lemma_harness(lemma)
+    assert counts["nodes"] > counts["searches"] > 0, counts
+    assert not repeats, repeats[:3]

@@ -444,7 +444,8 @@ def test_gen_builds_overlapping_instances_past_n_5(tmp_path):
     path = gen_instance_file(
         tmp_path, n=8, extra=("--mode", "overlapping", "--kappa", "2")
     )
-    inst, seq = instances.load_instance(path.read_text())
+    inst = instances.parse_instance(path.read_text())
+    seq = inst.base_sequence()
     assert seq.n == 8 and inst.declared_kappa == 2
     assert seq.overlap_kappa() <= 2
 

@@ -16,7 +16,6 @@ from rainbowpack.instances import (
     emit_instance,
     generate_instance,
     instance_digest,
-    load_instance,
     load_yaml,
     parse_instance,
 )
@@ -54,8 +53,9 @@ def test_round_trip_identity_fuzz():
                     if n > 16:
                         continue
                     text = emit_instance(inst)
-                    back, _ = load_instance(text)
+                    back = parse_instance(text)
                     assert back == inst
+                    back.base_sequence()  # a generated instance passes its check
                     if n <= 8:
                         assert emit_instance(back) == text  # a fixed point
 
@@ -132,7 +132,7 @@ def test_declared_fields_checked():
         declared_beta=inst.declared_beta, declared_kappa=0,
     )
     with pytest.raises(ValidationError):
-        load_instance(emit_instance(too_low))
+        parse_instance(emit_instance(too_low)).base_sequence()
     # declared beta promising a girth the matroid does not have
     sp = generate_instance("sparse_paving", 3, "disjoint", seed=0)
     if sp.declared_beta and sp.declared_beta > 0:
@@ -141,7 +141,21 @@ def test_declared_fields_checked():
             declared_beta=0, declared_kappa=sp.declared_kappa,
         )
         with pytest.raises(ValidationError):
-            load_instance(emit_instance(lying))
+            parse_instance(emit_instance(lying)).base_sequence()
+
+
+def test_a_hand_built_instance_is_checked_by_its_base_sequence():
+    # The same check as a parsed one: a declared kappa below the overlap,
+    # and a declared beta that the girth breaks, are both refused.
+    overlapping = ("uniform", {"k": 2, "m": 4}, ((0, 1), (0, 1)))
+    Instance(*overlapping, declared_kappa=2).base_sequence()
+    with pytest.raises(ValidationError, match="declared kappa=1 below actual overlap 2"):
+        Instance(*overlapping, declared_kappa=1).base_sequence()
+    # a circuit-hyperplane of U(2, 4) is a circuit of size 2
+    paving = ("sparse_paving", {"k": 2, "m": 4, "circuit_hyperplanes": [[0, 1]]}, ((0, 2), (1, 3)))
+    Instance(*paving, declared_beta=1).base_sequence()
+    with pytest.raises(ValidationError, match="promises girth >= 3 but the matroid has girth 2"):
+        Instance(*paving, declared_beta=0).base_sequence()
 
 
 @pytest.mark.parametrize("mode", ["disjoint", "overlapping"])
@@ -156,8 +170,8 @@ def test_declared_beta_check_asks_no_set_beyond_the_promise(mode):
     g = matroids.girth(M)
     assert M._girth_closed_form() is None and M.size <= matroids.GIRTH_SEARCH_CAP
     asked = []
-    answer = M.is_independent
-    M.is_independent = lambda A: asked.append(len(A)) or answer(A)
+    build = M._build
+    M._build = lambda T: asked.append(len(T)) or build(T)
     for beta in (inst.declared_beta, inst.declared_beta - 1):
         asked.clear()
         declared = Instance(inst.family, inst.params, inst.bases, declared_beta=beta)
@@ -184,17 +198,37 @@ def test_parse_rejects_malformed():
             "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\n"
             "bases: [[0, x], [2, 3]]\n"
         )
-    for matroid in (
-        "{family: graphic, params: {vertices: 3, edges: [5, [0, 1]]}}",
-        "{family: uniform, params: {k: a, m: 4}}",
-        "{family: uniform, params: {k: 2, m: 4.5}}",
-        "{family: linear, params: {p: 2, matrix: 5}}",
-        "{family: sparse_paving, params: {k: 2, m: 4, circuit_hyperplanes: 5}}",
-        # a parameter the family does not take
-        "{family: uniform, params: {k: 2, m: 4, circuit_hyperplanes: [[0, 1]]}}",
+    # the matroid's parameters are read, and checked by base_sequence()
+    for matroid, message in (
+        (
+            "{family: graphic, params: {vertices: 3, edges: [5, [0, 1]]}}",
+            "family 'graphic' parameter 'edges' must be a list of lists, got [5, [0, 1]]",
+        ),
+        (
+            "{family: uniform, params: {k: a, m: 4}}",
+            "family 'uniform' parameter 'k' must be an integer, got 'a'",
+        ),
+        (
+            "{family: uniform, params: {k: 2, m: 4.5}}",
+            "family 'uniform' parameter 'm' must be an integer, got 4.5",
+        ),
+        (
+            "{family: linear, params: {p: 2, matrix: 5}}",
+            "family 'linear' parameter 'matrix' must be a list of lists, got 5",
+        ),
+        (
+            "{family: sparse_paving, params: {k: 2, m: 4, circuit_hyperplanes: 5}}",
+            "family 'sparse_paving' parameter 'circuit_hyperplanes' must be a list of lists, got 5",
+        ),
+        (  # a parameter the family does not take
+            "{family: uniform, params: {k: 2, m: 4, circuit_hyperplanes: [[0, 1]]}}",
+            "family 'uniform' takes no parameter circuit_hyperplanes",
+        ),
     ):
-        with pytest.raises(ValidationError):
-            parse_instance(f"version: 1\nmatroid: {matroid}\nbases: [[0, 1], [2, 3]]\n")
+        inst = parse_instance(f"version: 1\nmatroid: {matroid}\nbases: [[0, 1], [2, 3]]\n")
+        with pytest.raises(ValidationError) as raised:
+            inst.base_sequence()
+        assert str(raised.value) == message
     # a declared field other than beta and kappa, such as a misspelt kappa
     with pytest.raises(InputError, match="kapa"):
         parse_instance(
@@ -243,15 +277,17 @@ def test_parse_rejects_booleans_for_integers(text, error):
     # YAML's true and false are not integers anywhere in the format: kept,
     # they would give the same instance another digest
     with pytest.raises(error):
-        load_instance(text)
+        parse_instance(text).base_sequence()
 
 
 def test_parse_rejects_non_base():
-    with pytest.raises(ValidationError):
-        parse_instance(
-            "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\n"
-            "bases: [[0], [2, 3]]\n"
-        )
+    inst = parse_instance(
+        "version: 1\nmatroid: {family: uniform, params: {k: 2, m: 4}}\n"
+        "bases: [[0], [2, 3]]\n"
+    )
+    with pytest.raises(ValidationError) as raised:
+        inst.base_sequence()
+    assert str(raised.value) == "colour 1: [0] is not a base"
 
 
 def test_digest_is_short_stable_hex():
@@ -447,37 +483,70 @@ def test_a_scalar_without_a_value_is_invalid_yaml(section):
     with pytest.raises(yaml.YAMLError):
         load_yaml(section)
     with pytest.raises(InputError, match="not valid YAML"):
-        load_instance("version: 1\n" + _UNIFORM + section)
+        parse_instance("version: 1\n" + _UNIFORM + section)
 
 
 def test_null_sections_mean_none():
-    inst, _ = load_instance(
+    inst = parse_instance(
         "version: 1\n" + _UNIFORM + "bases: [[0, 1], [2, 3]]\ndeclared: null\nprovenance: null\n"
     )
     assert inst.declared_beta is None and inst.declared_kappa is None
     assert inst.provenance == {}
 
 
-@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
-def test_generate_instance_builds_one_base_sequence(monkeypatch, family):
-    built = []
+def _counting_builds(monkeypatch):
+    """Counts of the matroids and base sequences ``instances`` builds."""
+    built = {"matroid": 0, "sequence": 0}
+    build = instances.build_matroid
+
+    def counting_build(*args):
+        built["matroid"] += 1
+        return build(*args)
 
     class Counting(instances.BaseSequence):
         def __init__(self, *args):
-            built.append(1)
+            built["sequence"] += 1
             super().__init__(*args)
 
+    monkeypatch.setattr(instances, "build_matroid", counting_build)
     monkeypatch.setattr(instances, "BaseSequence", Counting)
-    generate_instance(family, 3, "overlapping", kappa=2, seed=0)
-    assert len(built) == 1
+    return built
 
 
-def test_load_instance_returns_the_parsed_instance_and_its_base_sequence():
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_generate_instance_builds_one_base_sequence(monkeypatch, family):
+    # generation builds the matroid for the girth and no base sequence;
+    # the instance's check builds the one
+    built = _counting_builds(monkeypatch)
+    inst = generate_instance(family, 3, "overlapping", kappa=2, seed=0)
+    assert built == {"matroid": 1, "sequence": 0}
+    inst.base_sequence()
+    assert built == {"matroid": 2, "sequence": 1}
+
+
+def test_parse_instance_builds_nothing(monkeypatch):
+    built = _counting_builds(monkeypatch)
     for family in GENERATOR_FAMILIES:
         for mode in ("disjoint", "overlapping"):
             inst = generate_instance(family, 4, mode, kappa=2, seed=3)
-            text = emit_instance(inst)
-            loaded, seq = load_instance(text)
-            assert loaded == parse_instance(text) == inst
+            before = dict(built)
+            parsed = parse_instance(emit_instance(inst))
+            assert parsed == inst and built == before
+            seq = parsed.base_sequence()
             assert seq.bases == tuple(frozenset(B) for B in inst.bases)
             assert seq.matroid.params() == inst.matroid().params()
+
+
+@pytest.mark.parametrize("mode", ["disjoint", "overlapping"])
+def test_base_sequence_checks_leave_the_oracle_as_the_base_checks_do(mode):
+    # The declared-beta check searches linear n = 4 (no closed-form girth,
+    # m <= 20) by state builds, so the sequence comes back with the answers,
+    # memo and kept state its base checks left, and a solve routes its
+    # questions as it would without declared.beta.
+    inst = generate_instance("linear", 4, mode, seed=0)
+    assert inst.declared_beta is not None
+    checked = inst.base_sequence().matroid
+    plain = instances.BaseSequence(inst.matroid(), inst.bases).matroid
+    assert checked.answers == plain.answers
+    assert checked._known == plain._known
+    assert checked._state.T == plain._state.T

@@ -10,7 +10,7 @@ from rainbowpack import oracle
 from rainbowpack.cli import EXIT_FAIL, run_command
 from rainbowpack.errors import BudgetExceededError, InputError
 from rainbowpack.exchange import Root
-from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance, load_instance
+from rainbowpack.instances import GENERATOR_FAMILIES, generate_instance, parse_instance
 from rainbowpack.matroids import (
     GraphicMatroid,
     LinearMatroid,
@@ -487,7 +487,7 @@ def test_harness_reports_a_broken_lemma(monkeypatch, capsys):
         ce for ce in report.counterexamples
         if ce["reason"] == "not injective into base"
     )
-    _, seq = load_instance(ce["instance"])
+    seq = parse_instance(ce["instance"]).base_sequence()
     assert {tuple(xc) for xc in ce["set"]} <= seq.universe
     assert run_command(["harness", "--lemma", "injection"]) == EXIT_FAIL
     assert "not injective into base" in capsys.readouterr().out

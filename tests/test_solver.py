@@ -39,7 +39,7 @@ from rainbowpack.solver import (
     pack_rainbow_bases,
     replay_moves,
 )
-from conftest import generated_seqs, uniform_seq
+from conftest import SUITES, generated_seqs, suite_instances, uniform_seq
 
 
 def test_solver_params_validation():
@@ -665,21 +665,11 @@ def test_eta_caps_collection_size():
     assert len(result.collection.sets) <= 2  # eta = n - alpha = 2
 
 
-# The two generated suites at kappa 2, every family and both modes: n = 3..5
-# with seeds 0-19, and n = 6, 8, 10, 12 with seeds 0-7.
-SUITES = {"n<=5": ((3, 4, 5), range(20)), "n=6..12": ((6, 8, 10, 12), range(8))}
-
-
 def _solve_suite(suite):
     """(family, solve result) of every instance of a suite, in the order of
     its move-log digest: family, n, mode, seed."""
-    ns, seeds = SUITES[suite]
-    for family in GENERATOR_FAMILIES:
-        for n in ns:
-            for mode in ("disjoint", "overlapping"):
-                for seed in seeds:
-                    inst = generate_instance(family, n, mode, kappa=2, seed=seed)
-                    yield family, pack_rainbow_bases(inst.base_sequence())
+    for family, inst in suite_instances(suite):
+        yield family, pack_rainbow_bases(inst.base_sequence())
 
 
 def test_uniform_instances_reach_n():
@@ -713,6 +703,19 @@ def test_generated_suite_move_logs_are_pinned():
         digest.update(dump_move_log(result.moves).encode())
         total += result.rb_count
     assert (digest.hexdigest(), total) == (SUITE_MOVELOG_SHA256, SUITE_RB_TOTAL)
+
+
+# The sha256 over emit_instance of every instance of both suites, n <= 5
+# first: generation may change how it builds an instance, not what it emits.
+SUITE_INSTANCES_SHA256 = "2fd630ce73ca35ecfab40bd5dc7861a9c76ee0cdbaf008179841f6874074b1f0"
+
+
+def test_generated_suite_instances_are_pinned():
+    digest = hashlib.sha256()
+    for suite in ("n<=5", "n=6..12"):
+        for _, inst in suite_instances(suite):
+            digest.update(emit_instance(inst).encode())
+    assert digest.hexdigest() == SUITE_INSTANCES_SHA256
 
 
 # Rainbow bases found on each suite, in GENERATOR_FAMILIES order.  A
