@@ -133,10 +133,11 @@ class CascadeTrace:
     record: AddRecord
 
 
-# Search nodes one cascade_search may visit, and cascade_search calls one
-# concentration_probe may make.
+# Search nodes one cascade_search may visit, cascade_search calls one
+# concentration_probe may make, and the deepest concentration it looks for.
 SEARCH_NODE_BUDGET = 20000
 PROBE_SEARCH_BUDGET = 200
+PROBE_K = 2
 
 
 def cascade_search(
@@ -147,8 +148,11 @@ def cascade_search(
     ``chain`` lists the positions of the intermediate sets, distinct and
     other than the root's own; the caller keeps that contract.  The search
     walks every transition choice, witness choices included, so it realizes
-    the definition exactly, up to ``SEARCH_NODE_BUDGET`` nodes.  Returns one :class:`CascadeTrace` per
-    element, the first found in deterministic order.
+    the definition exactly, up to ``SEARCH_NODE_BUDGET`` nodes.  Each step
+    asks :func:`add_set` only about the next chain set's elements, and the
+    last only about those outside the root's and the chain's sets not found
+    yet.  Returns one :class:`CascadeTrace` per element, the first found in
+    deterministic order.
     """
     forbidden = frozenset().union(
         root.ris, *(root.collection.sets[i] for i in chain)
@@ -172,14 +176,11 @@ def _walk(seq, chain, good, forbidden, results, nodes, current, pos):
     if good:
         current, _ = good_transform(seq, current)
     if pos == len(chain):
-        for rec in add_set(seq, current):
-            if rec.element not in forbidden and rec.element not in results:
-                results[rec.element] = CascadeTrace(current, rec)
+        fresh = seq.universe.difference(forbidden, results)
+        for rec in add_set(seq, current, fresh):
+            results[rec.element] = CascadeTrace(current, rec)
         return
-    target = current.collection.sets[chain[pos]]
-    for rec in add_set(seq, current):
-        if rec.element not in target:
-            continue
+    for rec in add_set(seq, current, current.collection.sets[chain[pos]]):
         for variant in rec.variants or (None,):
             try:
                 nxt = transition(seq, current, rec, variant)
@@ -211,17 +212,17 @@ def _chains(coll: Collection, roots, max_hops: int):
 
 
 def concentration_probe(
-    seq: BaseSequence, coll: Collection, k: int, depth_limit: int
+    seq: BaseSequence, coll: Collection, depth_limit: int
 ) -> Optional[tuple]:
     """Look for chains whose cascadable elements pile up in one set.
 
     One breadth-first pass over chains of at most ``depth_limit`` hops,
     making at most ``PROBE_SEARCH_BUDGET`` cascade searches.  For each
-    c = 1, ..., k it keeps the first chain, and that chain's first other
-    set, holding at least c cascadable elements, and it stops at the first
-    chain that reaches k.  Returns those results most concentrated first,
-    each once; ``None`` means none found within budget, not that none exists.
-    ``k`` must be positive; the caller keeps that contract.
+    c = 1, ..., ``PROBE_K`` it keeps the first chain, and that chain's first
+    other set, holding at least c cascadable elements, and it stops at the
+    first chain that reaches ``PROBE_K``.  Returns those results most
+    concentrated first, each once; ``None`` means none found within budget,
+    not that none exists.
     """
     try:
         top = istar(coll)
@@ -235,9 +236,9 @@ def concentration_probe(
         for j, S in enumerate(coll.sets):
             if j not in used:
                 landed = {e: trace for e, trace in casc.items() if e in S}
-                while len(found) < min(len(landed), k):
+                while len(found) < min(len(landed), PROBE_K):
                     found.append(ProbeResult(root, chain, j, landed))
-        if len(found) == k:
+        if len(found) == PROBE_K:
             break
     results: list = []
     for probe in reversed(found):

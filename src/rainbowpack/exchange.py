@@ -113,9 +113,11 @@ class AddRecord:
     variants: tuple = ()
 
 
-def add_set(seq: BaseSequence, root: Root) -> tuple:
-    """All addable elements at a root, in deterministic element order.
+def add_set(seq: BaseSequence, root: Root, among: frozenset) -> tuple:
+    """The addable elements of ``among`` at a root, in sorted element order.
 
+    Each record, variants included, is its element's record in the full add
+    set (``among = seq.universe``); the root's own elements are skipped.
     ``xc`` is directly addable when ``S + xc`` is an RIS, and indirectly, by
     ``(xpc, yb)``, when ``S - xpc + xc + yb`` is one, xpc being S's element
     of colour c and yb an unused element of the root's colour b.  S is an
@@ -131,7 +133,7 @@ def add_set(seq: BaseSequence, root: Root) -> tuple:
     raw, state = graph.raw, graph.state
     pool = sorted(unused(seq, root.collection, root.b))
     records = []
-    for xc in sorted(seq.universe - S):
+    for xc in sorted(among - S):
         x, c = xc
         xpc = graph.holder.get(c)
         if xpc is None:

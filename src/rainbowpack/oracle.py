@@ -483,9 +483,7 @@ def _harness_maxsubmax(seq, rng):
     for coll in _some_collections(seq, rng):
         status = statuses.get(coll.signature)
         for root in iter_roots(seq, coll, size=istar(coll)):
-            for rec in add_set(seq, root):
-                if coll.index_of_element(rec.element) in (None, root.index):
-                    continue
+            for rec in add_set(seq, root, coll.used()):
                 for variant in rec.variants or (None,):
                     try:
                         moved = transition(seq, root, rec, variant)

@@ -54,10 +54,6 @@ from .model import (
     validate_ris,
 )
 
-# Deepest concentration a cascade probes for; it also tries k - 1, ..., 1.
-PROBE_K = 2
-
-
 @dataclass(frozen=True)
 class SolverParams:
     bound: BoundParams = field(default_factory=BoundParams)
@@ -267,7 +263,7 @@ def _augment_move(seq, coll, eta, free):
 def _cascade_move(seq, coll, params):
     if len(coll.sets) < 3:
         return None
-    probes = concentration_probe(seq, coll, PROBE_K, depth_limit=params.depth_limit)
+    probes = concentration_probe(seq, coll, depth_limit=params.depth_limit)
     for probe in probes or ():
         attempt = _attempt_exchange(seq, coll, probe)
         if attempt is not None:

@@ -243,3 +243,57 @@ def test_cascade_exchange_builds_one_state_per_attempt(monkeypatch):
     monkeypatch.setattr(solver, "_attempt_exchange", counting_attempt)
     _seed0_dense_oracle_graphic_solves(run)
     assert builds and all(b <= 1 for b in builds), builds
+
+
+def test_every_add_set_record_is_read(monkeypatch):
+    # Each caller asks add_set only about the elements it reads.  A cascade
+    # walk reads, at an intermediate step, the records of the next chain
+    # set's elements and, at its last step, those outside the root's and the
+    # chain's sets not found yet; the maxsubmax sweep reads those another set
+    # holds.  Checked on the seed-0 dense-oracle solves and on the
+    # maxsubmax, qbound, obs1 and obs2 sweeps.
+    from rainbowpack import cascade, oracle
+
+    run = _benchmark_module()
+    walk, cascade_add, oracle_add = cascade._walk, cascade.add_set, oracle.add_set
+    node = []  # the walk node whose add_set call comes next
+    records, unread = [], []
+
+    def recording_walk(seq, chain, good, forbidden, results, nodes, current, pos):
+        node[:] = [(chain, forbidden, results, pos)]
+        walk(seq, chain, good, forbidden, results, nodes, current, pos)
+
+    def walk_add_set(seq, root, *among):
+        out = cascade_add(seq, root, *among)
+        (chain, forbidden, results, pos), = node
+        node.clear()
+        for rec in out:
+            records.append(rec)
+            e = rec.element
+            if pos < len(chain):
+                read = e in root.collection.sets[chain[pos]]
+            else:
+                read = e not in forbidden and e not in results
+            if not read:
+                unread.append((pos, len(chain), e))
+        return out
+
+    def sweep_add_set(seq, root, *among):
+        out = oracle_add(seq, root, *among)
+        for rec in out:
+            records.append(rec)
+            if root.collection.index_of_element(rec.element) in (None, root.index):
+                unread.append(("maxsubmax", rec.element))
+        return out
+
+    monkeypatch.setattr(cascade, "_walk", recording_walk)
+    monkeypatch.setattr(cascade, "add_set", walk_add_set)
+    monkeypatch.setattr(oracle, "add_set", sweep_add_set)
+    for text in run.instance_texts(run.WORKLOADS["dense-oracle"], 0):
+        inst = run.instances.parse_instance(text)
+        run.solver.pack_rainbow_bases(inst.base_sequence(), run._solver_params(inst))
+    solved = len(records)
+    for lemma in ("maxsubmax", "qbound", "obs1", "obs2"):
+        run.oracle.run_lemma_harness(lemma)
+    assert 0 < solved < len(records)
+    assert not unread, (len(unread), len(records), unread[:3])

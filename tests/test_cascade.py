@@ -18,7 +18,7 @@ from rainbowpack.exchange import Root, add_set, transition
 from rainbowpack.instances import generate_instance
 from rainbowpack.model import Collection, underline, validate_collection
 from rainbowpack.oracle import run_lemma_harness
-from rainbowpack.solver import PROBE_K, pack_rainbow_bases, replay_moves
+from rainbowpack.solver import pack_rainbow_bases, replay_moves
 from conftest import SUITES, sample_bad_root, suite_instances, uniform_seq
 
 
@@ -101,12 +101,12 @@ def brute_cascadable(seq, root, chain):
 
     def walk(current, pos):
         if pos == len(chain):
-            for rec in add_set(seq, current):
+            for rec in add_set(seq, current, seq.universe):
                 if rec.element not in forbidden:
                     found.add(rec.element)
             return
         target = current.collection.sets[chain[pos]]
-        for rec in add_set(seq, current):
+        for rec in add_set(seq, current, seq.universe):
             if rec.element not in target:
                 continue
             for variant in rec.variants or (None,):
@@ -163,10 +163,23 @@ def test_cascade_trace_replays(bad_root_u36):
             assert ok, why
 
 
+def test_a_search_past_its_node_budget_returns_what_it_found(monkeypatch, bad_root_u36):
+    # Past SEARCH_NODE_BUDGET nodes the walk stops quietly: the search
+    # returns the traces it has, each the one the full search finds.
+    seq, root = bad_root_u36
+    full = cascade_search(seq, root, (1,))
+    cuts = []
+    for budget in (1, 2):
+        monkeypatch.setattr(cascade, "SEARCH_NODE_BUDGET", budget)
+        cuts.append(cascade_search(seq, root, (1,)))
+        assert cuts[-1].items() <= full.items()
+    assert len(cuts[0]) < len(full)  # one node: the root, and no step on
+
+
 def test_concentration_probe(bad_root_u36):
     seq, root = bad_root_u36
     coll = root.collection
-    probes = concentration_probe(seq, coll, PROBE_K, depth_limit=2)
+    probes = concentration_probe(seq, coll, depth_limit=2)
     assert probes  # the worked instance has cascadable elements via set 1
     for probe in probes:
         assert probe.traces
@@ -204,7 +217,7 @@ def test_concentration_probe_leaves_no_garbage_cycles(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        assert concentration_probe(seq, coll, PROBE_K, depth_limit=2) is not None
+        assert concentration_probe(seq, coll, depth_limit=2) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -8,6 +8,7 @@ import pytest
 from rainbowpack import cascade, solver
 from rainbowpack.errors import (
     InputError,
+    OracleInconsistencyError,
     PreconditionError,
     ValidationError,
 )
@@ -27,7 +28,7 @@ from rainbowpack.exchange import (
     transition,
 )
 from rainbowpack.instances import generate_instance
-from rainbowpack.matroids import LinearMatroid
+from rainbowpack.matroids import LinearMatroid, _ClosedFormState
 from rainbowpack.model import (
     BaseSequence,
     Collection,
@@ -36,7 +37,7 @@ from rainbowpack.model import (
     unused,
     validate_collection,
 )
-from rainbowpack.oracle import enumerate_ris
+from rainbowpack.oracle import enumerate_ris, run_lemma_harness
 from rainbowpack.solver import apply_move, pack_rainbow_bases
 from conftest import generated_seqs, uniform_seq
 
@@ -103,7 +104,7 @@ def test_add_set_matches_definition():
             for root in iter_roots(seq, coll):
                 S = root.ris
                 pool = unused(seq, coll, root.b)
-                got = {rec.element: rec for rec in add_set(seq, root)}
+                got = {rec.element: rec for rec in add_set(seq, root, seq.universe)}
                 for xc in sorted(seq.universe - S):
                     direct = is_ris(seq, S | {xc})
                     variants = set()
@@ -160,19 +161,26 @@ def test_add_and_swap_sets_match_definition_on_solver_collections():
     """Every root of every collection a solve passes through, the final one
     included, on generated instances of every family and mode, n = 3..8.
 
-    Each record and variant of ``add_set`` also goes through ``transition``,
-    which trusts the record: it either refuses the move (a foreign or
-    singleton donor) or makes a valid collection whose
-    root set is the one ``apply_add`` describes."""
+    Asked about part of the universe (each other set, the unused elements,
+    every used one), ``add_set`` answers with the full add set's records of
+    that part, in the same order.  Each record and variant of ``add_set``
+    also goes through ``transition``, which trusts the record: it either
+    refuses the move (a foreign or singleton donor) or makes a valid
+    collection whose root set is the one ``apply_add`` describes."""
     roots = moved = 0
     for name, seq in generated_seqs(range(3, 9)):
         coll, free = Collection(seq.n), sorted(seq.universe)
         for move in pack_rainbow_bases(seq).moves:
             coll = apply_move(seq, coll, move, free)
+            used = coll.used()
+            parts = [*coll.sets, seq.universe - used, used]
             for root in iter_roots(seq, coll):
                 roots += 1
-                records = add_set(seq, root)
+                records = add_set(seq, root, seq.universe)
                 assert records == _add_set_by_definition(seq, root), name
+                for among in parts[: root.index] + parts[root.index + 1 :]:
+                    expected = tuple(r for r in records if r.element in among)
+                    assert add_set(seq, root, among) == expected, name
                 assert swap_set(seq, root) == _swap_set_by_definition(seq, root), name
                 for rec in records:
                     for variant in rec.variants or (None,):
@@ -213,7 +221,7 @@ def test_transition_moves_element(bad_root_u36):
     seq, root = bad_root_u36
     # (3,2) sits in the second set and is addable to S={(0,2),(1,3)} at colour 1?
     # enumerate instead of assuming: take any addable element held by set 1
-    for rec in add_set(seq, root):
+    for rec in add_set(seq, root, seq.universe):
         donor = root.collection.index_of_element(rec.element)
         if donor == 1:
             new_root = transition(seq, root, rec)
@@ -268,6 +276,24 @@ def test_exchange_injection_leaves_no_garbage_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_an_oracle_that_refuses_every_swap_is_reported(monkeypatch):
+    # A closed-form state that refuses every swap breaks the exchange axiom:
+    # exchange_injection says so, and the injection harness reports each
+    # nonempty RIS as a counterexample.
+    query = _ClosedFormState._query
+
+    def refusing(self, gone, new):
+        return not gone and query(self, gone, new)
+
+    monkeypatch.setattr(_ClosedFormState, "_query", refusing)
+    seq = uniform_seq(2, [{0, 1}, {2, 3}])
+    with pytest.raises(OracleInconsistencyError, match="exchange axiom"):
+        exchange_injection(seq, frozenset({(0, 1)}), 2)
+    report = run_lemma_harness("injection", family="uniform", target=50)
+    reasons = {ce["reason"] for ce in report.counterexamples}
+    assert report.checked == 50 and reasons == {"no injection"}
 
 
 def test_arrow(u24_disjoint):

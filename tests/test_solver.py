@@ -1,12 +1,14 @@
 """Packing solver: progress, certificates, logs and replay."""
 
 import copy
+import functools
 import hashlib
 import json
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rainbowpack import cascade, solver
 from rainbowpack.cli import EXIT_OK, run_command
@@ -271,6 +273,83 @@ def test_replay_rejects_tampered_log():
         apply_move(seq, coll, move, free)
 
 
+@functools.cache
+def _seed0_logs():
+    """(name, base sequence, move log as a replay reads it) of the seed-0
+    generated instances with n = 3 and 4, every family and mode."""
+    return tuple(
+        (name, seq, load_move_log(dump_move_log(pack_rainbow_bases(seq).moves)))
+        for name, seq in generated_seqs((3, 4))
+    )
+
+
+def _mutate(data, seq, log, signed):
+    """One mutation of a copy of ``log``, drawn from ``data``; an unsigned
+    copy keeps no recorded signature."""
+    log = copy.deepcopy(log)
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
+    move = pick(log)
+    change = pick(move["changes"])
+    how = pick(
+        ("drop", "swap", "retarget", "flip", "replace", "duplicate", "signature")[
+            : 7 if signed else 6
+        ]
+    )
+    if how == "drop":
+        log.remove(move)
+    elif how == "swap":
+        i, j = pick(list(combinations(range(len(log)), 2)))
+        log[i], log[j] = log[j], log[i]
+    elif how == "retarget":
+        change["set"] = data.draw(st.integers(-1, seq.n + 1))
+    elif how == "flip":  # one element between removed and added
+        src = pick([key for key in ("removed", "added") if change[key]])
+        dst = "added" if src == "removed" else "removed"
+        change[dst].append(change[src].pop(pick(range(len(change[src])))))
+    elif how == "replace":
+        k = pick(range(len(change["added"])))
+        change["added"][k] = list(pick(sorted(seq.universe)))
+    elif how == "duplicate":
+        at = pick(range(len(move["changes"]) + 1))
+        move["changes"].insert(at, copy.deepcopy(change))
+    else:
+        k = pick(range(len(move["signature"])))
+        move["signature"][k] += pick((-1, 1))
+    for move in log if not signed else ():
+        del move["signature"]
+    return log
+
+
+@settings(
+    max_examples=300, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_fuzzed_replay_rejects_or_reaches_a_valid_recorded_collection(data):
+    # A mutated log replays to a valid collection with the last recorded
+    # signature, or is refused with CorruptedTraceError; every accepted move
+    # leaves a valid collection with its recorded signature.  Half the logs
+    # lose their signatures, which would otherwise refuse most mutations.
+    name, seq, log = data.draw(st.sampled_from(_seed0_logs()))
+    signed = data.draw(st.booleans())
+    log = _mutate(data, seq, log, signed)
+    coll, free = Collection(seq.n), sorted(seq.universe)
+    try:
+        for move in log:
+            coll = apply_move(seq, coll, move, free)
+            assert validate_collection(seq, coll) == (True, None), name
+            if signed:
+                assert list(coll.signature) == move["signature"], name
+    except CorruptedTraceError:
+        with pytest.raises(CorruptedTraceError):
+            replay_moves(seq, log)
+        return
+    assert replay_moves(seq, log) == coll
+
+
 def _random_change(rng, seq, coll, i):
     S = (*coll.sets, frozenset())[i]
     removed = rng.sample(sorted(S), rng.randint(0, min(1, len(S))))
@@ -421,6 +500,17 @@ def test_cascade_exchange_invariant_errors_propagate(monkeypatch):
     monkeypatch.setattr(solver, "cyclic_exchange", broken)
     seq = generate_instance("graphic", 5, "overlapping", kappa=2, seed=1).base_sequence()
     with pytest.raises(InternalInvariantError, match="yet no cycle"):
+        pack_rainbow_bases(seq)
+
+
+def test_a_finders_bad_move_is_an_internal_error(monkeypatch):
+    # A move the finder makes must pass apply_move; one that does not is a
+    # bug in the solver, not a corrupted log.
+    monkeypatch.setattr(
+        solver, "_find_move", lambda *args: {"kind": "augment", "changes": []}
+    )
+    seq = generate_instance("uniform", 3, "disjoint", seed=0).base_sequence()
+    with pytest.raises(InternalInvariantError, match="finder made a bad move"):
         pack_rainbow_bases(seq)
 
 
